@@ -13,12 +13,12 @@ import tempfile
 from dataclasses import asdict
 import numpy as np
 
-from .observables import IdentityReport, ObservableSet, TailCorrections
+from .observables import IdentityReport, ObservableSet
 from .params import PhysicalParams
 from .radial import (RadialProfile, ResidualReport, ShootingResult,
                      SolitonSolution, SolverOptions, TailFit)
 
-SCHEMA_VERSION = 1
+SCHEMA_VERSION = 2
 
 
 def archive_document(solution: SolitonSolution,
@@ -52,7 +52,6 @@ def archive_document(solution: SolitonSolution,
             "I4": observables.I4,
             "J4": observables.J4,
             "T": observables.T,
-            "tail_corrections": asdict(observables.tail_corrections),
             "quad_error": dict(observables.quad_error),
         },
         "identities": asdict(identities),
@@ -67,10 +66,17 @@ def archive_document(solution: SolitonSolution,
     }
 
 
+def check_schema(doc) -> None:
+    """Raise ValueError unless doc is an archive of the current schema."""
+    version = doc.get("schema_version") if isinstance(doc, dict) else None
+    if version != SCHEMA_VERSION:
+        raise ValueError(f"unsupported schema_version {version!r}, "
+                         f"expected {SCHEMA_VERSION}")
+
+
 def solution_from_document(doc: dict):
     """Rebuild (SolitonSolution, ObservableSet, IdentityReport, PhysicalParams)."""
-    if doc.get("schema_version") != SCHEMA_VERSION:
-        raise ValueError(f"unsupported schema_version {doc.get('schema_version')!r}")
+    check_schema(doc)
     g = doc["grid"]
     profile = RadialProfile(
         grid=np.asarray(g["x"], dtype=float),
@@ -95,7 +101,6 @@ def solution_from_document(doc: dict):
     o = doc["observables"]
     observables = ObservableSet(
         Q=o["Q"], Qs=o["Qs"], I4=o["I4"], J4=o["J4"], T=o["T"],
-        tail_corrections=TailCorrections(**o["tail_corrections"]),
         quad_error=dict(o["quad_error"]),
     )
     identities = IdentityReport(**doc["identities"])
@@ -109,15 +114,15 @@ def dumps(doc: dict) -> str:
     return json.dumps(doc, indent=1, sort_keys=True)
 
 
-def write_json_atomic(path: str, doc: dict) -> None:
-    """Serialize to a temp file in the target directory, then rename."""
+def write_text_atomic(path: str, text: str) -> None:
+    """Write to a temp file in the target directory, then rename; the temp
+    file is removed if anything fails."""
     directory = os.path.dirname(os.path.abspath(path))
     os.makedirs(directory, exist_ok=True)
     fd, tmp = tempfile.mkstemp(dir=directory, suffix=".tmp")
     try:
         with os.fdopen(fd, "w") as fh:
-            fh.write(dumps(doc))
-            fh.write("\n")
+            fh.write(text)
         os.replace(tmp, path)
     except BaseException:
         if os.path.exists(tmp):
@@ -125,17 +130,24 @@ def write_json_atomic(path: str, doc: dict) -> None:
         raise
 
 
+def write_json_atomic(path: str, doc: dict) -> None:
+    write_text_atomic(path, dumps(doc) + "\n")
+
+
 def read_json(path: str) -> dict:
     with open(path) as fh:
         return json.load(fh)
 
 
-def cache_key(Omega: float, opts: SolverOptions, version: str) -> str:
-    """Digest of the frequency, every tolerance and the code version."""
+def cache_key(Omega: float, opts: SolverOptions, version: str, params: PhysicalParams) -> str:
+    """Digest of the frequency, every tolerance, the code version and the
+    calibration inputs (hbar, c, ell0) that the cached document depends on."""
     payload = json.dumps({"Omega": repr(float(Omega)), "options": asdict(opts),
-                          "version": version}, sort_keys=True)
+                          "version": version, "hbar": params.hbar, "c": params.c,
+                          "ell0": params.ell0}, sort_keys=True)
     return hashlib.sha256(payload.encode()).hexdigest()[:16]
 
 
-def cache_path(cache_dir: str, Omega: float, opts: SolverOptions, version: str) -> str:
-    return os.path.join(cache_dir, f"solve_{cache_key(Omega, opts, version)}.json")
+def cache_path(cache_dir: str, Omega: float, opts: SolverOptions, version: str,
+               params: PhysicalParams) -> str:
+    return os.path.join(cache_dir, f"solve_{cache_key(Omega, opts, version, params)}.json")

@@ -18,8 +18,8 @@ from dataclasses import dataclass, field, fields, replace
 from typing import Optional
 
 from . import __version__, archive
-from .correlation import (ChshSettings, build_singlet, chsh, chsh_optimize,
-                          epr_correlation, pair_correlation_fn)
+from .correlation import (build_singlet, chsh, chsh_optimize, epr_correlation,
+                          pair_correlation_fn)
 from .ensemble import EnsembleSpec, ensemble_estimate
 from .errors import (BracketError, ConvergenceError, DomainError, GridError,
                      IntegrationError, QuadratureError, SolitonLabError, TailError)
@@ -28,7 +28,7 @@ from .params import calibrate_lambda, make_params, to_dimensionless, with_lambda
 from .radial import SolverOptions, solve_ground
 
 SWEEP_COLUMNS = ["Omega", "F0", "Q", "Qs", "I4", "J4", "T", "nu_fit",
-                 "d1_residual", "d2_residual", "v13", "v14", "v15", "v16",
+                 "d1_residual", "d2_residual", "v13", "v15", "v16",
                  "energy_ratio", "lambda_calibrated", "status"]
 
 _SOLVER_FAILURES = (BracketError, ConvergenceError, TailError,
@@ -52,7 +52,6 @@ class RunConfig:
     b: Optional[str] = None
     b_prime: Optional[str] = None
     optimize: bool = False
-    restarts: int = 4
     n_trials: int = 64
     realizations: int = 4096
     seed: int = 42
@@ -129,7 +128,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--b", default=None)
     p.add_argument("--b-prime", default=None, dest="b_prime")
     p.add_argument("--optimize", action="store_true", default=None)
-    p.add_argument("--restarts", type=int, default=None)
     common(p)
 
     p = sub.add_parser("ensemble", help="Monte-Carlo phase-averaged correlation")
@@ -200,9 +198,14 @@ def _solve_document(omega: float, cfg: RunConfig) -> dict:
     cache_dir = _cache_dir(cfg)
     path = None
     if cache_dir:
-        path = archive.cache_path(cache_dir, dimless.Omega, cfg.solver, __version__)
-        if os.path.exists(path):
-            return archive.read_json(path)
+        path = archive.cache_path(cache_dir, dimless.Omega, cfg.solver, __version__,
+                                  params0)
+        try:
+            doc = archive.read_json(path)
+            archive.check_schema(doc)
+            return doc
+        except (FileNotFoundError, ValueError):
+            pass  # absent, not JSON or another schema: a miss, overwritten below
     solution = solve_ground(dimless.Omega, cfg.solver)
     obs = compute_integrals(solution)
     ids = identity_report(obs, solution.Omega)
@@ -237,7 +240,7 @@ def _sweep_row(omega: float, cfg: RunConfig) -> dict:
         "F0": doc["shooting"]["F0"], "Q": o["Q"], "Qs": o["Qs"], "I4": o["I4"],
         "J4": o["J4"], "T": o["T"], "nu_fit": doc["tail"]["nu_fit"],
         "d1_residual": i["d1_residual"], "d2_residual": i["d2_residual"],
-        "v13": i["v13"], "v14": i["v14"], "v15": i["v15"], "v16": i["v16"],
+        "v13": i["v13"], "v15": i["v15"], "v16": i["v16"],
         "energy_ratio": i["energy_ratio"],
         "lambda_calibrated": doc["calibration"]["lambda"],
     }
@@ -264,7 +267,7 @@ def _cmd_sweep(cfg: RunConfig) -> int:
     lines += [",".join(row[c] for c in SWEEP_COLUMNS) for row in rows]
     text = "\n".join(lines) + "\n"
     if cfg.out:
-        _write_text_atomic(cfg.out, text)
+        archive.write_text_atomic(cfg.out, text)
     else:
         sys.stdout.write(text)
     n_ok = sum(1 for r in rows if r["status"] == "ok")
@@ -273,19 +276,12 @@ def _cmd_sweep(cfg: RunConfig) -> int:
     return 0 if n_ok else 2
 
 
-def _write_text_atomic(path: str, text: str) -> None:
-    import tempfile
-    directory = os.path.dirname(os.path.abspath(path))
-    os.makedirs(directory, exist_ok=True)
-    fd, tmp = tempfile.mkstemp(dir=directory, suffix=".tmp")
-    with os.fdopen(fd, "w") as fh:
-        fh.write(text)
-    os.replace(tmp, path)
-
-
 def _load_solution(cfg: RunConfig):
-    doc = archive.read_json(cfg.solution)
-    return archive.solution_from_document(doc)
+    try:
+        return archive.solution_from_document(archive.read_json(cfg.solution))
+    except (ValueError, KeyError, TypeError) as err:
+        # not JSON, another schema_version, or a missing or mistyped field
+        raise DomainError(f"cannot load {cfg.solution}: {err!r}")
 
 
 def _cmd_observables(cfg: RunConfig) -> int:
@@ -321,22 +317,21 @@ def _cmd_correlate(cfg: RunConfig) -> int:
 
 def _cmd_chsh(cfg: RunConfig) -> int:
     pair, params = _singlet_from_archive(cfg)
-    fn = pair_correlation_fn(pair, hbar=params.hbar)
     if cfg.optimize:
-        angles, s_max = chsh_optimize(fn, restarts=cfg.restarts)
-        doc = {"optimized": True, "angles_rad": list(angles), "S": s_max}
-        _emit(cfg, doc, f"chsh: S_max = {s_max:.9f} (2*sqrt(2) = {2 * math.sqrt(2):.9f})")
-        return 0
-    vectors = [cfg.a, cfg.a_prime, cfg.b, cfg.b_prime]
-    if any(v is None for v in vectors):
-        raise DomainError("chsh needs --a --a-prime --b --b-prime, or --optimize")
-    a, ap, b, bp = (_parse_vector(v) for v in vectors)
-    s = chsh(a, ap, b, bp, lambda u, v: epr_correlation(pair, u, v,
-                                                        hbar=params.hbar).P_exact)
-    settings = ChshSettings(a=a, a_prime=ap, b=b, b_prime=bp, S=s)
-    doc = {"optimized": False, "a": list(a), "a_prime": list(ap), "b": list(b),
-           "b_prime": list(bp), "S": settings.S}
-    _emit(cfg, doc, f"chsh: S = {s:.9f}")
+        settings, s = chsh_optimize(pair_correlation_fn(pair, hbar=params.hbar))
+        summary = f"chsh: S_max = {s:.9f} (2*sqrt(2) = {2 * math.sqrt(2):.9f})"
+    else:
+        vectors = [cfg.a, cfg.a_prime, cfg.b, cfg.b_prime]
+        if any(v is None for v in vectors):
+            raise DomainError("chsh needs --a --a-prime --b --b-prime, or --optimize")
+        settings = [_parse_vector(v) for v in vectors]
+        s = chsh(*settings, lambda u, v: epr_correlation(pair, u, v,
+                                                         hbar=params.hbar).P_exact)
+        summary = f"chsh: S = {s:.9f}"
+    doc = {name: [float(x) for x in v]
+           for name, v in zip(("a", "a_prime", "b", "b_prime"), settings)}
+    doc.update(optimized=cfg.optimize, S=s)
+    _emit(cfg, doc, summary)
     return 0
 
 

@@ -16,13 +16,12 @@ from itertools import product
 from typing import Callable, Optional
 
 import numpy as np
-from scipy.optimize import minimize
 
 from .errors import DomainError, GridError
 from . import spingrid
 
 __all__ = [
-    "SpinLabel", "SpinVector", "EntangledPair", "CorrelationReport", "ChshSettings",
+    "SpinLabel", "SpinVector", "EntangledPair", "CorrelationReport",
     "build_singlet", "apply_2J", "epr_correlation", "pair_correlation_fn",
     "chsh", "chsh_optimize", "chsh_local_strategies", "ladder_check_grid",
     "unit_vector", "coplanar_direction",
@@ -60,20 +59,10 @@ class EntangledPair:
 
 
 @dataclass(frozen=True)
-class ChshSettings:
-    a: tuple
-    a_prime: tuple
-    b: tuple
-    b_prime: tuple
-    S: float
-
-
-@dataclass(frozen=True)
 class CorrelationReport:
     a: tuple
     b: tuple
     P_exact: float
-    chsh: Optional[ChshSettings] = None
 
 
 def unit_vector(a) -> np.ndarray:
@@ -141,8 +130,8 @@ def epr_correlation(pair: EntangledPair, a, b, hbar: float = 1.0) -> Correlation
 def pair_correlation_fn(pair: EntangledPair, hbar: float = 1.0) -> Callable:
     """Vectorized correlation closure fn(a, b) for batched unit directions.
 
-    Accepts (3,) or (n, 3) arrays (assumed unit length; used by the CHSH
-    optimizer where directions are constructed from angles).
+    Accepts (3,) or (n, 3) arrays, assumed unit length (no validation, so
+    large batches stay cheap).
     """
     amps = np.asarray(pair.amplitudes, dtype=complex).reshape(2, 2)
     scale = (pair.radial_norm_per_particle / hbar) ** 2
@@ -179,52 +168,39 @@ def coplanar_direction(theta):
     return np.stack([np.sin(theta), np.zeros_like(theta), np.cos(theta)], axis=-1)
 
 
-def chsh_optimize(correlation_fn: Callable, restarts: int = 4):
-    """Maximize S over coplanar analyzer angles.
+# non-axis pairs, neither parallel nor orthogonal, on which a bilinear
+# correlation must equal a^T T b
+_BILINEAR_PROBES = [(np.array(a) / np.linalg.norm(a), np.array(b) / np.linalg.norm(b))
+                    for a, b in [((1.0, 1.0, 1.0), (1.0, -2.0, 3.0)),
+                                 ((2.0, -1.0, 1.0), (1.0, 3.0, 2.0)),
+                                 ((-1.0, 2.0, 2.0), (3.0, 1.0, -1.0))]]
 
-    A 1-degree grid over the two detector angles (with the optimal partner
-    angles picked per pair) seeds Nelder-Mead refinements from the top
-    `restarts` grid points. correlation_fn must accept batched (n, 3) inputs.
-    Returns (best_angles, S_max) with angles (a, a', b, b') in radians.
+
+def chsh_optimize(correlation_fn: Callable):
+    """Maximal S over all analyzer directions, in closed form.
+
+    A bilinear correlation P(a, b) = a^T T b reaches
+    S_max = 2*sqrt(s1^2 + s2^2) from the two largest singular values of the
+    3x3 correlation matrix T (Horodecki, Horodecki & Horodecki, Phys. Lett. A
+    200, 340 (1995)). T is probed on the axis pairs; a correlation_fn that is
+    not bilinear raises DomainError. With T = U diag(s) V^T the optimum is
+    b, b' = cos(phi) v1 +- sin(phi) v2 at phi = atan2(s2, s1), a = u2 and
+    a' = u1 (parallel to T(b - b') and T(b + b')); singular vectors are unit
+    even where T is rank-deficient. Returns ((a, a', b, b'), S_max).
     """
-    if restarts < 1:
-        raise DomainError(f"restarts must be >= 1, got {restarts}")
-    theta = np.deg2rad(np.arange(0.0, 360.0))
-    n = theta.size
-    dirs = coplanar_direction(theta)
-    table = np.empty((n, n))
-    for i in range(n):
-        table[i] = correlation_fn(np.broadcast_to(dirs[i], (n, 3)), dirs)
-    # for each (b, b') pair, the best a maximizes |P(a,b) - P(a,b')| and the
-    # best a' maximizes |P(a',b) + P(a',b')|
-    m_diff = np.empty((n, n))
-    m_sum = np.empty((n, n))
-    i_diff = np.empty((n, n), dtype=int)
-    i_sum = np.empty((n, n), dtype=int)
-    for j in range(n):
-        d = np.abs(table[:, j][:, None] - table)
-        s = np.abs(table[:, j][:, None] + table)
-        m_diff[j] = d.max(axis=0)
-        i_diff[j] = d.argmax(axis=0)
-        m_sum[j] = s.max(axis=0)
-        i_sum[j] = s.argmax(axis=0)
-    s_grid = m_diff + m_sum
-
-    def s_of(angles):
-        a, ap, b, bp = (coplanar_direction(t) for t in angles)
-        return chsh(a, ap, b, bp, correlation_fn)
-
-    best_angles, s_max = None, -math.inf
-    flat = np.argsort(s_grid.ravel())[::-1][:restarts]
-    for k in flat:
-        j, jp = divmod(int(k), n)
-        x0 = np.array([theta[i_diff[j, jp]], theta[i_sum[j, jp]], theta[j], theta[jp]])
-        res = minimize(lambda ang: -s_of(ang), x0, method="Nelder-Mead",
-                       options={"xatol": 1e-10, "fatol": 1e-12, "maxiter": 4000})
-        if -res.fun > s_max:
-            s_max = -float(res.fun)
-            best_angles = tuple(float(t) for t in res.x)
-    return best_angles, s_max
+    axes = np.eye(3)
+    T = np.array([[float(correlation_fn(ei, ej)) for ej in axes] for ei in axes])
+    scale = max(1.0, float(np.max(np.abs(T))))
+    for a, b in _BILINEAR_PROBES:
+        got = float(correlation_fn(a, b))
+        if not abs(got - a @ T @ b) <= 1e-9 * scale:
+            raise DomainError(
+                f"correlation is not bilinear: P(a, b) = {got!r} but a^T T b = {a @ T @ b!r}")
+    u, s, vt = np.linalg.svd(T)
+    phi = math.atan2(s[1], s[0])
+    b = math.cos(phi) * vt[0] + math.sin(phi) * vt[1]
+    b_prime = math.cos(phi) * vt[0] - math.sin(phi) * vt[1]
+    return (u[:, 1], u[:, 0], b, b_prime), 2.0 * math.hypot(s[0], s[1])
 
 
 def chsh_local_strategies() -> list:
@@ -249,7 +225,7 @@ def ladder_check_grid(solution, tol: float = 0.02,
     """
     spec = grid or spingrid.GridSpec(n=64, extent=10.0)
     report = spingrid.ladder_residuals(solution, spec)
-    if report.max_residual > tol:
+    if not report.max_residual <= tol:
         worst = max(report.as_dict(), key=report.as_dict().get)
         raise GridError(
             f"ladder relation {worst} has residual {report.max_residual:.4f} "

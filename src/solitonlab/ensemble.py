@@ -60,6 +60,12 @@ def draw_phases(seed: int, realization_index: int, n: int) -> np.ndarray:
     return gen.random(n) * (2.0 * math.pi)
 
 
+def _coherence(phases: np.ndarray) -> float:
+    """Coherence factor (1/N)|sum_j e^{i theta_j}|^2 of one realization."""
+    z = np.exp(1j * phases).sum()
+    return (z.real * z.real + z.imag * z.imag) / phases.size
+
+
 def realization_estimate(phases, pair: EntangledPair, a, b, hbar: float = 1.0) -> float:
     """Correlation of one N-trial stochastic superposition (no phase average).
 
@@ -70,9 +76,7 @@ def realization_estimate(phases, pair: EntangledPair, a, b, hbar: float = 1.0) -
     phases = np.asarray(phases, dtype=float)
     if phases.size == 0:
         raise DomainError("phases must be non-empty")
-    z = np.exp(1j * phases).sum()
-    coherence = (z.real * z.real + z.imag * z.imag) / phases.size
-    return coherence * epr_correlation(pair, a, b, hbar=hbar).P_exact
+    return _coherence(phases) * epr_correlation(pair, a, b, hbar=hbar).P_exact
 
 
 def ensemble_estimate(spec: EnsembleSpec, pair: EntangledPair,
@@ -81,9 +85,7 @@ def ensemble_estimate(spec: EnsembleSpec, pair: EntangledPair,
     p_exact = epr_correlation(pair, spec.a, spec.b, hbar=hbar).P_exact
     values = np.empty(spec.realizations)
     for r in range(spec.realizations):
-        phases = draw_phases(spec.seed, r, spec.n_trials)
-        z = np.exp(1j * phases).sum()
-        values[r] = (z.real * z.real + z.imag * z.imag) / spec.n_trials * p_exact
+        values[r] = _coherence(draw_phases(spec.seed, r, spec.n_trials)) * p_exact
     mean = float(values.mean())
     if spec.realizations > 1:
         stderr = float(values.std(ddof=1) / math.sqrt(spec.realizations))

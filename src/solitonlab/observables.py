@@ -22,12 +22,10 @@ the numerics adjudicate.
 """
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import Optional
 
 from scipy.integrate import simpson
-from scipy.special import expn
 
 from .errors import DomainError, GridError, QuadratureError
 from .params import PhysicalParams, dimensionful_norm
@@ -35,19 +33,9 @@ from .radial import SolitonSolution
 from . import spingrid
 
 __all__ = [
-    "ObservableSet", "IdentityReport", "SpinReport", "TailCorrections",
+    "ObservableSet", "IdentityReport", "SpinReport",
     "compute_integrals", "identity_report", "spin_z", "energy",
 ]
-
-
-@dataclass(frozen=True)
-class TailCorrections:
-    """Closed-form contributions from beyond the grid end (x > x_max)."""
-    Q: float
-    Qs: float
-    I4: float
-    J4: float
-    T: float
 
 
 @dataclass(frozen=True)
@@ -57,7 +45,6 @@ class ObservableSet:
     I4: float
     J4: float
     T: float
-    tail_corrections: TailCorrections
     quad_error: dict
 
 
@@ -66,7 +53,6 @@ class IdentityReport:
     d1_residual: float
     d2_residual: float
     v13: float
-    v14: float
     v15: float
     v16: float
     energy_ratio: float
@@ -77,31 +63,6 @@ class SpinReport:
     Sz_algebraic: float
     Sz_grid: float
     grid_spec: spingrid.GridSpec
-
-
-def _tail_integral(c: float, k: int, xm: float) -> float:
-    """int_{xm}^inf exp(-c x) x^{-k} dx for integer k >= 0."""
-    if k == 0:
-        return math.exp(-c * xm) / c
-    return xm ** (1 - k) * float(expn(k, c * xm))
-
-
-def _tail_corrections(tail, B: float, xm: float) -> TailCorrections:
-    """Analytic integrals of the fitted tail F = (A/x)e^{-nu x}, G = -F'/B."""
-    A, nu = tail.A, tail.nu_fit
-    ti = lambda c, k: _tail_integral(c, k, xm)
-    a2 = A * A
-    a4 = a2 * a2
-    qf = a2 * ti(2 * nu, 0)
-    qg = (a2 / B ** 2) * (nu * nu * ti(2 * nu, 0) + 2 * nu * ti(2 * nu, 1) + ti(2 * nu, 2))
-    f4 = a4 * ti(4 * nu, 2)
-    g4 = (a4 / B ** 4) * (nu ** 4 * ti(4 * nu, 2) + 4 * nu ** 3 * ti(4 * nu, 3)
-                          + 6 * nu ** 2 * ti(4 * nu, 4) + 4 * nu * ti(4 * nu, 5)
-                          + ti(4 * nu, 6))
-    f2g2 = (a4 / B ** 2) * (nu * nu * ti(4 * nu, 2) + 2 * nu * ti(4 * nu, 3) + ti(4 * nu, 4))
-    t = (a2 / B) * (2 * nu * ti(2 * nu, 1) + ti(2 * nu, 2))
-    return TailCorrections(Q=qf + qg, Qs=qf - qg,
-                           I4=f4 - 2 * f2g2 + g4, J4=f4 - g4, T=t)
 
 
 def _mesh_integrals(x, F, G, dF, dG) -> dict:
@@ -116,11 +77,13 @@ def _mesh_integrals(x, F, G, dF, dG) -> dict:
 
 
 def compute_integrals(solution: SolitonSolution) -> ObservableSet:
-    """Composite Simpson quadrature on the stored mesh plus tail corrections.
+    """Composite Simpson quadrature on the stored mesh.
 
     The quadrature error of each integral is estimated from one mesh-halving
     step (full mesh vs every other point); disagreement beyond 1e-6 relative
-    to max(|integral|, Q) raises QuadratureError.
+    to max(|integral|, Q), or a NaN, raises QuadratureError. No tail term is
+    added: beyond the default x_max = max(40, 25/nu) the integrands carry a
+    factor below exp(-50) ~ 2e-22, which changes no bit of the sums.
     """
     p = solution.profile
     full = _mesh_integrals(p.grid, p.F, p.G, p.dF, p.dG)
@@ -130,28 +93,20 @@ def compute_integrals(solution: SolitonSolution) -> ObservableSet:
     for key, value in full.items():
         err = abs(value - half[key])
         errors[key] = err
-        if err > 1e-6 * max(abs(value), scale):
+        if not err <= 1e-6 * max(abs(value), scale):
             raise QuadratureError(
                 f"{key} changes by {err:.3e} under mesh halving "
                 f"(value {value:.6e})")
-    tc = _tail_corrections(p.tail, 1.0 + solution.Omega, p.x_max)
-    return ObservableSet(
-        Q=full["Q"] + tc.Q,
-        Qs=full["Qs"] + tc.Qs,
-        I4=full["I4"] + tc.I4,
-        J4=full["J4"] + tc.J4,
-        T=full["T"] + tc.T,
-        tail_corrections=tc,
-        quad_error=errors,
-    )
+    return ObservableSet(quad_error=errors, **full)
 
 
 def identity_report(obs: ObservableSet, Omega: float) -> IdentityReport:
     """Residuals of the direct and virial identities, normalized by Q.
 
     d1/d2 are the direct multiply-and-integrate consequences of the radial
-    equations; v13..v16 are the two scale-transformation identities and their
-    combinations; energy_ratio is E/(hbar*omega) in calibrated units.
+    equations; v13, v15 and v16 are the two scale-transformation identities
+    and their combinations (the fourth combination is d1 itself);
+    energy_ratio is E/(hbar*omega) in calibrated units.
     """
     if not obs.Q > 0:
         raise DomainError(f"identity residuals need a normalizable profile, Q = {obs.Q}")
@@ -160,7 +115,6 @@ def identity_report(obs: ObservableSet, Omega: float) -> IdentityReport:
         d1_residual=abs(T - (Omega * Q - Qs + I4)) / Q,
         d2_residual=abs(Omega * Qs - Q + J4) / Q,
         v13=abs(-(2.0 / 3.0) * T + Omega * Q - Qs + 0.5 * I4) / Q,
-        v14=abs(-T + Omega * Q - Qs + I4) / Q,
         v15=abs(T / 3.0 - 0.5 * I4) / Q,
         v16=abs(Qs + 0.5 * I4 - Omega * Q) / Q,
         energy_ratio=(T + Qs - 0.5 * I4) / (Omega * Q),

@@ -408,10 +408,11 @@ def _final_profile(Omega: float, F0: float, sh: _Shooter, opts: SolverOptions):
     thresh = opts.glue_frac * F0
 
     def check(x, F, G):
-        if F <= thresh:
-            return "glue"
+        # sign test first: a crossing below the threshold is not a glue point
         if F < 0.0 or G < 0.0:
             return "cross"
+        if F <= thresh:
+            return "glue"
         return None
 
     f = lambda x, F, G: _rhs(x, F, G, Omega)
@@ -499,43 +500,34 @@ def _midpoint_residual(profile: RadialProfile, Omega: float):
 def solve_ground(Omega: float, opts: Optional[SolverOptions] = None) -> SolitonSolution:
     """End-to-end ground-state solve: scan, bisect, final pass, tail fit.
 
-    Retries once with doubled x_max if the fitted tail exponent deviates more
-    than 5% from sqrt(1 - Omega^2).
+    Nothing is retried: trials already lengthen x_max on indeterminate runs.
+    A final pass that misses the glue threshold, or a fitted tail exponent
+    more than 5% from sqrt(1 - Omega^2), raises TailError; a midpoint
+    residual above residual_tol raises ConvergenceError. Both guards reject
+    NaN.
     """
     if not 0.0 < Omega < 1.0:
         raise DomainError(f"Omega must lie in (0, 1), got {Omega}")
     opts = opts or SolverOptions()
-    last_err: Optional[Exception] = None
-    for attempt in range(2):
-        sh = _Shooter(Omega, opts)
-        if attempt == 1:
-            sh.x_max *= 2.0
-        bracket = coarse_scan(Omega, opts, shooter=sh)
-        shooting = shoot(Omega, bracket, shoot_tol=opts.shoot_tol,
-                         opts=opts, shooter=sh)
-        try:
-            profile, report = _final_profile(Omega, shooting.F0, sh, opts)
-        except TailError as err:
-            last_err = err
-            continue
-        if report.nu_rel_dev > 0.05:
-            last_err = TailError(
-                f"nu_fit = {profile.tail.nu_fit:.6f} deviates "
-                f"{report.nu_rel_dev:.1%} from sqrt(1 - Omega^2)")
-            continue
-        if report.max_midpoint_residual > opts.residual_tol:
-            raise ConvergenceError(
-                f"midpoint residual {report.max_midpoint_residual:.3e} exceeds "
-                f"{opts.residual_tol:.1e}")
-        provenance = {
-            "code_version": _version(),
-            "options": asdict(opts),
-            "x_max_used": sh.x_max,
-            "attempt": attempt,
-        }
-        return SolitonSolution(Omega=Omega, profile=profile, shooting=shooting,
-                               residuals=report, provenance=provenance)
-    raise last_err if last_err is not None else TailError("solve_ground failed")
+    sh = _Shooter(Omega, opts)
+    bracket = coarse_scan(Omega, opts, shooter=sh)
+    shooting = shoot(Omega, bracket, shoot_tol=opts.shoot_tol, opts=opts, shooter=sh)
+    profile, report = _final_profile(Omega, shooting.F0, sh, opts)
+    if not report.nu_rel_dev <= 0.05:
+        raise TailError(
+            f"nu_fit = {profile.tail.nu_fit:.6f} deviates "
+            f"{report.nu_rel_dev:.1%} from sqrt(1 - Omega^2)")
+    if not report.max_midpoint_residual <= opts.residual_tol:
+        raise ConvergenceError(
+            f"midpoint residual {report.max_midpoint_residual:.3e} exceeds "
+            f"{opts.residual_tol:.1e}")
+    provenance = {
+        "code_version": _version(),
+        "options": asdict(opts),
+        "x_max_used": sh.x_max,
+    }
+    return SolitonSolution(Omega=Omega, profile=profile, shooting=shooting,
+                           residuals=report, provenance=provenance)
 
 
 def _version() -> str:

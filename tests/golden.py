@@ -13,7 +13,7 @@ OMEGA = 0.5
 # converged shooting amplitude F(0)
 F0_GROUND = 1.3805659286962686
 
-# radial integrals of the converged profile (tail-corrected)
+# radial integrals of the converged profile (Simpson on the stored mesh)
 Q_NORM = 30.595593674675264
 QS_SCALAR = 10.300202901593495
 I4_QUARTIC = 9.995187871490767

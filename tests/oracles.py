@@ -1,14 +1,16 @@
 """Independent numerical oracles used to cross-check the pipeline.
 
-Everything here deliberately avoids the package's integrator and quadrature:
-classic fixed-step RK4 with Richardson-extrapolated trapezoid sums, plus
-adaptive quad for the analytic tail. Tolerances of the cross-checks reflect
-these methods' own accuracy, not the pipeline's.
+Everything here deliberately avoids the package's integrator, quadrature and
+CHSH optimizer: classic fixed-step RK4 with Richardson-extrapolated trapezoid
+sums, adaptive quad for the analytic tail, and a brute-force angle search
+for the CHSH maximum. Tolerances of the cross-checks reflect these methods'
+own accuracy, not the pipeline's.
 """
 import math
 
 import numpy as np
 from scipy.integrate import quad
+from scipy.optimize import minimize
 
 
 def rhs_oracle(x, F, G, Om):
@@ -102,3 +104,52 @@ def oracle_ground_norm(Om, bracket, h=1e-3, glue_frac=1e-4):
 
     q_tail, _err = quad(tail_integrand, xg, np.inf, epsabs=1e-14, epsrel=1e-12)
     return F0, q_body + q_tail
+
+
+def _xz(theta):
+    theta = np.asarray(theta, dtype=float)
+    return np.stack([np.sin(theta), np.zeros_like(theta), np.cos(theta)], axis=-1)
+
+
+def chsh_grid_search(correlation_fn, restarts=4):
+    """Maximal S over coplanar (x-z) analyzers by search; returns S_max.
+
+    A 1-degree table over the two detector angles, with the best partner
+    angles picked per (b, b') pair, seeds Nelder-Mead refinements from the
+    top `restarts` grid points. correlation_fn must accept batched (n, 3)
+    inputs. Settings out of the x-z plane are never tried.
+    """
+    theta = np.deg2rad(np.arange(0.0, 360.0))
+    n = theta.size
+    dirs = _xz(theta)
+    table = np.empty((n, n))
+    for i in range(n):
+        table[i] = correlation_fn(np.broadcast_to(dirs[i], (n, 3)), dirs)
+    # for each (b, b') pair, the best a maximizes |P(a,b) - P(a,b')| and the
+    # best a' maximizes |P(a',b) + P(a',b')|
+    m_diff = np.empty((n, n))
+    m_sum = np.empty((n, n))
+    i_diff = np.empty((n, n), dtype=int)
+    i_sum = np.empty((n, n), dtype=int)
+    for j in range(n):
+        d = np.abs(table[:, j][:, None] - table)
+        s = np.abs(table[:, j][:, None] + table)
+        m_diff[j] = d.max(axis=0)
+        i_diff[j] = d.argmax(axis=0)
+        m_sum[j] = s.max(axis=0)
+        i_sum[j] = s.argmax(axis=0)
+    s_grid = m_diff + m_sum
+
+    def s_of(angles):
+        a, ap, b, bp = (_xz(t) for t in angles)
+        return (abs(correlation_fn(a, b) - correlation_fn(a, bp))
+                + abs(correlation_fn(ap, b) + correlation_fn(ap, bp)))
+
+    s_max = -math.inf
+    for k in np.argsort(s_grid.ravel())[::-1][:restarts]:
+        j, jp = divmod(int(k), n)
+        x0 = np.array([theta[i_diff[j, jp]], theta[i_sum[j, jp]], theta[j], theta[jp]])
+        res = minimize(lambda ang: -s_of(ang), x0, method="Nelder-Mead",
+                       options={"xatol": 1e-10, "fatol": 1e-12, "maxiter": 4000})
+        s_max = max(s_max, -float(res.fun))
+    return s_max

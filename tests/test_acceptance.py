@@ -90,7 +90,7 @@ def test_criterion_3_normalization_and_spin(sol05, obs05, params05):
 
 
 def test_criterion_4_energy_positivity(solutions, observable_sets, identity_reports):
-    with criterion(4, "E > 0 across the sweep; energy_ratio and v13..v16 reported"):
+    with criterion(4, "E > 0 across the sweep; energy_ratio and v13, v15, v16 reported"):
         for om in SWEEP_OMEGAS:
             obs = observable_sets[om]
             ids = identity_reports[om]
@@ -99,7 +99,7 @@ def test_criterion_4_energy_positivity(solutions, observable_sets, identity_repo
             E, hw, ratio = sl.energy(obs, params)
             assert E > 0.0
             print(f"  Omega={om}: E={E:.6f} E/hw={ratio:.6f} "
-                  f"v13={ids.v13:.1e} v14={ids.v14:.1e} v15={ids.v15:.1e} "
+                  f"v13={ids.v13:.1e} v15={ids.v15:.1e} "
                   f"v16={ids.v16:.1e}")
 
 

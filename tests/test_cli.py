@@ -5,8 +5,10 @@ import os
 import numpy as np
 import pytest
 
+import golden
 from solitonlab import archive
 from solitonlab.cli import SWEEP_COLUMNS, main
+from solitonlab.params import make_params
 from solitonlab.radial import SolverOptions
 
 
@@ -52,17 +54,21 @@ def test_archive_serialization_deterministic(sol05, obs05, ids05, params05, tmp_
 
 
 def test_cache_key_depends_on_tolerances():
-    k1 = archive.cache_key(0.5, SolverOptions(), "1.0")
-    k2 = archive.cache_key(0.5, SolverOptions(mesh_dx=0.02), "1.0")
-    k3 = archive.cache_key(0.6, SolverOptions(), "1.0")
-    assert len({k1, k2, k3}) == 3
+    params = make_params(omega=0.5)
+    k1 = archive.cache_key(0.5, SolverOptions(), "1.0", params)
+    k2 = archive.cache_key(0.5, SolverOptions(mesh_dx=0.02), "1.0", params)
+    k3 = archive.cache_key(0.6, SolverOptions(), "1.0", params)
+    k4 = archive.cache_key(0.5, SolverOptions(), "1.0", make_params(hbar=2.0, omega=0.5))
+    assert len({k1, k2, k3, k4}) == 4
 
 
 # --- solve -------------------------------------------------------------------
 
 def test_solve_archive_content(sol_path):
     doc = json.loads(sol_path.read_text())
-    assert doc["schema_version"] == 1
+    assert doc["schema_version"] == 2
+    assert "tail_corrections" not in doc["observables"]
+    assert "v14" not in doc["identities"]
     assert doc["tail"]["nu_fit"] == pytest.approx(math.sqrt(0.75), rel=1e-3)
     n = len(doc["grid"]["x"])
     assert all(len(doc["grid"][k]) == n for k in ("F", "G", "dF", "dG"))
@@ -73,6 +79,46 @@ def test_solve_cache_hit_byte_identical(sol_path, workdir):
     out2 = workdir / "sol_again.json"
     assert main(["solve", "--omega", "0.5", "--out", str(out2)]) == 0
     assert out2.read_bytes() == sol_path.read_bytes()
+
+
+def test_solve_cache_separates_calibration_inputs(tmp_path):
+    # same dimensionless Omega, different hbar: the second solve must not be
+    # served the first one's calibration
+    lams = []
+    for hbar in ("2", "1"):
+        out = tmp_path / f"hbar{hbar}.json"
+        assert main(["solve", "--omega", "0.5", "--hbar", hbar,
+                     "--cache-dir", str(tmp_path / "cache"), "--out", str(out)]) == 0
+        lams.append(json.loads(out.read_text())["calibration"]["lambda"])
+    assert lams[1] == pytest.approx(golden.LAMBDA_CALIBRATED, rel=1e-12)
+    assert lams[0] == pytest.approx(golden.LAMBDA_CALIBRATED / 2.0, rel=1e-12)
+
+
+def test_solve_treats_bad_cache_entry_as_miss(tmp_path):
+    cache = tmp_path / "cache"
+    args = ["solve", "--omega", "0.5", "--cache-dir", str(cache)]
+    assert main(args + ["--out", str(tmp_path / "fresh.json")]) == 0
+    (entry,) = cache.iterdir()
+    fresh = entry.read_bytes()
+    old_schema = json.loads(fresh)
+    old_schema["schema_version"] = 1
+    for bad in ("{not json", json.dumps(old_schema)):
+        entry.write_text(bad)
+        out = tmp_path / "again.json"
+        assert main(args + ["--out", str(out)]) == 0
+        assert out.read_bytes() == fresh
+        assert entry.read_bytes() == fresh
+
+
+@pytest.mark.parametrize("content", ["{not json", '{"schema_version": 1}', "[1, 2]",
+                                     '{"schema_version": 2}'])
+def test_unreadable_solution_is_invalid_input(tmp_path, capsys, content):
+    path = tmp_path / "bad.json"
+    path.write_text(content)
+    code = main(["correlate", "--solution", str(path), "--a", "0,0,1", "--b", "0,0,1"])
+    assert code == 3
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
 
 
 def test_solve_rejects_omega_outside_interval(workdir, capsys):
@@ -138,7 +184,15 @@ def test_chsh_optimize(sol_path, workdir):
     assert main(["chsh", "--solution", str(sol_path), "--optimize",
                  "--out", str(out)]) == 0
     doc = json.loads(out.read_text())
-    assert doc["S"] == pytest.approx(2.0 * math.sqrt(2.0), abs=1e-6)
+    assert doc["S"] == pytest.approx(2.0 * math.sqrt(2.0), abs=1e-12)
+    assert set(doc) == {"optimized", "a", "a_prime", "b", "b_prime", "S"}
+    # the emitted settings reproduce S through the explicit-settings path
+    again = workdir / "chsh_again.json"
+    vec = lambda key: ",".join(repr(x) for x in doc[key])
+    assert main(["chsh", "--solution", str(sol_path), f"--a={vec('a')}",
+                 f"--a-prime={vec('a_prime')}", f"--b={vec('b')}",
+                 f"--b-prime={vec('b_prime')}", "--out", str(again)]) == 0
+    assert json.loads(again.read_text())["S"] == pytest.approx(doc["S"], abs=1e-12)
 
 
 def test_chsh_requires_settings_or_optimize(sol_path):
@@ -184,7 +238,7 @@ def test_sweep_csv_contract(workdir):
     lines = out.read_text().strip().split("\n")
     assert lines[0] == ",".join(SWEEP_COLUMNS)
     assert lines[0] == ("Omega,F0,Q,Qs,I4,J4,T,nu_fit,d1_residual,d2_residual,"
-                        "v13,v14,v15,v16,energy_ratio,lambda_calibrated,status")
+                        "v13,v15,v16,energy_ratio,lambda_calibrated,status")
     assert len(lines) == 4
     for line in lines[1:]:
         fields = dict(zip(SWEEP_COLUMNS, line.split(",")))

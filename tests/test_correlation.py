@@ -2,7 +2,9 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
+import oracles
 from solitonlab import DomainError, GridError
 from solitonlab.correlation import (SpinVector, apply_2J, build_singlet, chsh,
                                     chsh_local_strategies, chsh_optimize,
@@ -205,34 +207,74 @@ def test_local_strategies_bounded_by_two():
     assert max(values) == 2.0
 
 
+def _assert_optimum(fn, expected):
+    settings_, s_max = chsh_optimize(fn)
+    assert abs(s_max - expected) <= 1e-12
+    for v in settings_:
+        assert v.shape == (3,) and np.all(np.isfinite(v))
+        assert abs(np.linalg.norm(v) - 1.0) <= 1e-12
+    assert abs(chsh(*settings_, fn) - s_max) <= 1e-12
+    return s_max
+
+
+def _product(a, b):
+    a = np.atleast_2d(a)
+    b = np.atleast_2d(b)
+    r = -(a[:, 2] * b[:, 2])
+    return r if r.size > 1 else float(r[0])
+
+
 def test_chsh_optimize_singlet():
     fn = pair_correlation_fn(build_singlet(1.0))
-    _angles, s_max = chsh_optimize(fn)
-    assert abs(s_max - 2.0 * ROOT2) <= 1e-6
+    s_max = _assert_optimum(fn, 2.0 * ROOT2)
+    assert abs(s_max - oracles.chsh_grid_search(fn)) <= 1e-6
 
 
 def test_chsh_optimize_damped():
     fn = pair_correlation_fn(build_singlet(1.0))
     damped = lambda a, b: 0.5 * np.asarray(fn(a, b))
-    _angles, s_max = chsh_optimize(damped)
-    assert s_max == pytest.approx(ROOT2, abs=1e-6)
-    assert s_max <= 2.0
+    s_max = _assert_optimum(damped, ROOT2)
+    assert abs(s_max - oracles.chsh_grid_search(damped)) <= 1e-6
 
 
 def test_chsh_optimize_product_state():
-    def product(a, b):
-        a = np.atleast_2d(a)
-        b = np.atleast_2d(b)
-        r = -(a[:, 2] * b[:, 2])
-        return r if r.size > 1 else float(r[0])
-
-    _angles, s_max = chsh_optimize(product)
-    assert s_max == pytest.approx(2.0, abs=1e-6)
+    # rank-one T: b = b', and a is any unit vector
+    _assert_optimum(_product, 2.0)
 
 
-def test_chsh_optimize_rejects_bad_restarts():
+def test_chsh_optimize_zero_correlation():
+    _assert_optimum(lambda a, b: 0.0, 0.0)
+
+
+def test_chsh_optimize_out_of_plane():
+    # T = -diag(1, 1, 0): the optimum lies in the x-y plane, where an x-z
+    # search reaches only 2
+    _assert_optimum(lambda a, b: -(a[0] * b[0] + a[1] * b[1]), 2.0 * ROOT2)
+
+
+def test_chsh_optimize_rejects_non_bilinear():
+    sign = lambda a, b: -float(np.sign(np.dot(a, b)))
     with pytest.raises(DomainError):
-        chsh_optimize(lambda a, b: 0.0, restarts=0)
+        chsh_optimize(sign)
+    with pytest.raises(DomainError):
+        chsh_optimize(lambda a, b: math.nan)
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(entries=st.lists(st.floats(-1.0, 1.0), min_size=9, max_size=9),
+       seed=st.integers(0, 2 ** 32 - 1))
+def test_chsh_optimize_is_maximal_for_any_correlation_matrix(entries, seed):
+    T = np.reshape(entries, (3, 3))
+    T = T / max(1.0, np.linalg.norm(T, 2))
+    fn = lambda a, b: np.asarray(a) @ T @ np.asarray(b)
+    settings_, s_max = chsh_optimize(fn)
+    for v in settings_:
+        assert abs(np.linalg.norm(v) - 1.0) <= 1e-12
+    assert abs(chsh(*settings_, fn) - s_max) <= 1e-12
+    a, ap, b, bp = (_random_units(np.random.default_rng(seed + k), 500) for k in range(4))
+    P = lambda u, v: np.einsum("ni,ij,nj->n", u, T, v)
+    s_random = np.abs(P(a, b) - P(a, bp)) + np.abs(P(ap, b) + P(ap, bp))
+    assert s_random.max() <= s_max + 1e-12
 
 
 # --- ladder grid check ----------------------------------------------------------

@@ -119,3 +119,16 @@ def test_stderr_scaling_with_realizations():
         errs.append(ensemble_estimate(spec, PAIR).stderr)
     slope = math.log(errs[1] / errs[0]) / math.log(1024 / 256)
     assert -0.65 <= slope <= -0.35
+
+
+@pytest.mark.parametrize("n", [1, 2, 16, 64])
+def test_coherence_factor_exact_moments(n):
+    # C = (1/N)|sum_j e^{i theta_j}|^2 over uniform phases has mean 1 and
+    # variance 1 - 1/N exactly; P_exact = -1 for parallel z analyzers
+    spec = EnsembleSpec(n_trials=n, realizations=4096, seed=11, a=(0, 0, 1), b=(0, 0, 1))
+    c = -np.asarray(ensemble_estimate(spec, PAIR).per_realization)
+    r = c.size
+    mean, var = c.mean(), c.var(ddof=1)
+    m4 = np.mean((c - mean) ** 4)
+    assert abs(mean - 1.0) <= 4.0 * math.sqrt(var / r) + 1e-12
+    assert abs(var - (1.0 - 1.0 / n)) <= 4.0 * math.sqrt(max(m4 - var * var, 0.0) / r) + 1e-12

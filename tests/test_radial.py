@@ -6,8 +6,8 @@ import pytest
 import golden
 import oracles
 from solitonlab import (BracketError, DomainError, Outcome, RadialState,
-                        SolverOptions, classify, integrate, rhs, series_start,
-                        shoot, solve_ground)
+                        SolitonLabError, SolverOptions, TailError, classify,
+                        integrate, rhs, series_start, shoot, solve_ground)
 from solitonlab.radial import Trajectory, coarse_scan, _Shooter
 
 
@@ -203,6 +203,22 @@ def test_solve_ground_determinism(sol05):
         b = getattr(s2.profile, name)
         assert np.array_equal(a, b)
     assert s2.profile.tail == sol05.profile.tail
+
+
+def test_glue_below_rounding_is_rejected_not_nan():
+    # the final pass crosses zero before F reaches 1e-13 * F0; that crossing
+    # must not be taken as the glue point (it gave nu_fit = nan)
+    with pytest.raises(SolitonLabError):
+        solve_ground(0.5, SolverOptions(glue_frac=1e-13))
+
+
+def test_tail_failure_raises_tail_error():
+    with pytest.raises(TailError):
+        solve_ground(0.5, SolverOptions(glue_frac=1e-9))
+
+
+def test_solve_ground_provenance_has_no_retry_counter(sol05):
+    assert set(sol05.provenance) == {"code_version", "options", "x_max_used"}
 
 
 @pytest.mark.parametrize("bad", [0.0, 1.0, -0.3, 1.7])
