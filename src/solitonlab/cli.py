@@ -15,7 +15,7 @@ import os
 import sys
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field, fields, replace
-from typing import Optional
+from typing import Optional, get_args, get_type_hints
 
 from . import __version__, archive
 from .correlation import (build_singlet, chsh, chsh_optimize, epr_correlation,
@@ -141,14 +141,33 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _read_config(path: str) -> dict:
+    """Read a JSON config file of option defaults; each value must have the
+    type its option is annotated with (an int is accepted for a float)."""
+    try:
+        with open(path) as fh:
+            file_cfg = json.load(fh)
+    except (json.JSONDecodeError, UnicodeDecodeError) as err:
+        raise DomainError(f"cannot parse config file {path}: {err}")
+    if not isinstance(file_cfg, dict):
+        raise DomainError("config file must hold a JSON object")
+    hints = {**get_type_hints(RunConfig), **get_type_hints(SolverOptions)}
+    for key, value in file_cfg.items():
+        hint = hints.get(key.replace("-", "_"))
+        if value is None or hint is None:
+            continue  # unset, or an unknown key that the merge reports
+        types = tuple(t for t in get_args(hint) if t is not type(None)) or (hint,)
+        if float in types:
+            types += (int,)
+        if not isinstance(value, types) or (isinstance(value, bool) and bool not in types):
+            raise DomainError(f"config key {key!r} must be of type "
+                              f"{' or '.join(t.__name__ for t in types)}, got {value!r}")
+    return file_cfg
+
+
 def _merge_config(args: argparse.Namespace) -> RunConfig:
     """Merge precedence: command-line flags > config file > defaults."""
-    file_cfg = {}
-    if getattr(args, "config", None):
-        with open(args.config) as fh:
-            file_cfg = json.load(fh)
-        if not isinstance(file_cfg, dict):
-            raise DomainError("config file must hold a JSON object")
+    file_cfg = _read_config(args.config) if getattr(args, "config", None) else {}
     cfg = RunConfig(command=args.command)
     solver_kwargs = {}
     solver_fields = {f.name for f in fields(SolverOptions)}

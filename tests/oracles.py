@@ -1,16 +1,21 @@
 """Independent numerical oracles used to cross-check the pipeline.
 
-Everything here deliberately avoids the package's integrator, quadrature and
-CHSH optimizer: classic fixed-step RK4 with Richardson-extrapolated trapezoid
-sums, adaptive quad for the analytic tail, and a brute-force angle search
-for the CHSH maximum. Tolerances of the cross-checks reflect these methods'
-own accuracy, not the pipeline's.
+Everything here deliberately avoids the package's integrator, quadrature,
+CHSH optimizer and streamed spin grid: classic fixed-step RK4 with
+Richardson-extrapolated trapezoid sums, adaptive quad for the analytic tail,
+a brute-force angle search for the CHSH maximum, and the dense complex-valued
+3-D spin grid. Tolerances of the cross-checks reflect these methods' own
+accuracy, not the pipeline's.
 """
 import math
 
 import numpy as np
 from scipy.integrate import quad
+from scipy.interpolate import CubicSpline
 from scipy.optimize import minimize
+
+from solitonlab.errors import GridError
+from solitonlab.spingrid import GridSpec, LadderReport
 
 
 def rhs_oracle(x, F, G, Om):
@@ -153,3 +158,129 @@ def chsh_grid_search(correlation_fn, restarts=4):
                        options={"xatol": 1e-10, "fatol": 1e-12, "maxiter": 4000})
         s_max = max(s_max, -float(res.fun))
     return s_max
+
+
+# --- dense spin grid ------------------------------------------------------------
+# The whole n^3 cube in complex arithmetic: both 4-spinors, 12 complex gradients
+# per spinor and every J application held at once (~1.6 GB at 128^3).
+
+def _radial_splines(solution):
+    """Cubic splines of F and G anchored at the origin (F flat, G linear)."""
+    p = solution.profile
+    x = np.concatenate([[0.0], p.grid])
+    F = np.concatenate([[p.F[0]], p.F])
+    G = np.concatenate([[0.0], p.G])
+    return CubicSpline(x, F), CubicSpline(x, G)
+
+
+def _axes_weights(spec: GridSpec):
+    ax = np.linspace(-spec.extent, spec.extent, spec.n)
+    if spec.n % 2:
+        raise GridError("grid point count must be even to exclude the origin")
+    h = ax[1] - ax[0]
+    w = np.full(spec.n, h)
+    w[0] = w[-1] = 0.5 * h  # trapezoid end weights
+    return ax, h, w
+
+
+def _sample_fields(solution, spec: GridSpec):
+    fs, gs = _radial_splines(solution)
+    ax, h, w1 = _axes_weights(spec)
+    X, Y, Z = np.meshgrid(ax, ax, ax, indexing="ij")
+    R = np.sqrt(X * X + Y * Y + Z * Z)
+    if R.max() > solution.profile.x_max:
+        # spline extrapolation beyond the stored grid is not trustworthy
+        raise GridError(
+            f"grid corner radius {R.max():.1f} exceeds profile x_max "
+            f"{solution.profile.x_max:.1f}")
+    pre = 1.0 / math.sqrt(4.0 * math.pi)
+    f = pre * fs(R)
+    g_over_r = pre * gs(R) / R
+    up = (f.astype(complex),
+          np.zeros_like(f, dtype=complex),
+          1j * g_over_r * Z,
+          1j * g_over_r * (X + 1j * Y))
+    dn = (np.zeros_like(f, dtype=complex),
+          f.astype(complex),
+          1j * g_over_r * (X - 1j * Y),
+          -1j * g_over_r * Z)
+    weights = w1[:, None, None] * w1[None, :, None] * w1[None, None, :]
+    return (X, Y, Z), h, weights, up, dn
+
+
+def _gradients(comps, h):
+    """(d/dx, d/dy, d/dz) of each component, central differences."""
+    return tuple(tuple(np.gradient(c, h, axis=ax, edge_order=2) for ax in range(3))
+                 for c in comps)
+
+
+def _orbital(grads_c, coords, which: str):
+    """L_3, L_+ or L_- of one component from its cached gradients."""
+    X, Y, Z = coords
+    dx, dy, dz = grads_c
+    if which == "3":
+        return -1j * (X * dy - Y * dx)
+    L1 = -1j * (Y * dz - Z * dy)
+    L2 = -1j * (Z * dx - X * dz)
+    return L1 + 1j * L2 if which == "+" else L1 - 1j * L2
+
+
+def _apply_j(comps, grads, coords, which: str):
+    """J = L + Sigma/2 applied componentwise; Sigma acts blockwise as sigma."""
+    orb = [_orbital(g, coords, which) for g in grads]
+    c0, c1, c2, c3 = comps
+    zero = np.zeros_like(c0)
+    if which == "3":
+        spin = (0.5 * c0, -0.5 * c1, 0.5 * c2, -0.5 * c3)
+    elif which == "+":
+        spin = (c1, zero, c3, zero)
+    else:
+        spin = (zero, c0, zero, c2)
+    return tuple(o + s for o, s in zip(orb, spin))
+
+
+def _norm2(comps, weights) -> float:
+    return sum(float(np.sum(weights * (c.real ** 2 + c.imag ** 2))) for c in comps)
+
+
+def ladder_residuals_dense(solution, spec: GridSpec) -> LadderReport:
+    """Grid L2 residuals of all six ladder relations.
+
+    Gradients are computed once per field and reused across the three J
+    applications; the two fields are processed one after the other to bound
+    peak memory on fine grids.
+    """
+    coords, h, w, up, dn = _sample_fields(solution, spec)
+    n_up = math.sqrt(_norm2(up, w))
+    n_dn = math.sqrt(_norm2(dn, w))
+
+    def dist(a, b, norm):
+        return math.sqrt(_norm2(tuple(x - y for x, y in zip(a, b)), w)) / norm
+
+    zero4 = tuple(np.zeros_like(up[0]) for _ in range(4))
+    half_up = tuple(0.5 * c for c in up)
+    half_dn = tuple(-0.5 * c for c in dn)
+
+    grads = _gradients(up, h)
+    jplus_up = dist(_apply_j(up, grads, coords, "+"), zero4, n_up)
+    j3_up = dist(_apply_j(up, grads, coords, "3"), half_up, n_up)
+    jminus_up = dist(_apply_j(up, grads, coords, "-"), dn, n_dn)
+    grads = _gradients(dn, h)
+    jminus_dn = dist(_apply_j(dn, grads, coords, "-"), zero4, n_dn)
+    j3_dn = dist(_apply_j(dn, grads, coords, "3"), half_dn, n_dn)
+    jplus_dn = dist(_apply_j(dn, grads, coords, "+"), up, n_up)
+    return LadderReport(
+        jplus_up=jplus_up, j3_up=j3_up, jminus_up=jminus_up,
+        jminus_dn=jminus_dn, j3_dn=j3_dn, jplus_dn=jplus_dn,
+        grid_spec=spec,
+    )
+
+
+def sz_grid_integral_dense(solution, spec: GridSpec) -> float:
+    """Dimensionless grid integral of phi_up^+ J_3 phi_up (converges to Q/2)."""
+    coords, h, w, up, _dn = _sample_fields(solution, spec)
+    j3up = _apply_j(up, _gradients(up, h), coords, "3")
+    total = 0.0
+    for a, b in zip(up, j3up):
+        total += float(np.sum(w * (a.conj() * b).real))
+    return total

@@ -149,6 +149,34 @@ def test_config_file_with_flag_override(workdir):
     assert doc["provenance"]["options"]["mesh_dx"] == 0.02
 
 
+
+@pytest.mark.parametrize("content", [b"{bad", b"\xff\xfe{}"])
+def test_malformed_config_is_invalid_input(tmp_path, capsys, content):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_bytes(content)
+    assert main(["solve", "--omega", "0.5", "--config", str(cfg), "--no-cache"]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("entry", [{"mesh-dx": "abc"}, {"hbar": True}, {"x_max": [40]},
+                                   {"max-iterations": 2.0}, {"seed": False},
+                                   {"no-cache": 1}, {"cache-dir": 7}])
+def test_config_value_of_wrong_type_is_invalid_input(tmp_path, capsys, entry):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(entry))
+    assert main(["solve", "--omega", "0.5", "--config", str(cfg), "--no-cache"]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+
+
+def test_config_accepts_int_for_float(sol_path, tmp_path):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"hbar": 1, "n-trials": 8, "realizations": 16}))
+    assert main(["ensemble", "--solution", str(sol_path), "--a", "0,0,1", "--b", "0,0,1",
+                 "--config", str(cfg), "--out", str(tmp_path / "e.json")]) == 0
+
+
 # --- correlate / chsh / ensemble ----------------------------------------------
 
 def test_correlate_parallel(sol_path, workdir, capsys):
