@@ -34,8 +34,9 @@ class EnsembleSpec:
     def __post_init__(self):
         if self.n_trials < 1:
             raise DomainError(f"n_trials must be >= 1, got {self.n_trials}")
-        if self.realizations < 1:
-            raise DomainError(f"realizations must be >= 1, got {self.realizations}")
+        if self.realizations < 2:
+            # a standard error needs two samples
+            raise DomainError(f"realizations must be >= 2, got {self.realizations}")
 
 
 @dataclass(frozen=True)
@@ -87,10 +88,7 @@ def ensemble_estimate(spec: EnsembleSpec, pair: EntangledPair,
     for r in range(spec.realizations):
         values[r] = _coherence(draw_phases(spec.seed, r, spec.n_trials)) * p_exact
     mean = float(values.mean())
-    if spec.realizations > 1:
-        stderr = float(values.std(ddof=1) / math.sqrt(spec.realizations))
-    else:
-        stderr = 0.0
+    stderr = float(values.std(ddof=1) / math.sqrt(spec.realizations))
     return EnsembleEstimate(mean=mean, stderr=stderr,
                             per_realization=tuple(float(v) for v in values),
                             seed_used=spec.seed)

@@ -125,8 +125,8 @@ def integrate_mesh(f: Rhs, mesh, F0: float, G0: float,
 
     Steps remain adaptive but are clamped to never overshoot the next node,
     so recorded values carry no interpolation error. Returns
-    (xs, Fs, Gs, reason, n_recorded) where reason is "end" or the check value
-    fired at a node.
+    (xs, Fs, Gs, reason) where reason is "end" or the check value fired at a
+    node; the lists end at that node.
     """
     xs = [float(mesh[0])]
     Fs = [F0]

@@ -177,6 +177,18 @@ def test_config_accepts_int_for_float(sol_path, tmp_path):
                  "--config", str(cfg), "--out", str(tmp_path / "e.json")]) == 0
 
 
+@pytest.mark.parametrize("flags", [["--mesh-dx", "0"], ["--mesh-dx", "-0.01"],
+                                   ["--mesh-dx", "nan"], ["--final-rtol", "0"],
+                                   ["--final-rtol", "nan"]])
+def test_bad_solver_option_is_invalid_input(tmp_path, capsys, flags):
+    # these ended in a traceback (exit 1) or read as non-convergence (exit 2)
+    code = main(["solve", "--omega", "0.5", "--no-cache",
+                 "--out", str(tmp_path / "x.json")] + flags)
+    assert code == 3
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+
+
 # --- correlate / chsh / ensemble ----------------------------------------------
 
 def test_correlate_parallel(sol_path, workdir, capsys):
@@ -237,6 +249,15 @@ def test_ensemble_reproducible_artifacts(sol_path, workdir):
     doc = json.loads(out1.read_text())
     assert doc["seed_used"] == 99
     assert abs(doc["mean"] - doc["exact"]) <= 6.0 * doc["stderr"]
+
+
+def test_ensemble_single_realization_is_invalid_input(sol_path, capsys):
+    # one realization has no standard error; it used to report stderr 0.0
+    code = main(["ensemble", "--solution", str(sol_path), "--a", "0,0,1",
+                 "--b", "0,0,1", "--realizations", "1"])
+    assert code == 3
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
 
 
 # --- observables command --------------------------------------------------------

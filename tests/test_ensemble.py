@@ -98,10 +98,10 @@ def test_ensemble_orthogonal_analyzers_exact_zero():
     assert est.mean == pytest.approx(0.0, abs=1e-12)
 
 
-def test_ensemble_stderr_nonnegative_single_realization():
-    spec = EnsembleSpec(n_trials=8, realizations=1, seed=3)
-    est = ensemble_estimate(spec, PAIR)
-    assert est.stderr == 0.0
+def test_ensemble_rejects_single_realization():
+    # a standard error needs two samples; one realization is not an estimate
+    with pytest.raises(DomainError):
+        EnsembleSpec(n_trials=8, realizations=1, seed=3)
 
 
 @pytest.mark.parametrize("kwargs", [dict(n_trials=0, realizations=4, seed=1),

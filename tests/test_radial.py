@@ -2,13 +2,16 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 import golden
 import oracles
-from solitonlab import (BracketError, DomainError, Outcome, RadialState,
-                        SolitonLabError, SolverOptions, TailError, classify,
-                        integrate, rhs, series_start, shoot, solve_ground)
-from solitonlab.radial import Trajectory, coarse_scan, _Shooter
+from solitonlab import (BracketError, DomainError, IntegrationError, Outcome,
+                        RadialState, SolitonLabError, SolverOptions, TailError,
+                        classify, integrate, rhs, series_start, shoot, solve_ground)
+from solitonlab.ivp import integrate_mesh
+from solitonlab.radial import (Trajectory, coarse_scan, _Shooter, _make_check,
+                               _march, _rhs)
 
 
 # --- right-hand side -------------------------------------------------------
@@ -110,6 +113,90 @@ def test_classify_labels():
     assert classify(t("blowup", F=-2000.0)) is Outcome.DIVERGED_DOWN
     assert classify(t("blowup", F=2000.0)) is Outcome.DIVERGED_UP
     assert classify(t("end")) is Outcome.INDETERMINATE
+
+
+# --- specialised mesh march --------------------------------------------------
+
+def _generic_states(Omega, nodes, start, rtol, check):
+    xs, Fs, Gs, reason = integrate_mesh(lambda x, F, G: _rhs(x, F, G, Omega), nodes,
+                                        start.F, start.G, rtol=rtol, check=check)
+    return list(zip(xs, Fs, Gs)), reason
+
+
+def _marched_states(Omega, nodes, start, rtol, check):
+    states = [(nodes[0], start.F, start.G)]
+    reason = check(*states[0])
+    if not reason:
+        for state in _march(Omega, nodes, start.F, start.G, rtol):
+            states.append(state)
+            reason = check(*state)
+            if reason:
+                break
+    return states, reason or "end"
+
+
+def _result_or_error(run, *args):
+    try:
+        return run(*args)
+    except IntegrationError as err:
+        return f"IntegrationError: {err}"
+
+
+def _golden_examples(test):
+    """Explicit cases at the golden amplitude: +-1 and +-7 ulp (both sides of
+    the critical discrete flow), +-1e-9 and +-1e-3, at the bisection rtol."""
+    f0, ulp = golden.F0_GROUND, math.ulp(golden.F0_GROUND)
+    for d in (ulp, -ulp, 7 * ulp, -7 * ulp, 1e-9, -1e-9, 1e-3, -1e-3):
+        test = example(Omega=golden.OMEGA, F0=f0 + d, rtol=1e-10)(test)
+    return test
+
+
+@settings(max_examples=50, deadline=None, derandomize=True)
+@given(Omega=st.floats(0.05, 0.98), F0=st.floats(0.3, 2.0),
+       rtol=st.sampled_from([1e-8, 1e-10]))
+@_golden_examples
+def test_march_matches_generic_stepper(Omega, F0, rtol):
+    # every node value up to the trial's halt is bit-identical (==, not
+    # approx) to the generic DP5 path on the default mesh, or both raise the
+    # same step underflow; the trial then classifies as the generic path does
+    opts = SolverOptions()
+    sh = _Shooter(Omega, opts)
+    start = series_start(F0, Omega, opts.x0)
+    check = _make_check(opts.blowup_factor * max(abs(F0), 1e-12), opts.decay_floor)
+    args = (Omega, sh.nodes, start, rtol, check)
+    generic = _result_or_error(_generic_states, *args)
+    assert _result_or_error(_marched_states, *args) == generic
+    if isinstance(generic, str):
+        expected = generic
+    elif generic[1] != "end" and start.G > 0.0:
+        states, reason = generic
+        expected = classify(Trajectory(xs=[], Fs=[states[-1][1]], Gs=[], halt=reason)), reason
+    else:
+        return  # an undershoot at the series start, or a trial that extends x_max
+    assert _result_or_error(sh.trial, F0, rtol, True) == expected
+
+
+def test_march_nan_start_raises_like_generic_stepper():
+    # NaN passes every halt test; both paths shrink the step to underflow at x0
+    nodes = _Shooter(0.5, SolverOptions()).nodes
+    with pytest.raises(IntegrationError) as generic:
+        integrate_mesh(lambda x, F, G: _rhs(x, F, G, 0.5), nodes, math.nan, 1e-5,
+                       rtol=1e-10, check=_make_check(1e3, 1e-12))
+    with pytest.raises(IntegrationError) as marched:
+        next(_march(0.5, nodes, math.nan, 1e-5, 1e-10))
+    assert str(marched.value) == str(generic.value)
+    assert str(generic.value) == f"step size underflow at x = {nodes[0]}"
+
+
+@pytest.mark.parametrize("kwargs", [
+    dict(mesh_dx=0.0), dict(mesh_dx=-0.01), dict(mesh_dx=math.nan), dict(mesh_dx=math.inf),
+    dict(scan_rtol=1e-5), dict(scan_rtol=math.nan), dict(final_rtol=0.0),
+    dict(final_rtol=1e-15), dict(final_rtol=math.nan),
+    dict(x0=0.0), dict(x0=-1e-4), dict(x0=math.nan),
+    dict(x_max=1e-4), dict(x_max=-5.0), dict(x_max=math.nan), dict(x_max=math.inf)])
+def test_solver_options_reject_invalid_values(kwargs):
+    with pytest.raises(DomainError):
+        SolverOptions(**kwargs)
 
 
 # --- shooting --------------------------------------------------------------
