@@ -18,7 +18,6 @@ from .radial import (Outcome, RadialState, RadialProfile, ShootingResult,
                      integrate, classify, shoot, solve_ground)
 from .observables import (ObservableSet, IdentityReport, SpinReport,
                           compute_integrals, identity_report, spin_z, energy)
-from .spingrid import GridSpec, LadderReport
 from .correlation import (SpinLabel, SpinVector, EntangledPair, CorrelationReport,
                           build_singlet, apply_2J, epr_correlation,
                           pair_correlation_fn, chsh, chsh_optimize,
@@ -26,4 +25,16 @@ from .correlation import (SpinLabel, SpinVector, EntangledPair, CorrelationRepor
 from .ensemble import (EnsembleSpec, EnsembleEstimate, draw_phases,
                        realization_estimate, ensemble_estimate)
 
-__all__ = [name for name in dir() if not name.startswith("_")]
+# The 3-D grid module and its types load on first access (PEP 562): spingrid
+# imports scipy, which nothing else in the package needs.
+_LAZY = ("spingrid", "GridSpec", "LadderReport")
+
+__all__ = [name for name in dir() if not name.startswith("_")] + list(_LAZY)
+
+
+def __getattr__(name):
+    if name in _LAZY:
+        from importlib import import_module
+        spingrid = import_module(".spingrid", __name__)
+        return spingrid if name == "spingrid" else getattr(spingrid, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

@@ -24,7 +24,8 @@ from .ensemble import EnsembleSpec, ensemble_estimate
 from .errors import (BracketError, ConvergenceError, DomainError, GridError,
                      IntegrationError, QuadratureError, SolitonLabError, TailError)
 from .observables import compute_integrals, identity_report
-from .params import calibrate_lambda, make_params, to_dimensionless, with_lambda
+from .params import (calibrate_lambda, dimensionful_norm, make_params,
+                     to_dimensionless, with_lambda)
 from .radial import SolverOptions, solve_ground
 
 SWEEP_COLUMNS = ["Omega", "F0", "Q", "Qs", "I4", "J4", "T", "nu_fit",
@@ -317,7 +318,6 @@ def _cmd_observables(cfg: RunConfig) -> int:
 
 def _singlet_from_archive(cfg: RunConfig):
     _solution, obs, _ids, params = _load_solution(cfg)
-    from .params import dimensionful_norm
     norm = dimensionful_norm(params, obs.Q)
     return build_singlet(norm), params
 

@@ -13,12 +13,14 @@ import math
 from dataclasses import dataclass
 from enum import Enum
 from itertools import product
-from typing import Callable, Optional
+from typing import TYPE_CHECKING, Callable, Optional
 
 import numpy as np
 
 from .errors import DomainError, GridError
-from . import spingrid
+
+if TYPE_CHECKING:
+    from .spingrid import GridSpec, LadderReport
 
 __all__ = [
     "SpinLabel", "SpinVector", "EntangledPair", "CorrelationReport",
@@ -216,13 +218,14 @@ def chsh_local_strategies() -> list:
 
 
 def ladder_check_grid(solution, tol: float = 0.02,
-                      grid: Optional[spingrid.GridSpec] = None) -> spingrid.LadderReport:
+                      grid: Optional[GridSpec] = None) -> LadderReport:
     """Validate the six ladder relations on a 3-D grid.
 
     Central differences converge quadratically, so halving the spacing must
     shrink every residual about fourfold; at the 64^3 default all residuals
     stay below 2%.
     """
+    from . import spingrid  # loads scipy; see the spingrid module docstring
     spec = grid or spingrid.GridSpec(n=64, extent=10.0)
     report = spingrid.ladder_residuals(solution, spec)
     if not report.max_residual <= tol:

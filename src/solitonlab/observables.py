@@ -19,18 +19,25 @@ and the energy/frequency ratio are reported as diagnostics only: combining
 them predicts E = hbar*omega + (c*lam/2) * quartic integral, so the stronger
 claim E = hbar*omega cannot hold unless the quartic integral vanishes, and
 the numerics adjudicate.
+
+The quadrature is an in-package composite Simpson rule, so importing this
+module loads no scipy. The 3-D grid module `spingrid` is imported only inside
+`spin_z`: it loads scipy's CubicSpline at its own import, which no archive
+command needs.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional
+from typing import TYPE_CHECKING, Optional
 
-from scipy.integrate import simpson
+import numpy as np
 
 from .errors import DomainError, GridError, QuadratureError
 from .params import PhysicalParams, dimensionful_norm
 from .radial import SolitonSolution
-from . import spingrid
+
+if TYPE_CHECKING:
+    from .spingrid import GridSpec
 
 __all__ = [
     "ObservableSet", "IdentityReport", "SpinReport",
@@ -62,17 +69,49 @@ class IdentityReport:
 class SpinReport:
     Sz_algebraic: float
     Sz_grid: float
-    grid_spec: spingrid.GridSpec
+    grid_spec: GridSpec
+
+
+def _simpson(y: np.ndarray, x: np.ndarray) -> float:
+    """Composite Simpson's rule for samples y on a strictly increasing mesh x.
+
+    Operation for operation scipy 1.17.1's ``simpson(y, x=x)`` for 1-D input
+    with N >= 3 points: the irregular-spacing three-point rule over pairs of
+    intervals, and for even N Cartwright's correction for the last interval.
+    Left out are scipy's ``where=`` masks, which only guard zero spacings,
+    and its final ``+= 0.0`` on the even branch, which only turns -0.0 into
+    +0.0.
+    """
+    n = len(y)
+    stop = n - 2 if n % 2 else n - 3
+    h = np.diff(x)
+    h0 = h[0:stop:2]
+    h1 = h[1:stop + 1:2]
+    hsum = h0 + h1
+    hprod = h0 * h1
+    h0divh1 = np.true_divide(h0, h1)
+    tmp = hsum / 6.0 * (y[0:stop:2] * (2.0 - np.true_divide(1.0, h0divh1))
+                        + y[1:stop + 1:2] * (hsum * np.true_divide(hsum, hprod))
+                        + y[2:stop + 2:2] * (2.0 - h0divh1))
+    result = np.sum(tmp)
+    if n % 2 == 0:
+        # last interval; the same expressions on the same 0-d values as scipy
+        a, b = np.asarray(h[-2]), np.asarray(h[-1])
+        alpha = np.true_divide(2 * b ** 2 + 3 * a * b, 6 * (b + a))
+        beta = np.true_divide(b ** 2 + 3.0 * a * b, 6 * a)
+        eta = np.true_divide(1 * b ** 3, 6 * a * (a + b))
+        result += alpha * y[-1] + beta * y[-2] - eta * y[-3]
+    return float(result)
 
 
 def _mesh_integrals(x, F, G, dF, dG) -> dict:
     x2 = x * x
     return {
-        "Q": float(simpson(x2 * (F * F + G * G), x=x)),
-        "Qs": float(simpson(x2 * (F * F - G * G), x=x)),
-        "I4": float(simpson(x2 * (F * F - G * G) ** 2, x=x)),
-        "J4": float(simpson(x2 * (F ** 4 - G ** 4), x=x)),
-        "T": float(simpson(x2 * (F * dG - G * dF) + 2.0 * x * F * G, x=x)),
+        "Q": _simpson(x2 * (F * F + G * G), x),
+        "Qs": _simpson(x2 * (F * F - G * G), x),
+        "I4": _simpson(x2 * (F * F - G * G) ** 2, x),
+        "J4": _simpson(x2 * (F ** 4 - G ** 4), x),
+        "T": _simpson(x2 * (F * dG - G * dF) + 2.0 * x * F * G, x),
     }
 
 
@@ -123,7 +162,7 @@ def identity_report(obs: ObservableSet, Omega: float) -> IdentityReport:
 
 def spin_z(solution: SolitonSolution, params: PhysicalParams,
            obs: Optional[ObservableSet] = None,
-           grid: Optional[spingrid.GridSpec] = None) -> SpinReport:
+           grid: Optional[GridSpec] = None) -> SpinReport:
     """Spin projection along z, algebraically and by 3-D grid quadrature.
 
     Sz_algebraic = (hbar/2) * (dimensionful norm / hbar): exactly hbar/2 once
@@ -134,6 +173,7 @@ def spin_z(solution: SolitonSolution, params: PhysicalParams,
     """
     if params.lam is None:
         raise DomainError("spin_z requires calibrated params (lam set)")
+    from . import spingrid  # loads scipy; see the spingrid module docstring
     obs = obs or compute_integrals(solution)
     q_dim = dimensionful_norm(params, obs.Q)
     sz_alg = 0.5 * params.hbar * (q_dim / params.hbar)

@@ -26,6 +26,7 @@ oracle of _march.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass, asdict
 from enum import Enum
 from itertools import chain
@@ -126,7 +127,14 @@ class SolitonSolution:
 
 @dataclass(frozen=True)
 class SolverOptions:
-    """Tolerances and guards of the shooting pipeline."""
+    """Tolerances and guards of the shooting pipeline.
+
+    Construction raises DomainError unless x0, mesh_dx, scan_step, shoot_tol,
+    decay_floor and residual_tol are finite and > 0; x_max is None or finite
+    and > x0; scan_max is finite and >= scan_step; scan_rtol and final_rtol
+    lie in [1e-14, 1e-6]; blowup_factor is finite and > 1; glue_frac lies in
+    (0, 1); max_iterations is an int >= 1 and max_x_extensions an int >= 0.
+    """
     x0: float = 1e-4
     x_max: Optional[float] = None          # default max(40, 25/nu)
     mesh_dx: float = 0.01
@@ -144,16 +152,29 @@ class SolverOptions:
 
     def __post_init__(self):
         # NaN-safe: each test is written so that NaN fails it
-        if not 0.0 < self.mesh_dx < math.inf:
-            raise DomainError(f"mesh_dx must be finite and > 0, got {self.mesh_dx}")
+        for name in ("x0", "mesh_dx", "scan_step", "shoot_tol", "decay_floor",
+                     "residual_tol"):
+            value = getattr(self, name)
+            if not 0.0 < value < math.inf:
+                raise DomainError(f"{name} must be finite and > 0, got {value}")
         for name in ("scan_rtol", "final_rtol"):
             tol = getattr(self, name)
             if not 1e-14 <= tol <= 1e-6:
                 raise DomainError(f"{name} must lie in [1e-14, 1e-6], got {tol}")
-        if not 0.0 < self.x0 < math.inf:
-            raise DomainError(f"x0 must be finite and > 0, got {self.x0}")
         if self.x_max is not None and not self.x0 < self.x_max < math.inf:
             raise DomainError(f"x_max must be finite and > x0 = {self.x0}, got {self.x_max}")
+        if not self.scan_step <= self.scan_max < math.inf:
+            raise DomainError(f"scan_max must be finite and >= scan_step = "
+                              f"{self.scan_step}, got {self.scan_max}")
+        if not 1.0 < self.blowup_factor < math.inf:
+            raise DomainError(f"blowup_factor must be finite and > 1, got {self.blowup_factor}")
+        if not 0.0 < self.glue_frac < 1.0:
+            raise DomainError(f"glue_frac must lie in (0, 1), got {self.glue_frac}")
+        for name, least in (("max_iterations", 1), ("max_x_extensions", 0)):
+            count = getattr(self, name)
+            if not (isinstance(count, numbers.Integral) and not isinstance(count, bool)
+                    and count >= least):
+                raise DomainError(f"{name} must be an integer >= {least}, got {count!r}")
 
 
 def _rhs(x: float, F: float, G: float, Omega: float) -> tuple:
@@ -532,7 +553,7 @@ def shoot(Omega: float, bracket0: tuple, shoot_tol: float = 1e-12,
             hi = mid
     F0 = 0.5 * (lo + hi)
     width = abs(hi - lo)
-    if width > shoot_tol * max(1.0, abs(F0)):
+    if not width <= shoot_tol * max(1.0, abs(F0)):
         raise ConvergenceError(
             f"bisection stalled with bracket width {width:.3e} at Omega = {Omega}")
     bracket = (min(lo, hi), max(lo, hi))

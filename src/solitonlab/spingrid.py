@@ -24,6 +24,13 @@ cross slab boundaries, so memory is O(n^2 * _SLAB), not O(n^3).
 
 The grid is node-centered with an even point count, so the coordinate origin
 (where z/r is undefined) is never sampled.
+
+This is the one module that needs scipy (CubicSpline puts the radial profile
+on the cube). The package, the CLI and the observables and correlation
+modules import this module only inside the functions that build a grid, so
+no archive command loads scipy. The scipy import stays at module level on
+purpose: a program that imports `spingrid` up front pays its ~0.6 s there,
+not inside its first grid check.
 """
 from __future__ import annotations
 
@@ -174,16 +181,19 @@ def ladder_residuals(solution, spec: GridSpec) -> LadderReport:
     The cube is streamed in slabs in real arithmetic: per slab, 12 real
     gradients are taken once and shared by both spinors and all six
     relations, and only the weighted squared sums are kept; the square roots
-    are taken at the end. Peak memory is O(n^2 * _SLAB), about 50 MB of
+    are taken at the end. Peak memory is O(n^2 * _SLAB), about 60 MB of
     arrays at n = 128.
     """
     rows = _LADDER.reshape(-1, 16)
     sums = np.zeros(len(_LADDER))
+    # one buffer for every slab's rows: a fresh array per slab (32 MiB at
+    # n = 128) is mmapped and page-faulted in anew each time
+    buf = np.empty(len(rows) * _SLAB * spec.n * spec.n)
     for atoms, w in _slabs(solution, spec):
-        r = rows @ atoms
+        out = buf[:len(rows) * atoms.shape[1]].reshape(len(rows), -1)
+        r = np.matmul(rows, atoms, out=out)
         r *= r
         sums += (r @ w).reshape(len(_LADDER), -1).sum(axis=1)
-        del r  # free the slab's rows before the next slab is sampled
     n_up, n_dn, *res = [math.sqrt(s) for s in sums]
     return LadderReport(
         jplus_up=res[0] / n_up, j3_up=res[1] / n_up, jminus_up=res[2] / n_dn,

@@ -1,11 +1,14 @@
 import json
 import math
 import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
 import golden
+import solitonlab
 from solitonlab import archive
 from solitonlab.cli import SWEEP_COLUMNS, main
 from solitonlab.params import make_params
@@ -179,14 +182,54 @@ def test_config_accepts_int_for_float(sol_path, tmp_path):
 
 @pytest.mark.parametrize("flags", [["--mesh-dx", "0"], ["--mesh-dx", "-0.01"],
                                    ["--mesh-dx", "nan"], ["--final-rtol", "0"],
-                                   ["--final-rtol", "nan"]])
+                                   ["--final-rtol", "nan"], ["--scan-step", "0"],
+                                   ["--scan-step", "-0.1"], ["--scan-max", "nan"],
+                                   ["--shoot-tol", "nan"]])
 def test_bad_solver_option_is_invalid_input(tmp_path, capsys, flags):
-    # these ended in a traceback (exit 1) or read as non-convergence (exit 2)
-    code = main(["solve", "--omega", "0.5", "--no-cache",
-                 "--out", str(tmp_path / "x.json")] + flags)
+    # these ended in a traceback (exit 1), read as non-convergence (exit 2)
+    # or, for --shoot-tol nan, exited 0 with the option in the archive
+    out = tmp_path / "x.json"
+    code = main(["solve", "--omega", "0.5", "--no-cache", "--out", str(out)] + flags)
     assert code == 3
     err = capsys.readouterr().err
     assert err.startswith("error: ") and err.count("\n") == 1
+    assert not out.exists()
+
+
+# NaN is written as the bare token JSON readers accept; these exited 0 with
+# the option in the archive (blowup_factor, decay_floor) or exit 2 (residual_tol)
+@pytest.mark.parametrize("entry", ['{"blowup_factor": NaN}', '{"decay_floor": -1.0}',
+                                   '{"residual_tol": NaN}'])
+def test_bad_solver_option_in_config_is_invalid_input(tmp_path, capsys, entry):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(entry)
+    out = tmp_path / "x.json"
+    code = main(["solve", "--omega", "0.5", "--no-cache", "--config", str(cfg),
+                 "--out", str(out)])
+    assert code == 3
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert not out.exists()
+
+
+def test_archive_commands_load_no_scipy(tmp_path):
+    # a fresh interpreter: solve and observables must not import scipy or the
+    # 3-D grid module, which loads it
+    src = os.path.dirname(os.path.dirname(solitonlab.__file__))
+    sol, obs = tmp_path / "sol.json", tmp_path / "obs.json"
+    code = (
+        "import json, sys\n"
+        "from solitonlab import cli\n"
+        f"assert cli.main(['solve', '--omega', '0.5', '--no-cache', '--out', {str(sol)!r}]) == 0\n"
+        f"assert cli.main(['observables', '--solution', {str(sol)!r}, '--out', {str(obs)!r}]) == 0\n"
+        "print(json.dumps(sorted(m for m in sys.modules if m == 'scipy'\n"
+        "      or m.startswith('scipy.') or m == 'solitonlab.spingrid')))\n")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [src] + [p for p in [os.environ.get("PYTHONPATH")] if p]))
+    proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                          text=True, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout.splitlines()[-1]) == []
 
 
 # --- correlate / chsh / ensemble ----------------------------------------------

@@ -2,13 +2,15 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 from scipy.integrate import quad, simpson
 
 import golden
 import oracles
 import solitonlab as sl
 from solitonlab import DomainError, GridError, QuadratureError
-from solitonlab.observables import compute_integrals, energy, identity_report, spin_z
+from solitonlab.observables import (_simpson, compute_integrals, energy,
+                                    identity_report, spin_z)
 from solitonlab.radial import RadialProfile, SolitonSolution, TailFit
 from solitonlab.spingrid import GridSpec, ladder_residuals, sz_grid_integral
 
@@ -108,6 +110,34 @@ def test_quadrature_convergence_order(sol05):
             vals.append(float(simpson(fn(*sub), x=sub[0])))
         ratio = abs(vals[1] - vals[0]) / abs(vals[2] - vals[1])
         assert ratio >= 8.0, (name, ratio)
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(spacings=st.lists(st.floats(1e-3, 10.0), min_size=2, max_size=60),
+       start=st.floats(-100.0, 100.0), data=st.data())
+@example(spacings=[1.0, 1.0], start=0.0, data=None)        # N = 3
+@example(spacings=[1.0, 2.0, 0.5], start=0.0, data=None)   # N = 4
+def test_simpson_equals_scipy(spacings, start, data):
+    # bit for bit (==) the scipy rule the golden values were computed with,
+    # odd N (pairs of intervals) and even N (Cartwright's last interval)
+    x = start + np.cumsum([0.0] + spacings)
+    n = len(x)
+    if data is None:
+        y = np.cos(x) * np.exp(-0.1 * x)
+    else:
+        y = np.array(data.draw(st.lists(st.floats(-1e6, 1e6), min_size=n, max_size=n)))
+    assert _simpson(y, x) == float(simpson(y, x=x))
+
+
+def test_mesh_integrals_equal_scipy(sol05):
+    # all five integrands on the full and the half mesh of the golden solution
+    p = sol05.profile
+    for stride in (1, 2):
+        x, F, G, dF, dG = (arr[::stride] for arr in (p.grid, p.F, p.G, p.dF, p.dG))
+        x2 = x * x
+        for y in (x2 * (F * F + G * G), x2 * (F * F - G * G), x2 * (F * F - G * G) ** 2,
+                  x2 * (F ** 4 - G ** 4), x2 * (F * dG - G * dF) + 2.0 * x * F * G):
+            assert _simpson(y, x) == float(simpson(y, x=x))
 
 
 def test_direct_identities(ids05):

@@ -193,10 +193,50 @@ def test_march_nan_start_raises_like_generic_stepper():
     dict(scan_rtol=1e-5), dict(scan_rtol=math.nan), dict(final_rtol=0.0),
     dict(final_rtol=1e-15), dict(final_rtol=math.nan),
     dict(x0=0.0), dict(x0=-1e-4), dict(x0=math.nan),
-    dict(x_max=1e-4), dict(x_max=-5.0), dict(x_max=math.nan), dict(x_max=math.inf)])
+    dict(x_max=1e-4), dict(x_max=-5.0), dict(x_max=math.nan), dict(x_max=math.inf),
+    dict(scan_step=0.0), dict(scan_step=-0.1), dict(scan_max=math.nan),
+    dict(scan_max=0.05), dict(shoot_tol=math.nan), dict(decay_floor=-1.0),
+    dict(residual_tol=math.nan), dict(blowup_factor=1.0), dict(blowup_factor=math.nan),
+    dict(glue_frac=0.0), dict(glue_frac=1.0), dict(max_iterations=0),
+    dict(max_iterations=10.0), dict(max_x_extensions=-1), dict(max_x_extensions=True)])
 def test_solver_options_reject_invalid_values(kwargs):
     with pytest.raises(DomainError):
         SolverOptions(**kwargs)
+
+
+_SPECIAL = st.sampled_from([0.0, -0.0, -1.0, 1.0, 0.5, math.inf, -math.inf, math.nan])
+_VALUES = st.one_of(_SPECIAL, st.floats(), st.integers(-3, 300))
+_FIELDS = ("x0", "x_max", "mesh_dx", "scan_step", "scan_max", "scan_rtol", "final_rtol",
+           "shoot_tol", "max_iterations", "blowup_factor", "decay_floor", "glue_frac",
+           "residual_tol", "max_x_extensions")
+
+
+def _is_count(value, least):
+    return type(value) is int and value >= least
+
+
+def _in_documented_range(o):
+    positive = (o.x0, o.mesh_dx, o.scan_step, o.shoot_tol, o.decay_floor, o.residual_tol)
+    return (all(math.isfinite(v) and v > 0 for v in positive)
+            and (o.x_max is None or (math.isfinite(o.x_max) and o.x_max > o.x0))
+            and math.isfinite(o.scan_max) and o.scan_max >= o.scan_step
+            and all(1e-14 <= v <= 1e-6 for v in (o.scan_rtol, o.final_rtol))
+            and math.isfinite(o.blowup_factor) and o.blowup_factor > 1
+            and 0 < o.glue_frac < 1
+            and _is_count(o.max_iterations, 1) and _is_count(o.max_x_extensions, 0))
+
+
+@settings(max_examples=500, deadline=None, derandomize=True)
+@given(kwargs=st.fixed_dictionaries({}, optional={name: _VALUES for name in _FIELDS}))
+def test_solver_options_valid_or_domain_error(kwargs):
+    # finite, +-0, negative, +-inf and NaN for every field: construction
+    # raises DomainError or yields options inside every documented range
+    assert _in_documented_range(SolverOptions())
+    try:
+        opts = SolverOptions(**kwargs)
+    except DomainError:
+        return
+    assert _in_documented_range(opts), kwargs
 
 
 # --- shooting --------------------------------------------------------------

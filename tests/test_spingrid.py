@@ -16,6 +16,19 @@ def test_gridspec_rejects_degenerate_grid(n, extent):
         GridSpec(n=n, extent=extent)
 
 
+def test_package_serves_grid_types_lazily():
+    import solitonlab
+    import solitonlab.spingrid
+    assert solitonlab.GridSpec is solitonlab.spingrid.GridSpec
+    assert solitonlab.LadderReport is solitonlab.spingrid.LadderReport
+    names = {}
+    exec("from solitonlab import *", names)
+    assert names["GridSpec"] is GridSpec
+    assert names["LadderReport"] is solitonlab.spingrid.LadderReport
+    with pytest.raises(AttributeError):
+        solitonlab.no_such_name
+
+
 def test_gridspec_rejects_odd_point_count():
     with pytest.raises(GridError, match="must be even to exclude the origin"):
         GridSpec(n=63, extent=12.0)
