@@ -15,7 +15,7 @@ from .params import (PhysicalParams, DimensionlessParams, make_params,
                      with_lambda)
 from .radial import (Outcome, RadialState, RadialProfile, ShootingResult,
                      SolitonSolution, SolverOptions, rhs, series_start,
-                     integrate, classify, shoot, solve_ground)
+                     shoot, solve_ground)
 from .observables import (ObservableSet, IdentityReport, SpinReport,
                           compute_integrals, identity_report, spin_z, energy)
 from .correlation import (SpinLabel, SpinVector, EntangledPair, CorrelationReport,

@@ -276,10 +276,13 @@ def _cmd_sweep(cfg: RunConfig) -> int:
         raise DomainError(
             f"sweep range ({cfg.omega_min}, {cfg.omega_max}) must satisfy "
             f"0 < min < max < c/ell0")
+    if not cfg.jobs >= 1:
+        raise DomainError(f"sweep needs jobs >= 1, got {cfg.jobs}")
     omegas = [cfg.omega_min + k * (cfg.omega_max - cfg.omega_min) / (cfg.steps - 1)
               for k in range(cfg.steps)]
     if cfg.jobs > 1:
-        with ProcessPoolExecutor(max_workers=cfg.jobs) as pool:
+        # the pool forks all its workers up front: no more than there are rows
+        with ProcessPoolExecutor(max_workers=min(cfg.jobs, len(omegas))) as pool:
             rows = list(pool.map(_sweep_row, omegas, [cfg] * len(omegas)))
     else:
         rows = [_sweep_row(w, cfg) for w in omegas]

@@ -4,6 +4,12 @@ Pure-Python scalar arithmetic: the radial state is just (F, G), and avoiding
 array overhead makes a shooting trial run in milliseconds. The embedded
 4th-order solution provides the local error estimate; a standard controller
 with safety factor 0.9 and growth limits [0.2, 5] drives the step size.
+
+A solve runs none of this code: radial._march performs Stepper's arithmetic
+with the radial right-hand side inlined and takes only the tableau and the
+controller constants from here. Stepper and integrate_mesh are the generic
+reference that the tests check _march against and that the benchmark's L0
+probes time.
 """
 from __future__ import annotations
 
@@ -88,34 +94,6 @@ class Stepper:
                 self.h = min(h * factor, self.max_step)
                 return
             h *= max(MIN_FACTOR, SAFETY * err ** -0.2)
-
-
-def integrate_free(f: Rhs, x0: float, F0: float, G0: float, x_end: float,
-                   rtol: float, atol: float = 1e-300, max_step: float = 1.0,
-                   check: Optional[Check] = None, record: Optional[list] = None):
-    """Integrate with natural adaptive steps until x_end or a check fires.
-
-    check(x, F, G) is evaluated on the initial state and after each accepted
-    step; a non-None string halts the run and is returned as the reason.
-    record, if given, receives (x, F, G) tuples at accepted steps.
-    Returns (x, F, G, reason) with reason == "end" if x_end was reached.
-    """
-    if record is not None:
-        record.append((x0, F0, G0))
-    if check is not None:
-        reason = check(x0, F0, G0)
-        if reason:
-            return x0, F0, G0, reason
-    st = Stepper(f, x0, F0, G0, rtol, atol, max_step)
-    while st.x < x_end:
-        st.advance_to(x_end)
-        if record is not None:
-            record.append((st.x, st.F, st.G))
-        if check is not None:
-            reason = check(st.x, st.F, st.G)
-            if reason:
-                return st.x, st.F, st.G, reason
-    return st.x, st.F, st.G, "end"
 
 
 def integrate_mesh(f: Rhs, mesh, F0: float, G0: float,

@@ -15,13 +15,12 @@ state; the far tail is continued analytically once F has dropped several
 orders below F0, which keeps the stored profile clean of the exponential
 shooting instability.
 
-Bisection trials and the final pass run _march, a DP5 mesh march with this
-right-hand side written inline: it performs ivp.Stepper.advance_to's
-arithmetic operation for operation, so its node values are bit-identical to
-ivp.integrate_mesh driving _rhs (a test checks this), and a solve takes one
-half to three quarters of the time. The generic ivp path stays for the
-coarse scan's free-step integration, which has no mesh, and as the test
-oracle of _march.
+Every integration of a solve runs _march, a DP5 march with this
+right-hand side written inline: the coarse scan takes free adaptive steps,
+bisection trials and the final pass step clamped to the mesh nodes. It
+performs ivp.Stepper.advance_to's arithmetic operation for operation, so its
+values are bit-identical to the generic ivp path driving _rhs, which the
+tests keep as its oracle.
 """
 from __future__ import annotations
 
@@ -37,12 +36,11 @@ import numpy as np
 from . import ivp
 from .errors import (BracketError, ConvergenceError, DomainError,
                      IntegrationError, TailError)
-from .ivp import integrate_free
 
 __all__ = [
     "Outcome", "RadialState", "TailFit", "RadialProfile", "ShootingResult",
     "ResidualReport", "SolitonSolution", "SolverOptions",
-    "rhs", "series_start", "integrate", "classify", "shoot", "solve_ground",
+    "rhs", "series_start", "shoot", "solve_ground",
 ]
 
 
@@ -50,7 +48,6 @@ class Outcome(Enum):
     DIVERGED_UP = "diverged_up"
     DIVERGED_DOWN = "diverged_down"
     DECAYED = "decayed"
-    INDETERMINATE = "indeterminate"
 
 
 @dataclass(frozen=True)
@@ -125,13 +122,18 @@ class SolitonSolution:
     provenance: dict
 
 
+# most coarse-scan grid points, scan_max / scan_step (the default scan has 50)
+_MAX_SCAN_POINTS = 10_000
+
+
 @dataclass(frozen=True)
 class SolverOptions:
     """Tolerances and guards of the shooting pipeline.
 
     Construction raises DomainError unless x0, mesh_dx, scan_step, shoot_tol,
     decay_floor and residual_tol are finite and > 0; x_max is None or finite
-    and > x0; scan_max is finite and >= scan_step; scan_rtol and final_rtol
+    and > x0; scan_max is finite and >= scan_step, and scan_max / scan_step
+    is at most 10^4 (the scan's grid points); scan_rtol and final_rtol
     lie in [1e-14, 1e-6]; blowup_factor is finite and > 1; glue_frac lies in
     (0, 1); max_iterations is an int >= 1 and max_x_extensions an int >= 0.
     """
@@ -166,6 +168,9 @@ class SolverOptions:
         if not self.scan_step <= self.scan_max < math.inf:
             raise DomainError(f"scan_max must be finite and >= scan_step = "
                               f"{self.scan_step}, got {self.scan_max}")
+        if not self.scan_max / self.scan_step <= _MAX_SCAN_POINTS:
+            raise DomainError(f"scan_max / scan_step must be <= {_MAX_SCAN_POINTS}, got "
+                              f"{self.scan_max} / {self.scan_step}")
         if not 1.0 < self.blowup_factor < math.inf:
             raise DomainError(f"blowup_factor must be finite and > 1, got {self.blowup_factor}")
         if not 0.0 < self.glue_frac < 1.0:
@@ -203,69 +208,6 @@ def series_start(F0: float, Omega: float, x0: float = 1e-4) -> RadialState:
     return RadialState(x=x0, F=F0 - (Omega + 1.0) * c1 * x0 * x0 / 2.0, G=c1 * x0)
 
 
-@dataclass
-class Trajectory:
-    xs: list
-    Fs: list
-    Gs: list
-    halt: str  # 'decay' | 'f_cross' | 'g_cross' | 'blowup' | 'end'
-
-    @property
-    def last(self) -> RadialState:
-        return RadialState(self.xs[-1], self.Fs[-1], self.Gs[-1])
-
-
-def _make_check(guard: float, floor: float):
-    def check(x, F, G):
-        if abs(F) < floor and abs(G) < floor:
-            return "decay"
-        if F < 0.0:
-            return "f_cross"
-        if G < 0.0:
-            return "g_cross"
-        if abs(F) > guard or abs(G) > guard:
-            return "blowup"
-        return None
-    return check
-
-
-def integrate(start: RadialState, Omega: float, x_max: float, tol: float,
-              guard: Optional[float] = None, decay_floor: float = 1e-12):
-    """Adaptive integration from a start state with divergence detection.
-
-    Halts when F crosses zero (overshoot), G crosses zero (capture by the
-    constant state, i.e. undershoot), both amplitudes fall below the decay
-    floor, or either exceeds the blow-up guard (default 1e3 * |F(start)|).
-    Returns (Trajectory, Outcome).
-    """
-    if not 1e-14 <= tol <= 1e-6:
-        raise DomainError(f"tol must lie in [1e-14, 1e-6], got {tol}")
-    if guard is None:
-        guard = 1e3 * max(abs(start.F), 1e-12)
-    rec: list = []
-    f = lambda x, F, G: _rhs(x, F, G, Omega)
-    x, F, G, reason = integrate_free(
-        f, start.x, start.F, start.G, x_max, rtol=tol,
-        check=_make_check(guard, decay_floor), record=rec)
-    traj = Trajectory(xs=[r[0] for r in rec], Fs=[r[1] for r in rec],
-                      Gs=[r[2] for r in rec], halt=reason)
-    return traj, classify(traj)
-
-
-def classify(trajectory: Trajectory) -> Outcome:
-    """Deterministic labeling of a halted trajectory."""
-    halt = trajectory.halt
-    if halt == "decay":
-        return Outcome.DECAYED
-    if halt == "f_cross":
-        return Outcome.DIVERGED_DOWN
-    if halt == "g_cross":
-        return Outcome.DIVERGED_UP
-    if halt == "blowup":
-        return Outcome.DIVERGED_DOWN if trajectory.Fs[-1] < 0 else Outcome.DIVERGED_UP
-    return Outcome.INDETERMINATE
-
-
 def _build_mesh(x0: float, x_end: float, dx: float) -> np.ndarray:
     """Uniform mesh x0 + dx*k covering [x0, x_end]; growing x_end only appends
     nodes, so the node sequence over any prefix is extension-stable."""
@@ -273,9 +215,11 @@ def _build_mesh(x0: float, x_end: float, dx: float) -> np.ndarray:
     return x0 + dx * np.arange(n)
 
 
-def _march(Omega: float, nodes: list, F: float, G: float, rtol: float):
+def _march(Omega: float, nodes: list, F: float, G: float, rtol: float,
+           every_step: bool = False):
     """DP5 march from (nodes[0], F, G), clamped to every node of the list;
-    yields (x, F, G) at each node after the first.
+    yields (x, F, G) at each node after the first, or after every accepted
+    step if every_step is set (free steps: pass nodes [x0, x_end]).
 
     This is ivp.Stepper.advance_to driving _rhs (default atol and max_step),
     as ivp.integrate_mesh runs it, with the right-hand side written inline:
@@ -375,7 +319,10 @@ def _march(Omega: float, nodes: list, F: float, G: float, rtol: float):
                     break
                 shrink = SAFETY * err ** -0.2
                 h *= shrink if shrink > MIN_FACTOR else MIN_FACTOR
-        yield x, F, G
+            if every_step:
+                yield x, F, G
+        if not every_step:
+            yield x, F, G
 
 
 class _Shooter:
@@ -384,7 +331,7 @@ class _Shooter:
     Bisection trials and the final pass integrate on the same node-clamped
     mesh: the bisected amplitude is then critical for exactly the discrete
     flow that produces the stored profile, which keeps the far tail clean of
-    the unstable mode down to rounding level.
+    the unstable mode down to rounding level. Scan trials take free steps.
     """
 
     def __init__(self, Omega: float, opts: SolverOptions):
@@ -408,10 +355,14 @@ class _Shooter:
     def trial(self, F0: float, rtol: float, clamped: bool = False) -> tuple:
         """Classify one trial; returns (Outcome, halt_reason).
 
-        A non-positive series slope c1 means G turns negative immediately:
-        that is the undershoot side, no integration needed. Indeterminate
-        runs extend x_max by 1.5x (truncation, not dynamics) and the larger
-        window is kept for subsequent trials.
+        Free steps (the scan) or steps clamped to the mesh (bisection). The
+        halt tests run from the start state on, in this order: both
+        amplitudes below decay_floor, F < 0, G < 0, either above the blow-up
+        guard; a blow-up has F >= 0, so it is on the undershoot side. A
+        non-positive series slope c1 means G turns negative immediately:
+        that is the undershoot side, no integration needed. A run that
+        reaches x_max undecided extends it by 1.5x (truncation, not
+        dynamics) and the larger window is kept for subsequent trials.
         """
         opts = self.opts
         start = series_start(F0, self.Omega, opts.x0)
@@ -422,25 +373,19 @@ class _Shooter:
         guard = opts.blowup_factor * max(abs(F0), 1e-12)
         floor = opts.decay_floor
         for _ in range(opts.max_x_extensions + 1):
-            if clamped:
-                # _make_check's tests in its order, from the start state on;
-                # a blow-up passed the F < 0 test, so classify() says up
-                states = chain(((self.nodes[0], start.F, start.G),),
-                               _march(self.Omega, self.nodes, start.F, start.G, rtol))
-                for _x, F, G in states:
-                    if abs(F) < floor and abs(G) < floor:
-                        return Outcome.DECAYED, "decay"
-                    if F < 0.0:
-                        return Outcome.DIVERGED_DOWN, "f_cross"
-                    if G < 0.0:
-                        return Outcome.DIVERGED_UP, "g_cross"
-                    if abs(F) > guard or abs(G) > guard:
-                        return Outcome.DIVERGED_UP, "blowup"
-            else:
-                traj, out = integrate(start, self.Omega, self.x_max, rtol,
-                                      guard=guard, decay_floor=floor)
-                if out is not Outcome.INDETERMINATE:
-                    return out, traj.halt
+            nodes = self.nodes if clamped else [self.nodes[0], self.nodes[-1]]
+            states = chain(((nodes[0], start.F, start.G),),
+                           _march(self.Omega, nodes, start.F, start.G, rtol,
+                                  every_step=not clamped))
+            for _x, F, G in states:
+                if abs(F) < floor and abs(G) < floor:
+                    return Outcome.DECAYED, "decay"
+                if F < 0.0:
+                    return Outcome.DIVERGED_DOWN, "f_cross"
+                if G < 0.0:
+                    return Outcome.DIVERGED_UP, "g_cross"
+                if abs(F) > guard or abs(G) > guard:
+                    return Outcome.DIVERGED_UP, "blowup"
             self._extend()
         raise ConvergenceError(
             f"trial F0 = {F0} stayed indeterminate up to x_max = {self.x_max:.1f}")

@@ -1,13 +1,18 @@
 """Independent numerical oracles used to cross-check the pipeline.
 
-Everything here deliberately avoids the package's integrator, quadrature,
-CHSH optimizer and streamed spin grid: classic fixed-step RK4 with
-Richardson-extrapolated trapezoid sums, adaptive quad for the analytic tail,
-a brute-force angle search for the CHSH maximum, and the dense complex-valued
-3-D spin grid. Tolerances of the cross-checks reflect these methods' own
-accuracy, not the pipeline's.
+Everything here except the generic-stepper reference deliberately avoids the
+package's integrator, quadrature, CHSH optimizer and streamed spin grid:
+classic fixed-step RK4 with Richardson-extrapolated trapezoid sums, adaptive
+quad for the analytic tail, a brute-force angle search for the CHSH maximum,
+and the dense complex-valued 3-D spin grid. Tolerances of the cross-checks
+reflect these methods' own accuracy, not the pipeline's.
+
+integrate_free and _make_check, the generic free-step path on ivp.Stepper
+with the trial's halt tests, are the bit-for-bit reference of
+radial._march's free-step mode.
 """
 import math
+from typing import Optional
 
 import numpy as np
 from scipy.integrate import quad
@@ -15,7 +20,50 @@ from scipy.interpolate import CubicSpline
 from scipy.optimize import minimize
 
 from solitonlab.errors import GridError
+from solitonlab.ivp import Check, Rhs, Stepper
 from solitonlab.spingrid import GridSpec, LadderReport
+
+
+def integrate_free(f: Rhs, x0: float, F0: float, G0: float, x_end: float,
+                   rtol: float, atol: float = 1e-300, max_step: float = 1.0,
+                   check: Optional[Check] = None, record: Optional[list] = None):
+    """Integrate with natural adaptive steps until x_end or a check fires.
+
+    check(x, F, G) is evaluated on the initial state and after each accepted
+    step; a non-None string halts the run and is returned as the reason.
+    record, if given, receives (x, F, G) tuples at accepted steps.
+    Returns (x, F, G, reason) with reason == "end" if x_end was reached.
+    """
+    if record is not None:
+        record.append((x0, F0, G0))
+    if check is not None:
+        reason = check(x0, F0, G0)
+        if reason:
+            return x0, F0, G0, reason
+    st = Stepper(f, x0, F0, G0, rtol, atol, max_step)
+    while st.x < x_end:
+        st.advance_to(x_end)
+        if record is not None:
+            record.append((st.x, st.F, st.G))
+        if check is not None:
+            reason = check(st.x, st.F, st.G)
+            if reason:
+                return st.x, st.F, st.G, reason
+    return st.x, st.F, st.G, "end"
+
+
+def _make_check(guard: float, floor: float):
+    def check(x, F, G):
+        if abs(F) < floor and abs(G) < floor:
+            return "decay"
+        if F < 0.0:
+            return "f_cross"
+        if G < 0.0:
+            return "g_cross"
+        if abs(F) > guard or abs(G) > guard:
+            return "blowup"
+        return None
+    return check
 
 
 def rhs_oracle(x, F, G, Om):

@@ -9,7 +9,7 @@ import pytest
 
 import golden
 import solitonlab
-from solitonlab import archive
+from solitonlab import archive, cli
 from solitonlab.cli import SWEEP_COLUMNS, main
 from solitonlab.params import make_params
 from solitonlab.radial import SolverOptions
@@ -184,10 +184,11 @@ def test_config_accepts_int_for_float(sol_path, tmp_path):
                                    ["--mesh-dx", "nan"], ["--final-rtol", "0"],
                                    ["--final-rtol", "nan"], ["--scan-step", "0"],
                                    ["--scan-step", "-0.1"], ["--scan-max", "nan"],
-                                   ["--shoot-tol", "nan"]])
+                                   ["--shoot-tol", "nan"], ["--scan-step", "1e-300"]])
 def test_bad_solver_option_is_invalid_input(tmp_path, capsys, flags):
-    # these ended in a traceback (exit 1), read as non-convergence (exit 2)
-    # or, for --shoot-tol nan, exited 0 with the option in the archive
+    # these ended in a traceback (exit 1; --scan-step 1e-300 in the scan's
+    # allocation), read as non-convergence (exit 2) or, for --shoot-tol nan,
+    # exited 0 with the option in the archive
     out = tmp_path / "x.json"
     code = main(["solve", "--omega", "0.5", "--no-cache", "--out", str(out)] + flags)
     assert code == 3
@@ -339,6 +340,46 @@ def test_sweep_csv_contract(workdir):
         assert float(fields["d2_residual"]) <= 1e-6
         # round-trip: values parse to floats exactly representable
         assert repr(float(fields["Q"])) == fields["Q"]
+
+
+class _RecordingPool:
+    """Stands in for ProcessPoolExecutor: records its size, maps in-process."""
+    sizes = []
+
+    def __init__(self, max_workers):
+        self.sizes.append(max_workers)
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        return False
+
+    def map(self, fn, *iterables):
+        return map(fn, *iterables)
+
+
+def test_sweep_pool_sized_by_rows(workdir, monkeypatch):
+    monkeypatch.setattr(cli, "ProcessPoolExecutor", _RecordingPool)
+    monkeypatch.setattr(_RecordingPool, "sizes", [])
+    base = ["sweep", "--omega-min", "0.3", "--omega-max", "0.7", "--steps", "3"]
+    serial, pooled = workdir / "sweep_serial.csv", workdir / "sweep_pool.csv"
+    assert main(base + ["--out", str(serial)]) == 0
+    assert main(base + ["--jobs", "64", "--out", str(pooled)]) == 0
+    assert _RecordingPool.sizes == [3]
+    assert pooled.read_bytes() == serial.read_bytes()
+
+
+@pytest.mark.parametrize("jobs", ["0", "-2"])
+def test_sweep_rejects_jobs_below_one(workdir, monkeypatch, capsys, jobs):
+    monkeypatch.setattr(cli, "ProcessPoolExecutor", _RecordingPool)
+    monkeypatch.setattr(_RecordingPool, "sizes", [])
+    out = workdir / "sweep_jobs.csv"
+    assert main(["sweep", "--omega-min", "0.3", "--omega-max", "0.7", "--steps", "3",
+                 "--jobs", jobs, "--out", str(out)]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert _RecordingPool.sizes == [] and not out.exists()
 
 
 def test_sweep_nine_steps_all_identities(workdir):

@@ -6,12 +6,12 @@ from hypothesis import example, given, settings, strategies as st
 
 import golden
 import oracles
-from solitonlab import (BracketError, DomainError, IntegrationError, Outcome,
-                        RadialState, SolitonLabError, SolverOptions, TailError,
-                        classify, integrate, rhs, series_start, shoot, solve_ground)
+from oracles import _make_check, integrate_free
+from solitonlab import (BracketError, ConvergenceError, DomainError, IntegrationError,
+                        Outcome, RadialState, SolitonLabError, SolverOptions, TailError,
+                        rhs, series_start, shoot, solve_ground)
 from solitonlab.ivp import integrate_mesh
-from solitonlab.radial import (Trajectory, coarse_scan, _Shooter, _make_check,
-                               _march, _rhs)
+from solitonlab.radial import _MAX_SCAN_POINTS, coarse_scan, _Shooter, _march, _rhs
 
 
 # --- right-hand side -------------------------------------------------------
@@ -79,43 +79,37 @@ def test_series_rejects_bad_offset():
         series_start(1.0, 0.5, 0.0)
 
 
-# --- integrate / classify --------------------------------------------------
+# --- shooting trial ----------------------------------------------------------
 
-def test_integrate_zero_start_decays():
-    traj, out = integrate(RadialState(1e-4, 0.0, 0.0), 0.5, 40.0, 1e-8)
-    assert out is Outcome.DECAYED
-    assert traj.Fs == [0.0] and traj.Gs == [0.0]
-
-
-def test_integrate_far_below_critical_is_up():
-    start = series_start(0.5, 0.5, 1e-4)
-    _traj, out = integrate(start, 0.5, 60.0, 1e-8)
-    assert out is Outcome.DIVERGED_UP
+# a trial's outcome for each halt; a blow-up has F >= 0 (F < 0 is tested first)
+_OUTCOME_OF_HALT = {"decay": Outcome.DECAYED, "f_cross": Outcome.DIVERGED_DOWN,
+                    "g_cross": Outcome.DIVERGED_UP, "blowup": Outcome.DIVERGED_UP}
+_MODES = pytest.mark.parametrize("clamped", [False, True], ids=["free", "mesh"])
 
 
-def test_integrate_far_above_critical_is_down():
-    start = series_start(1.5, 0.5, 1e-4)
-    traj, out = integrate(start, 0.5, 60.0, 1e-8)
-    assert out is Outcome.DIVERGED_DOWN
-    assert min(traj.Fs) < 0.0  # F crossed zero
+@_MODES
+def test_trial_zero_start_decays(clamped):
+    assert _Shooter(0.5, SolverOptions()).trial(0.0, 1e-8, clamped) == (Outcome.DECAYED,
+                                                                          "decay")
+    # the decay test applies to the start state: both amplitudes under the floor
+    sh = _Shooter(0.5, SolverOptions(decay_floor=2.0))
+    assert sh.trial(1.5, 1e-8, clamped) == (Outcome.DECAYED, "decay")
 
 
-def test_integrate_rejects_bad_tol():
-    with pytest.raises(DomainError):
-        integrate(RadialState(1e-4, 1.0, 0.0), 0.5, 40.0, 1e-2)
+@_MODES
+def test_trial_far_below_critical_is_up(clamped):
+    sh = _Shooter(0.5, SolverOptions())
+    assert sh.trial(0.5, 1e-8, clamped) == (Outcome.DIVERGED_UP, "series")
+    assert sh.trial(0.8, 1e-8, clamped)[0] is Outcome.DIVERGED_UP
 
 
-def test_classify_labels():
-    t = lambda halt, F=1.0: Trajectory(xs=[1.0], Fs=[F], Gs=[0.1], halt=halt)
-    assert classify(t("decay")) is Outcome.DECAYED
-    assert classify(t("f_cross")) is Outcome.DIVERGED_DOWN
-    assert classify(t("g_cross")) is Outcome.DIVERGED_UP
-    assert classify(t("blowup", F=-2000.0)) is Outcome.DIVERGED_DOWN
-    assert classify(t("blowup", F=2000.0)) is Outcome.DIVERGED_UP
-    assert classify(t("end")) is Outcome.INDETERMINATE
+@_MODES
+def test_trial_far_above_critical_is_down(clamped):
+    sh = _Shooter(0.5, SolverOptions())
+    assert sh.trial(1.5, 1e-8, clamped) == (Outcome.DIVERGED_DOWN, "f_cross")
 
 
-# --- specialised mesh march --------------------------------------------------
+# --- specialised DP5 march ---------------------------------------------------
 
 def _generic_states(Omega, nodes, start, rtol, check):
     xs, Fs, Gs, reason = integrate_mesh(lambda x, F, G: _rhs(x, F, G, Omega), nodes,
@@ -123,16 +117,28 @@ def _generic_states(Omega, nodes, start, rtol, check):
     return list(zip(xs, Fs, Gs)), reason
 
 
-def _marched_states(Omega, nodes, start, rtol, check):
+def _marched_states(Omega, nodes, start, rtol, check, every_step=False):
     states = [(nodes[0], start.F, start.G)]
     reason = check(*states[0])
     if not reason:
-        for state in _march(Omega, nodes, start.F, start.G, rtol):
+        for state in _march(Omega, nodes, start.F, start.G, rtol, every_step):
             states.append(state)
             reason = check(*state)
             if reason:
                 break
     return states, reason or "end"
+
+
+def _generic_free_states(Omega, nodes, start, rtol, check):
+    states = []
+    *_, reason = integrate_free(lambda x, F, G: _rhs(x, F, G, Omega), nodes[0],
+                                start.F, start.G, nodes[-1], rtol=rtol, check=check,
+                                record=states)
+    return states, reason
+
+
+def _free_marched_states(Omega, nodes, start, rtol, check):
+    return _marched_states(Omega, [nodes[0], nodes[-1]], start, rtol, check, True)
 
 
 def _result_or_error(run, *args):
@@ -166,14 +172,39 @@ def test_march_matches_generic_stepper(Omega, F0, rtol):
     args = (Omega, sh.nodes, start, rtol, check)
     generic = _result_or_error(_generic_states, *args)
     assert _result_or_error(_marched_states, *args) == generic
+    _assert_trial_classifies_as(sh, F0, rtol, True, start, generic)
+
+
+def _assert_trial_classifies_as(sh, F0, rtol, clamped, start, generic):
     if isinstance(generic, str):
         expected = generic
     elif generic[1] != "end" and start.G > 0.0:
-        states, reason = generic
-        expected = classify(Trajectory(xs=[], Fs=[states[-1][1]], Gs=[], halt=reason)), reason
+        expected = _OUTCOME_OF_HALT[generic[1]], generic[1]
     else:
         return  # an undershoot at the series start, or a trial that extends x_max
-    assert _result_or_error(sh.trial, F0, rtol, True) == expected
+    assert _result_or_error(sh.trial, F0, rtol, clamped) == expected
+
+
+@settings(max_examples=50, deadline=None, derandomize=True)
+@given(Omega=st.floats(0.02, 0.985), F0=st.floats(0.01, 6.0),
+       rtol=st.sampled_from([1e-8, 1e-10]))
+@example(Omega=0.5, F0=1.3000000000000003, rtol=1e-8)  # the default scan's bracket
+@example(Omega=0.5, F0=1.4000000000000001, rtol=1e-8)
+@example(Omega=0.02, F0=1.0201171874999997, rtol=1e-8)
+@example(Omega=0.02, F0=1.0201187133789058, rtol=1e-8)
+def test_free_march_matches_generic_stepper(Omega, F0, rtol):
+    # the scan's free-step mode: every accepted step's (x, F, G) up to the
+    # halt is bit-identical (==, not approx) to the generic free-step path
+    # over [x0, x_max], or both raise the same step underflow; the trial
+    # then classifies as the generic path does
+    opts = SolverOptions()
+    sh = _Shooter(Omega, opts)
+    start = series_start(F0, Omega, opts.x0)
+    check = _make_check(opts.blowup_factor * max(abs(F0), 1e-12), opts.decay_floor)
+    args = (Omega, sh.nodes, start, rtol, check)
+    generic = _result_or_error(_generic_free_states, *args)
+    assert _result_or_error(_free_marched_states, *args) == generic
+    _assert_trial_classifies_as(sh, F0, rtol, False, start, generic)
 
 
 def test_march_nan_start_raises_like_generic_stepper():
@@ -198,10 +229,17 @@ def test_march_nan_start_raises_like_generic_stepper():
     dict(scan_max=0.05), dict(shoot_tol=math.nan), dict(decay_floor=-1.0),
     dict(residual_tol=math.nan), dict(blowup_factor=1.0), dict(blowup_factor=math.nan),
     dict(glue_frac=0.0), dict(glue_frac=1.0), dict(max_iterations=0),
-    dict(max_iterations=10.0), dict(max_x_extensions=-1), dict(max_x_extensions=True)])
+    dict(max_iterations=10.0), dict(max_x_extensions=-1), dict(max_x_extensions=True),
+    dict(scan_step=1e-300), dict(scan_step=5e-324), dict(scan_step=1e-4),
+    dict(scan_step=0.5, scan_max=5000.5)])
 def test_solver_options_reject_invalid_values(kwargs):
     with pytest.raises(DomainError):
         SolverOptions(**kwargs)
+
+
+def test_solver_options_scan_point_bound_is_inclusive():
+    assert _MAX_SCAN_POINTS == 10_000
+    SolverOptions(scan_step=0.5, scan_max=5000.0)
 
 
 _SPECIAL = st.sampled_from([0.0, -0.0, -1.0, 1.0, 0.5, math.inf, -math.inf, math.nan])
@@ -220,6 +258,7 @@ def _in_documented_range(o):
     return (all(math.isfinite(v) and v > 0 for v in positive)
             and (o.x_max is None or (math.isfinite(o.x_max) and o.x_max > o.x0))
             and math.isfinite(o.scan_max) and o.scan_max >= o.scan_step
+            and o.scan_max / o.scan_step <= _MAX_SCAN_POINTS
             and all(1e-14 <= v <= 1e-6 for v in (o.scan_rtol, o.final_rtol))
             and math.isfinite(o.blowup_factor) and o.blowup_factor > 1
             and 0 < o.glue_frac < 1
@@ -271,6 +310,37 @@ def test_scan_handles_narrow_window_low_omega():
     sh = _Shooter(0.2, opts)
     assert sh.trial(lo, 1e-8)[0] is Outcome.DIVERGED_UP
     assert sh.trial(hi, 1e-8)[0] is Outcome.DIVERGED_DOWN
+
+
+# coarse-scan brackets with default options, as the generic ivp path gave
+# them; the bisection that follows, and so F0 and the stored profile, depend
+# on them bit for bit
+_PINNED_BRACKETS = {
+    0.02: (1.0201171874999997, 1.0201187133789058), 0.05: (1.0509765625, 1.0510742187500002),
+    0.1: (1.1031250000000001, 1.1046875000000003), 0.17: (1.1500000000000001, 1.1750000000000003),
+    0.25: (1.2000000000000002, 1.2500000000000002), 0.3: (1.2000000000000002, 1.3000000000000003),
+    0.33: (1.3000000000000003, 1.35), 0.42: (1.3000000000000003, 1.4000000000000001),
+    0.5: (1.3000000000000003, 1.4000000000000001), 0.58: (1.3000000000000003, 1.4000000000000001),
+    0.66: (1.3000000000000003, 1.4000000000000001), 0.7: (1.3000000000000003, 1.4000000000000001),
+    0.75: (1.3000000000000003, 1.4000000000000001), 0.81: (1.2000000000000002, 1.3000000000000003),
+    0.87: (1.1, 1.2000000000000002), 0.9: (1.0, 1.1), 0.93: (0.9, 1.0), 0.95: (0.8, 0.9),
+    0.955: (0.8, 0.9), 0.96: (0.7000000000000001, 0.8), 0.97: (0.6, 0.7000000000000001),
+    0.975: (0.6, 0.7000000000000001), 0.98: (0.5, 0.6)}
+
+
+def test_coarse_scan_brackets_pinned():
+    opts = SolverOptions()
+    assert {w: coarse_scan(w, opts) for w in _PINNED_BRACKETS} == _PINNED_BRACKETS
+
+
+# with default options no ground state is found at small Omega; at 0.005 the
+# scan's free-step bracket classifies up at both ends on the bisection mesh
+@pytest.mark.parametrize("Omega, error", [(0.005, BracketError), (0.01, TailError),
+                                          (0.02, ConvergenceError)])
+def test_low_omega_fails_with_documented_error(Omega, error):
+    with pytest.raises(SolitonLabError) as caught:
+        solve_ground(Omega)
+    assert caught.type is error
 
 
 def test_amplitude_decreases_toward_weak_binding(sol05):
