@@ -24,17 +24,6 @@ from .correlation import (SpinLabel, SpinVector, EntangledPair, CorrelationRepor
                           chsh_local_strategies, ladder_check_grid)
 from .ensemble import (EnsembleSpec, EnsembleEstimate, draw_phases,
                        realization_estimate, ensemble_estimate)
+from .spingrid import GridSpec, LadderReport
 
-# The 3-D grid module and its types load on first access (PEP 562): spingrid
-# imports scipy, which nothing else in the package needs.
-_LAZY = ("spingrid", "GridSpec", "LadderReport")
-
-__all__ = [name for name in dir() if not name.startswith("_")] + list(_LAZY)
-
-
-def __getattr__(name):
-    if name in _LAZY:
-        from importlib import import_module
-        spingrid = import_module(".spingrid", __name__)
-        return spingrid if name == "spingrid" else getattr(spingrid, name)
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+__all__ = [name for name in dir() if not name.startswith("_")]

@@ -400,9 +400,6 @@ def main(argv=None) -> int:
     except DomainError as err:
         print(f"error: {err}", file=sys.stderr)
         return 3
-    except _SOLVER_FAILURES as err:
-        print(f"error: {type(err).__name__}: {err}", file=sys.stderr)
-        return 2
     except OSError as err:
         print(f"error: {err}", file=sys.stderr)
         return 4

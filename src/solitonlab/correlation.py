@@ -13,14 +13,12 @@ import math
 from dataclasses import dataclass
 from enum import Enum
 from itertools import product
-from typing import TYPE_CHECKING, Callable, Optional
+from typing import Callable, Optional
 
 import numpy as np
 
 from .errors import DomainError, GridError
-
-if TYPE_CHECKING:
-    from .spingrid import GridSpec, LadderReport
+from .spingrid import GridSpec, LadderReport, ladder_residuals
 
 __all__ = [
     "SpinLabel", "SpinVector", "EntangledPair", "CorrelationReport",
@@ -225,9 +223,8 @@ def ladder_check_grid(solution, tol: float = 0.02,
     shrink every residual about fourfold; at the 64^3 default all residuals
     stay below 2%.
     """
-    from . import spingrid  # loads scipy; see the spingrid module docstring
-    spec = grid or spingrid.GridSpec(n=64, extent=10.0)
-    report = spingrid.ladder_residuals(solution, spec)
+    spec = grid or GridSpec(n=64, extent=10.0)
+    report = ladder_residuals(solution, spec)
     if not report.max_residual <= tol:
         worst = max(report.as_dict(), key=report.as_dict().get)
         raise GridError(

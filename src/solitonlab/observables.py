@@ -19,25 +19,18 @@ and the energy/frequency ratio are reported as diagnostics only: combining
 them predicts E = hbar*omega + (c*lam/2) * quartic integral, so the stronger
 claim E = hbar*omega cannot hold unless the quartic integral vanishes, and
 the numerics adjudicate.
-
-The quadrature is an in-package composite Simpson rule, so importing this
-module loads no scipy. The 3-D grid module `spingrid` is imported only inside
-`spin_z`: it loads scipy's CubicSpline at its own import, which no archive
-command needs.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Optional
+from typing import Optional
 
 import numpy as np
 
 from .errors import DomainError, GridError, QuadratureError
 from .params import PhysicalParams, dimensionful_norm
 from .radial import SolitonSolution
-
-if TYPE_CHECKING:
-    from .spingrid import GridSpec
+from .spingrid import GridSpec, sz_grid_integral
 
 __all__ = [
     "ObservableSet", "IdentityReport", "SpinReport",
@@ -173,19 +166,18 @@ def spin_z(solution: SolitonSolution, params: PhysicalParams,
     """
     if params.lam is None:
         raise DomainError("spin_z requires calibrated params (lam set)")
-    from . import spingrid  # loads scipy; see the spingrid module docstring
     obs = obs or compute_integrals(solution)
     q_dim = dimensionful_norm(params, obs.Q)
     sz_alg = 0.5 * params.hbar * (q_dim / params.hbar)
-    spec = grid or spingrid.GridSpec(n=64, extent=12.0)
+    spec = grid or GridSpec(n=64, extent=12.0)
     for attempt in range(2):
-        raw = spingrid.sz_grid_integral(solution, spec)
+        raw = sz_grid_integral(solution, spec)
         # same kappa^2 * ell0^3 dimension factor as the norm integral
         sz_grid = dimensionful_norm(params, raw)
         if abs(sz_grid - sz_alg) <= 0.02 * abs(sz_alg):
             return SpinReport(Sz_algebraic=sz_alg, Sz_grid=sz_grid, grid_spec=spec)
         if attempt == 0:
-            spec = spingrid.GridSpec(n=2 * spec.n, extent=spec.extent)
+            spec = GridSpec(n=2 * spec.n, extent=spec.extent)
     raise GridError(
         f"Sz_grid = {sz_grid:.6f} deviates from Sz_algebraic = {sz_alg:.6f} "
         f"by more than 2% at n = {spec.n}")

@@ -33,7 +33,7 @@ from typing import Optional
 
 import numpy as np
 
-from . import ivp
+from . import __version__, ivp
 from .errors import (BracketError, ConvergenceError, DomainError,
                      IntegrationError, TailError)
 
@@ -182,7 +182,8 @@ class SolverOptions:
                 raise DomainError(f"{name} must be an integer >= {least}, got {count!r}")
 
 
-def _rhs(x: float, F: float, G: float, Omega: float) -> tuple:
+def _rhs(x, F, G, Omega: float) -> tuple:
+    """(dF, dG) at floats or elementwise on arrays."""
     cub = F * F - G * G
     return ((-(Omega + 1.0) + cub) * G,
             -2.0 * G / x + ((Omega - 1.0) + cub) * F)
@@ -557,9 +558,7 @@ def _final_profile(Omega: float, F0: float, sh: _Shooter, opts: SolverOptions):
     F[k_glue + 1:] = A_gF * np.exp(-nu * xt) / xt
     G[k_glue + 1:] = A_gG * np.exp(-nu * xt) * (nu + 1.0 / xt) / (B * xt)
 
-    cub = F * F - G * G
-    dF = (-(Omega + 1.0) + cub) * G
-    dG = -2.0 * G / mesh + ((Omega - 1.0) + cub) * F
+    dF, dG = _rhs(mesh, F, G, Omega)
 
     tail = TailFit(A=A_fit, nu_fit=nu_fit, x_glue=xg,
                    fit_x_lo=float(xi[i0]), fit_x_hi=xg,
@@ -597,11 +596,9 @@ def _midpoint_residual(profile: RadialProfile, Omega: float):
     Gm = 0.5 * (G[:-1] + G[1:]) + 0.125 * h * (dG[:-1] - dG[1:])
     dFm = 1.5 * (F[1:] - F[:-1]) / h - 0.25 * (dF[:-1] + dF[1:])
     dGm = 1.5 * (G[1:] - G[:-1]) / h - 0.25 * (dG[:-1] + dG[1:])
-    cub = Fm * Fm - Gm * Gm
-    rF = dFm - ((-(Omega + 1.0) + cub) * Gm)
-    rG = dGm - (-2.0 * Gm / xm + ((Omega - 1.0) + cub) * Fm)
+    fm, gm = _rhs(xm, Fm, Gm, Omega)
     scale = max(float(np.max(np.abs(dF))), float(np.max(np.abs(dG))), 1e-300)
-    res = max(float(np.max(np.abs(rF))), float(np.max(np.abs(rG)))) / scale
+    res = max(float(np.max(np.abs(dFm - fm))), float(np.max(np.abs(dGm - gm)))) / scale
     return res, scale
 
 
@@ -630,14 +627,9 @@ def solve_ground(Omega: float, opts: Optional[SolverOptions] = None) -> SolitonS
             f"midpoint residual {report.max_midpoint_residual:.3e} exceeds "
             f"{opts.residual_tol:.1e}")
     provenance = {
-        "code_version": _version(),
+        "code_version": __version__,
         "options": asdict(opts),
         "x_max_used": sh.x_max,
     }
     return SolitonSolution(Omega=Omega, profile=profile, shooting=shooting,
                            residuals=report, provenance=provenance)
-
-
-def _version() -> str:
-    from . import __version__
-    return __version__

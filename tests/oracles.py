@@ -7,6 +7,11 @@ quad for the analytic tail, a brute-force angle search for the CHSH maximum,
 and the dense complex-valued 3-D spin grid. Tolerances of the cross-checks
 reflect these methods' own accuracy, not the pipeline's.
 
+The dense grid puts the radial profile on the cube with the package's Hermite
+interpolant by default, so that comparing it with the streamed grid tests the
+streaming alone; spline_interpolant, scipy's CubicSpline through the same
+nodes, is the independent interpolant to check the Hermite one against.
+
 integrate_free and _make_check, the generic free-step path on ivp.Stepper
 with the trial's halt tests, are the bit-for-bit reference of
 radial._march's free-step mode.
@@ -21,7 +26,7 @@ from scipy.optimize import minimize
 
 from solitonlab.errors import GridError
 from solitonlab.ivp import Check, Rhs, Stepper
-from solitonlab.spingrid import GridSpec, LadderReport
+from solitonlab.spingrid import GridSpec, LadderReport, _radial_interpolant
 
 
 def integrate_free(f: Rhs, x0: float, F0: float, G0: float, x_end: float,
@@ -212,13 +217,13 @@ def chsh_grid_search(correlation_fn, restarts=4):
 # The whole n^3 cube in complex arithmetic: both 4-spinors, 12 complex gradients
 # per spinor and every J application held at once (~1.6 GB at 128^3).
 
-def _radial_splines(solution):
-    """Cubic splines of F and G anchored at the origin (F flat, G linear)."""
+def spline_interpolant(solution):
+    """r -> (F(r), G(r)) by cubic splines anchored at the origin (F flat, G linear)."""
     p = solution.profile
     x = np.concatenate([[0.0], p.grid])
-    F = np.concatenate([[p.F[0]], p.F])
-    G = np.concatenate([[0.0], p.G])
-    return CubicSpline(x, F), CubicSpline(x, G)
+    fs = CubicSpline(x, np.concatenate([[p.F[0]], p.F]))
+    gs = CubicSpline(x, np.concatenate([[0.0], p.G]))
+    return lambda r: (fs(r), gs(r))
 
 
 def _axes_weights(spec: GridSpec):
@@ -231,19 +236,20 @@ def _axes_weights(spec: GridSpec):
     return ax, h, w
 
 
-def _sample_fields(solution, spec: GridSpec):
-    fs, gs = _radial_splines(solution)
+def _sample_fields(solution, spec: GridSpec, radial):
+    fg = (radial or _radial_interpolant)(solution)
     ax, h, w1 = _axes_weights(spec)
     X, Y, Z = np.meshgrid(ax, ax, ax, indexing="ij")
     R = np.sqrt(X * X + Y * Y + Z * Z)
     if R.max() > solution.profile.x_max:
-        # spline extrapolation beyond the stored grid is not trustworthy
+        # the interpolants cover only the stored grid
         raise GridError(
             f"grid corner radius {R.max():.1f} exceeds profile x_max "
             f"{solution.profile.x_max:.1f}")
     pre = 1.0 / math.sqrt(4.0 * math.pi)
-    f = pre * fs(R)
-    g_over_r = pre * gs(R) / R
+    F, G = fg(R)
+    f = pre * F
+    g_over_r = pre * G / R
     up = (f.astype(complex),
           np.zeros_like(f, dtype=complex),
           1j * g_over_r * Z,
@@ -291,14 +297,15 @@ def _norm2(comps, weights) -> float:
     return sum(float(np.sum(weights * (c.real ** 2 + c.imag ** 2))) for c in comps)
 
 
-def ladder_residuals_dense(solution, spec: GridSpec) -> LadderReport:
+def ladder_residuals_dense(solution, spec: GridSpec, radial=None) -> LadderReport:
     """Grid L2 residuals of all six ladder relations.
 
-    Gradients are computed once per field and reused across the three J
-    applications; the two fields are processed one after the other to bound
-    peak memory on fine grids.
+    radial(solution) builds the interpolant r -> (F(r), G(r)); by default the
+    package's. Gradients are computed once per field and reused across the
+    three J applications; the two fields are processed one after the other to
+    bound peak memory on fine grids.
     """
-    coords, h, w, up, dn = _sample_fields(solution, spec)
+    coords, h, w, up, dn = _sample_fields(solution, spec, radial)
     n_up = math.sqrt(_norm2(up, w))
     n_dn = math.sqrt(_norm2(dn, w))
 
@@ -324,9 +331,10 @@ def ladder_residuals_dense(solution, spec: GridSpec) -> LadderReport:
     )
 
 
-def sz_grid_integral_dense(solution, spec: GridSpec) -> float:
-    """Dimensionless grid integral of phi_up^+ J_3 phi_up (converges to Q/2)."""
-    coords, h, w, up, _dn = _sample_fields(solution, spec)
+def sz_grid_integral_dense(solution, spec: GridSpec, radial=None) -> float:
+    """Dimensionless grid integral of phi_up^+ J_3 phi_up (converges to Q/2);
+    radial as in ladder_residuals_dense."""
+    coords, h, w, up, _dn = _sample_fields(solution, spec, radial)
     j3up = _apply_j(up, _gradients(up, h), coords, "3")
     total = 0.0
     for a, b in zip(up, j3up):

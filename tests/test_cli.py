@@ -213,24 +213,45 @@ def test_bad_solver_option_in_config_is_invalid_input(tmp_path, capsys, entry):
     assert not out.exists()
 
 
-def test_archive_commands_load_no_scipy(tmp_path):
-    # a fresh interpreter: solve and observables must not import scipy or the
-    # 3-D grid module, which loads it
+def _run_fresh(code: str) -> str:
+    """Run code in a fresh interpreter with this package on the path; its stdout."""
     src = os.path.dirname(os.path.dirname(solitonlab.__file__))
-    sol, obs = tmp_path / "sol.json", tmp_path / "obs.json"
-    code = (
-        "import json, sys\n"
-        "from solitonlab import cli\n"
-        f"assert cli.main(['solve', '--omega', '0.5', '--no-cache', '--out', {str(sol)!r}]) == 0\n"
-        f"assert cli.main(['observables', '--solution', {str(sol)!r}, '--out', {str(obs)!r}]) == 0\n"
-        "print(json.dumps(sorted(m for m in sys.modules if m == 'scipy'\n"
-        "      or m.startswith('scipy.') or m == 'solitonlab.spingrid')))\n")
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         [src] + [p for p in [os.environ.get("PYTHONPATH")] if p]))
     proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
                           text=True, timeout=300)
     assert proc.returncode == 0, proc.stderr
-    assert json.loads(proc.stdout.splitlines()[-1]) == []
+    return proc.stdout
+
+
+def test_archive_commands_load_no_scipy(tmp_path):
+    # a fresh interpreter: solve and observables must not import scipy
+    sol, obs = tmp_path / "sol.json", tmp_path / "obs.json"
+    out = _run_fresh(
+        "import json, sys\n"
+        "from solitonlab import cli\n"
+        f"assert cli.main(['solve', '--omega', '0.5', '--no-cache', '--out', {str(sol)!r}]) == 0\n"
+        f"assert cli.main(['observables', '--solution', {str(sol)!r}, '--out', {str(obs)!r}]) == 0\n"
+        "print(json.dumps(sorted(m for m in sys.modules if m == 'scipy'\n"
+        "      or m.startswith('scipy.'))))\n")
+    assert json.loads(out.splitlines()[-1]) == []
+
+
+def test_package_runs_without_scipy(tmp_path):
+    # a fresh interpreter in which every scipy import fails: the solve, the
+    # archive commands and both 3-D grid checks still run
+    sol, obs = tmp_path / "sol.json", tmp_path / "obs.json"
+    out = _run_fresh(
+        "import sys\n"
+        "sys.modules['scipy'] = None\n"
+        "import solitonlab as sl\n"
+        "from solitonlab import archive, cli\n"
+        f"assert cli.main(['solve', '--omega', '0.5', '--no-cache', '--out', {str(sol)!r}]) == 0\n"
+        f"assert cli.main(['observables', '--solution', {str(sol)!r}, '--out', {str(obs)!r}]) == 0\n"
+        f"s, obs, _, params = archive.solution_from_document(archive.read_json({str(sol)!r}))\n"
+        "print(sl.spin_z(s, params, obs=obs).Sz_grid, sl.ladder_check_grid(s).max_residual)\n")
+    sz, ladder = map(float, out.splitlines()[-1].split())
+    assert sz == pytest.approx(0.5, rel=0.02) and 0.0 < ladder <= 0.02
 
 
 # --- correlate / chsh / ensemble ----------------------------------------------

@@ -1,12 +1,15 @@
-"""The streamed spin grid against the dense oracle, its memory bound and GridSpec."""
+"""The streamed spin grid against the dense oracle, its radial interpolant,
+its memory bound and GridSpec."""
 import math
 import tracemalloc
 
+import numpy as np
 import pytest
 
 import oracles
 from solitonlab import GridError
-from solitonlab.spingrid import GridSpec, ladder_residuals, sz_grid_integral
+from solitonlab.spingrid import (GridSpec, _radial_interpolant, ladder_residuals,
+                                 sz_grid_integral)
 
 
 @pytest.mark.parametrize("n, extent", [(0, 12.0), (2, 12.0), (64, 0.0),
@@ -16,17 +19,14 @@ def test_gridspec_rejects_degenerate_grid(n, extent):
         GridSpec(n=n, extent=extent)
 
 
-def test_package_serves_grid_types_lazily():
+def test_package_exports_grid_types():
     import solitonlab
-    import solitonlab.spingrid
     assert solitonlab.GridSpec is solitonlab.spingrid.GridSpec
     assert solitonlab.LadderReport is solitonlab.spingrid.LadderReport
     names = {}
     exec("from solitonlab import *", names)
     assert names["GridSpec"] is GridSpec
     assert names["LadderReport"] is solitonlab.spingrid.LadderReport
-    with pytest.raises(AttributeError):
-        solitonlab.no_such_name
 
 
 def test_gridspec_rejects_odd_point_count():
@@ -45,6 +45,41 @@ def test_streamed_grid_matches_dense(sol05, n):
     spec = GridSpec(n=n, extent=12.0)
     assert sz_grid_integral(sol05, spec) == pytest.approx(
         oracles.sz_grid_integral_dense(sol05, spec), rel=1e-12, abs=0.0)
+
+
+def test_interpolant_hits_nodes_and_origin_anchors(sol05):
+    p, F0 = sol05.profile, sol05.shooting.F0
+    fg = _radial_interpolant(sol05)
+    F, G = fg(p.grid[:-1])
+    assert np.array_equal(F, p.F[:-1]) and np.array_equal(G, p.G[:-1])
+    # the last node is the right end of the last cubic
+    F, G = fg(p.grid[-1:])
+    assert F[0] == pytest.approx(p.F[-1], rel=1e-9, abs=0.0)
+    assert G[0] == pytest.approx(p.G[-1], rel=1e-9, abs=0.0)
+    F, G = fg(np.array([0.0]))
+    assert F[0] == F0 and G[0] == 0.0
+    # the series slopes at the origin: F' = 0, G' = c1
+    eps = 1e-7
+    c1 = ((sol05.Omega - 1.0) * F0 + F0 ** 3) / 3.0
+    F, G = fg(np.array([eps]))
+    assert abs(F[0] - F0) <= 1e-6 * eps
+    assert G[0] / eps == pytest.approx(c1, rel=1e-6)
+
+
+@pytest.mark.parametrize("n", [32, 64])
+def test_hermite_grid_matches_cubic_spline_grid(sol05, n):
+    # the same grid checks with the profile put on the cube by scipy's
+    # CubicSpline instead of the package's Hermite interpolant
+    spec = GridSpec(n=n, extent=10.0)
+    ours = ladder_residuals(sol05, spec).as_dict()
+    spline = oracles.ladder_residuals_dense(
+        sol05, spec, radial=oracles.spline_interpolant).as_dict()
+    for key, value in spline.items():
+        assert ours[key] == pytest.approx(value, rel=1e-10, abs=0.0), key
+    spec = GridSpec(n=n, extent=12.0)
+    assert sz_grid_integral(sol05, spec) == pytest.approx(
+        oracles.sz_grid_integral_dense(sol05, spec, radial=oracles.spline_interpolant),
+        rel=1e-10, abs=0.0)
 
 
 @pytest.mark.parametrize("check", [ladder_residuals, sz_grid_integral])
