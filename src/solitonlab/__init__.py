@@ -10,15 +10,13 @@ __version__ = "0.1.0"
 
 from .errors import (SolitonLabError, DomainError, IntegrationError, BracketError,
                      ConvergenceError, TailError, QuadratureError, GridError)
-from .params import (PhysicalParams, DimensionlessParams, make_params,
-                     to_dimensionless, calibrate_lambda, dimensionful_norm,
-                     with_lambda)
+from .params import PhysicalParams, calibrate_lambda, dimensionful_norm
 from .radial import (Outcome, RadialState, RadialProfile, ShootingResult,
                      SolitonSolution, SolverOptions, rhs, series_start,
                      shoot, solve_ground)
 from .observables import (ObservableSet, IdentityReport, SpinReport,
                           compute_integrals, identity_report, spin_z, energy)
-from .correlation import (SpinLabel, SpinVector, EntangledPair, CorrelationReport,
+from .correlation import (SpinVector, EntangledPair, CorrelationReport,
                           build_singlet, apply_2J, epr_correlation,
                           pair_correlation_fn, chsh, chsh_optimize,
                           chsh_local_strategies, ladder_check_grid)

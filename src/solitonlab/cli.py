@@ -24,8 +24,7 @@ from .ensemble import EnsembleSpec, ensemble_estimate
 from .errors import (BracketError, ConvergenceError, DomainError, GridError,
                      IntegrationError, QuadratureError, SolitonLabError, TailError)
 from .observables import compute_integrals, identity_report
-from .params import (calibrate_lambda, dimensionful_norm, make_params,
-                     to_dimensionless, with_lambda)
+from .params import PhysicalParams, calibrate_lambda, dimensionful_norm
 from .radial import SolverOptions, solve_ground
 
 SWEEP_COLUMNS = ["Omega", "F0", "Q", "Qs", "I4", "J4", "T", "nu_fit",
@@ -213,25 +212,23 @@ def _emit(cfg: RunConfig, doc: dict, summary: str) -> None:
 
 def _solve_document(omega: float, cfg: RunConfig) -> dict:
     """Solve (through the cache if enabled) and return the archive document."""
-    params0 = make_params(hbar=cfg.hbar, c=cfg.c, ell0=cfg.ell0, omega=omega)
-    dimless = to_dimensionless(params0)
+    params = PhysicalParams(hbar=cfg.hbar, c=cfg.c, ell0=cfg.ell0, omega=omega)
     cache_dir = _cache_dir(cfg)
     path = None
     if cache_dir:
-        path = archive.cache_path(cache_dir, dimless.Omega, cfg.solver, __version__,
-                                  params0)
+        path = archive.cache_path(cache_dir, params.Omega, cfg.solver, __version__,
+                                  params)
         try:
             doc = archive.read_json(path)
             archive.check_schema(doc)
             return doc
         except (FileNotFoundError, ValueError):
             pass  # absent, not JSON or another schema: a miss, overwritten below
-    solution = solve_ground(dimless.Omega, cfg.solver)
+    solution = solve_ground(params.Omega, cfg.solver)
     obs = compute_integrals(solution)
     ids = identity_report(obs, solution.Omega)
-    lam = calibrate_lambda(obs.Q, ell0=params0.ell0, hbar=params0.hbar)
-    params = with_lambda(params0, lam)
-    doc = archive.archive_document(solution, obs, ids, params)
+    lam = calibrate_lambda(obs.Q, ell0=params.ell0, hbar=params.hbar)
+    doc = archive.archive_document(solution, obs, ids, replace(params, lam=lam))
     if path:
         archive.write_json_atomic(path, doc)
     return doc
@@ -272,10 +269,12 @@ def _sweep_row(omega: float, cfg: RunConfig) -> dict:
 def _cmd_sweep(cfg: RunConfig) -> int:
     if cfg.steps is None or cfg.steps < 2:
         raise DomainError(f"sweep needs steps >= 2, got {cfg.steps}")
-    if not (0.0 < cfg.omega_min < cfg.omega_max < cfg.c / cfg.ell0):
-        raise DomainError(
-            f"sweep range ({cfg.omega_min}, {cfg.omega_max}) must satisfy "
-            f"0 < min < max < c/ell0")
+    if not cfg.omega_min < cfg.omega_max:
+        raise DomainError(f"sweep range ({cfg.omega_min}, {cfg.omega_max}) "
+                          f"must satisfy min < max")
+    for omega in (cfg.omega_min, cfg.omega_max):
+        # raises DomainError unless the constants admit both ends of the range
+        PhysicalParams(hbar=cfg.hbar, c=cfg.c, ell0=cfg.ell0, omega=omega)
     if not cfg.jobs >= 1:
         raise DomainError(f"sweep needs jobs >= 1, got {cfg.jobs}")
     omegas = [cfg.omega_min + k * (cfg.omega_max - cfg.omega_min) / (cfg.steps - 1)
@@ -302,8 +301,9 @@ def _cmd_sweep(cfg: RunConfig) -> int:
 def _load_solution(cfg: RunConfig):
     try:
         return archive.solution_from_document(archive.read_json(cfg.solution))
-    except (ValueError, KeyError, TypeError) as err:
-        # not JSON, another schema_version, or a missing or mistyped field
+    except (ValueError, KeyError, TypeError, DomainError) as err:
+        # not JSON, another schema_version, a missing or mistyped field, or
+        # an inadmissible calibration
         raise DomainError(f"cannot load {cfg.solution}: {err!r}")
 
 

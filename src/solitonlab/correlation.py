@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from enum import Enum
 from itertools import product
 from typing import Callable, Optional
 
@@ -21,18 +20,13 @@ from .errors import DomainError, GridError
 from .spingrid import GridSpec, LadderReport, ladder_residuals
 
 __all__ = [
-    "SpinLabel", "SpinVector", "EntangledPair", "CorrelationReport",
+    "SpinVector", "EntangledPair", "CorrelationReport",
     "build_singlet", "apply_2J", "epr_correlation", "pair_correlation_fn",
     "chsh", "chsh_optimize", "chsh_local_strategies", "ladder_check_grid",
     "unit_vector", "coplanar_direction",
 ]
 
 UNIT_TOL = 1e-6
-
-
-class SpinLabel(Enum):
-    UP = "up"
-    DOWN = "down"
 
 
 @dataclass(frozen=True)

@@ -1,10 +1,10 @@
-"""Physical and dimensionless model parameters.
+"""Physical model parameters and the calibration of the coupling.
 
 The model has three base constants (hbar, c, ell0), a stationary frequency
 omega and a quartic self-coupling lam. Localized solutions exist only for
-0 < omega < c/ell0. The radial problem is solved in dimensionless form
-(x = r/ell0, f = kappa*F with kappa = sqrt(4*pi/(lam*ell0))), which removes
-lam from the equations; lam is then fixed afterwards by requiring the
+0 < Omega = omega*ell0/c < 1. The radial problem is solved in dimensionless
+form (x = r/ell0, f = kappa*F with kappa = sqrt(4*pi/(lam*ell0))), which
+removes lam from the equations; lam is then fixed afterwards by requiring the
 dimensionful norm integral to equal hbar ("calibration").
 """
 from __future__ import annotations
@@ -16,9 +16,20 @@ from typing import Optional
 from .errors import DomainError
 
 
+def _require_positive(name: str, value) -> None:
+    # NaN-safe: NaN fails the test
+    if not 0.0 < value < math.inf:
+        raise DomainError(f"{name} must be finite and > 0, got {value!r}")
+
+
 @dataclass(frozen=True)
 class PhysicalParams:
-    """Dimensionful model constants. lam is None until calibrated."""
+    """Dimensionful model constants. lam is None until calibrated.
+
+    Construction raises DomainError unless hbar, c and ell0 are finite and
+    > 0, Omega = omega*ell0/c lies in (0, 1), and lam is None or finite and
+    > 0. dataclasses.replace re-validates, so every instance is admissible.
+    """
 
     hbar: float = 1.0
     c: float = 1.0
@@ -26,65 +37,20 @@ class PhysicalParams:
     omega: float = 0.5
     lam: Optional[float] = None
 
+    def __post_init__(self):
+        for name in ("hbar", "c", "ell0"):
+            _require_positive(name, getattr(self, name))
+        if not 0.0 < self.Omega < 1.0:
+            raise DomainError(
+                f"omega = {self.omega!r} gives Omega = omega*ell0/c = {self.Omega!r} "
+                f"outside the admissible interval (0, 1); no localized solution")
+        if self.lam is not None:
+            _require_positive("lam", self.lam)
+
     @property
-    def omega_max(self) -> float:
-        return self.c / self.ell0
-
-
-@dataclass(frozen=True)
-class DimensionlessParams:
-    """Derived dimensionless quantities of the radial problem.
-
-    Omega = omega*ell0/c is the only parameter left in the radial system.
-    nu = sqrt(1 - Omega^2) is the tail decay exponent and B = 1 + Omega the
-    tail ratio constant (g = -f'/B far from the center). kappa is the field
-    scale, available only once lam is known.
-    """
-
-    Omega: float
-    nu: float
-    B: float
-    kappa: Optional[float] = None
-
-
-def make_params(hbar: float = 1.0, c: float = 1.0, ell0: float = 1.0,
-                omega: float = 0.5, lam: Optional[float] = None) -> PhysicalParams:
-    """Validate and build a PhysicalParams record.
-
-    Rejects omega >= c/ell0 (no localized solution exists there) and any
-    non-positive base constant.
-    """
-    for name, val in (("hbar", hbar), ("c", c), ("ell0", ell0), ("omega", omega)):
-        if not math.isfinite(val):
-            raise DomainError(f"{name} must be finite, got {val!r}")
-    if hbar <= 0 or c <= 0 or ell0 <= 0:
-        raise DomainError("hbar, c and ell0 must be strictly positive")
-    if omega < 0:
-        raise DomainError(f"omega must be non-negative, got {omega}")
-    if omega >= c / ell0:
-        raise DomainError(
-            f"omega = {omega} outside the admissible interval [0, c/ell0 = {c / ell0})"
-        )
-    if lam is not None:
-        if not math.isfinite(lam) or lam <= 0:
-            raise DomainError(f"lam must be positive and finite, got {lam!r}")
-    return PhysicalParams(hbar=hbar, c=c, ell0=ell0, omega=omega, lam=lam)
-
-
-def to_dimensionless(params: PhysicalParams) -> DimensionlessParams:
-    """Map physical parameters to the dimensionless ones of the radial system."""
-    Omega = params.omega * params.ell0 / params.c
-    if not 0.0 < Omega < 1.0:
-        raise DomainError(f"Omega = {Omega} outside (0, 1); no localized solution")
-    kappa = None
-    if params.lam is not None:
-        kappa = math.sqrt(4.0 * math.pi / (params.lam * params.ell0))
-    return DimensionlessParams(
-        Omega=Omega,
-        nu=math.sqrt(1.0 - Omega * Omega),
-        B=1.0 + Omega,
-        kappa=kappa,
-    )
+    def Omega(self) -> float:
+        """Dimensionless frequency, the only parameter of the radial system."""
+        return self.omega * self.ell0 / self.c
 
 
 def calibrate_lambda(norm_tilde: float, ell0: float = 1.0, hbar: float = 1.0) -> float:
@@ -94,10 +60,8 @@ def calibrate_lambda(norm_tilde: float, ell0: float = 1.0, hbar: float = 1.0) ->
     (4*pi*ell0^2/lam) * norm_tilde, so lam = 4*pi*ell0^2*norm_tilde/hbar
     is the unique calibrated coupling.
     """
-    if not math.isfinite(norm_tilde) or norm_tilde <= 0:
-        raise DomainError(f"norm_tilde must be positive and finite, got {norm_tilde!r}")
-    if ell0 <= 0 or hbar <= 0:
-        raise DomainError("ell0 and hbar must be strictly positive")
+    for name, value in (("norm_tilde", norm_tilde), ("ell0", ell0), ("hbar", hbar)):
+        _require_positive(name, value)
     return 4.0 * math.pi * ell0 * ell0 * norm_tilde / hbar
 
 
@@ -110,11 +74,3 @@ def dimensionful_norm(params: PhysicalParams, norm_tilde: float) -> float:
     if params.lam is None:
         raise DomainError("lam is uncalibrated; call calibrate_lambda first")
     return 4.0 * math.pi * params.ell0 * params.ell0 * norm_tilde / params.lam
-
-
-def with_lambda(params: PhysicalParams, lam: float) -> PhysicalParams:
-    """Copy of params with the coupling set."""
-    if not math.isfinite(lam) or lam <= 0:
-        raise DomainError(f"lam must be positive and finite, got {lam!r}")
-    return PhysicalParams(hbar=params.hbar, c=params.c, ell0=params.ell0,
-                          omega=params.omega, lam=lam)

@@ -462,8 +462,9 @@ def shoot(Omega: float, bracket0: tuple, shoot_tol: float = 1e-12,
 
     Bisection continues to float exhaustion (adjacent representable values),
     which minimizes contamination of the far tail by the unstable mode; the
-    shoot_tol contract (bracket width <= shoot_tol * max(1, F0)) is then met
-    with large margin.
+    shoot_tol contract (bracket width <= opts.shoot_tol * max(1, F0)) is
+    then met with large margin. The shoot_tol keyword only builds the default
+    options when opts is None.
     """
     if not 0.0 < Omega < 1.0:
         raise DomainError(f"Omega must lie in (0, 1), got {Omega}")
@@ -499,7 +500,7 @@ def shoot(Omega: float, bracket0: tuple, shoot_tol: float = 1e-12,
             hi = mid
     F0 = 0.5 * (lo + hi)
     width = abs(hi - lo)
-    if not width <= shoot_tol * max(1.0, abs(F0)):
+    if not width <= opts.shoot_tol * max(1.0, abs(F0)):
         raise ConvergenceError(
             f"bisection stalled with bracket width {width:.3e} at Omega = {Omega}")
     bracket = (min(lo, hi), max(lo, hi))
@@ -616,7 +617,7 @@ def solve_ground(Omega: float, opts: Optional[SolverOptions] = None) -> SolitonS
     opts = opts or SolverOptions()
     sh = _Shooter(Omega, opts)
     bracket = coarse_scan(Omega, opts, shooter=sh)
-    shooting = shoot(Omega, bracket, shoot_tol=opts.shoot_tol, opts=opts, shooter=sh)
+    shooting = shoot(Omega, bracket, opts=opts, shooter=sh)
     profile, report = _final_profile(Omega, shooting.F0, sh, opts)
     if not report.nu_rel_dev <= 0.05:
         raise TailError(

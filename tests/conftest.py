@@ -22,7 +22,7 @@ def ids05(sol05, obs05):
 @pytest.fixture(scope="session")
 def params05(obs05):
     lam = sl.calibrate_lambda(obs05.Q, ell0=1.0, hbar=1.0)
-    return sl.with_lambda(sl.make_params(omega=0.5), lam)
+    return sl.PhysicalParams(omega=0.5, lam=lam)
 
 
 @pytest.fixture(scope="session")

@@ -95,7 +95,7 @@ def test_criterion_4_energy_positivity(solutions, observable_sets, identity_repo
             obs = observable_sets[om]
             ids = identity_reports[om]
             lam = sl.calibrate_lambda(obs.Q)
-            params = sl.with_lambda(sl.make_params(omega=om), lam)
+            params = sl.PhysicalParams(omega=om, lam=lam)
             E, hw, ratio = sl.energy(obs, params)
             assert E > 0.0
             print(f"  Omega={om}: E={E:.6f} E/hw={ratio:.6f} "

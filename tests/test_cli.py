@@ -11,7 +11,7 @@ import golden
 import solitonlab
 from solitonlab import archive, cli
 from solitonlab.cli import SWEEP_COLUMNS, main
-from solitonlab.params import make_params
+from solitonlab.params import PhysicalParams
 from solitonlab.radial import SolverOptions
 
 
@@ -57,11 +57,11 @@ def test_archive_serialization_deterministic(sol05, obs05, ids05, params05, tmp_
 
 
 def test_cache_key_depends_on_tolerances():
-    params = make_params(omega=0.5)
+    params = PhysicalParams(omega=0.5)
     k1 = archive.cache_key(0.5, SolverOptions(), "1.0", params)
     k2 = archive.cache_key(0.5, SolverOptions(mesh_dx=0.02), "1.0", params)
     k3 = archive.cache_key(0.6, SolverOptions(), "1.0", params)
-    k4 = archive.cache_key(0.5, SolverOptions(), "1.0", make_params(hbar=2.0, omega=0.5))
+    k4 = archive.cache_key(0.5, SolverOptions(), "1.0", PhysicalParams(hbar=2.0, omega=0.5))
     assert len({k1, k2, k3, k4}) == 4
 
 
@@ -113,15 +113,31 @@ def test_solve_treats_bad_cache_entry_as_miss(tmp_path):
         assert entry.read_bytes() == fresh
 
 
-@pytest.mark.parametrize("content", ["{not json", '{"schema_version": 1}', "[1, 2]",
-                                     '{"schema_version": 2}'])
-def test_unreadable_solution_is_invalid_input(tmp_path, capsys, content):
+@pytest.mark.parametrize("content", [
+    "{not json", '{"schema_version": 1}', "[1, 2]", '{"schema_version": 2}',
+    # a valid archive with one inadmissible calibration constant
+    pytest.param({"lambda": 0}, id="lambda=0"),
+    pytest.param({"hbar": 0}, id="hbar=0"),
+    pytest.param({"ell0": 0}, id="ell0=0"),
+    pytest.param({"lambda": -3}, id="lambda=-3"),
+    pytest.param({"omega": 1.0}, id="omega=c/ell0"),
+])
+def test_unreadable_solution_is_invalid_input(tmp_path, capsys, sol_path, content):
     path = tmp_path / "bad.json"
+    if isinstance(content, dict):
+        doc = json.loads(sol_path.read_text())
+        doc["calibration"].update(content)
+        content = json.dumps(doc)
     path.write_text(content)
-    code = main(["correlate", "--solution", str(path), "--a", "0,0,1", "--b", "0,0,1"])
-    assert code == 3
-    err = capsys.readouterr().err
-    assert err.startswith("error: ") and err.count("\n") == 1
+    ab = ["--a", "0,0,1", "--b", "0,0,1"]
+    out = tmp_path / "out.json"
+    for command in (["observables"], ["correlate"] + ab, ["chsh", "--optimize"],
+                    ["ensemble", "--n-trials", "4", "--realizations", "2"] + ab):
+        code = main(command + ["--solution", str(path), "--out", str(out)])
+        assert code == 3, command
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1, (command, err)
+        assert not out.exists(), command
 
 
 def test_solve_rejects_omega_outside_interval(workdir, capsys):
@@ -343,6 +359,19 @@ def test_sweep_rejects_single_step(workdir):
 def test_sweep_rejects_bad_range(workdir):
     assert main(["sweep", "--omega-min", "0.7", "--omega-max", "0.3",
                  "--steps", "3", "--out", str(workdir / "s.csv")]) == 3
+
+
+@pytest.mark.parametrize("constants", [{"ell0": 0}, {"c": 0.5}])
+def test_sweep_rejects_inadmissible_constants(tmp_path, capsys, constants):
+    # c = 0.5 puts omega-max = 0.7 above c/ell0
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(constants))
+    out = tmp_path / "s.csv"
+    assert main(["sweep", "--omega-min", "0.3", "--omega-max", "0.7", "--steps", "3",
+                 "--config", str(cfg), "--no-cache", "--out", str(out)]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert not out.exists()
 
 
 def test_sweep_csv_contract(workdir):

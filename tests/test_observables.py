@@ -168,7 +168,7 @@ def test_energy_positive_and_consistent(obs05, params05, ids05):
 
 def test_energy_requires_calibration(obs05):
     with pytest.raises(DomainError):
-        energy(obs05, sl.make_params(omega=0.5))
+        energy(obs05, sl.PhysicalParams(omega=0.5))
 
 
 # --- spin -------------------------------------------------------------------
@@ -182,7 +182,7 @@ def test_spin_algebraic_exactly_half(sol05, params05, obs05):
 def test_spin_linearity_in_norm(sol05, params05, obs05):
     # coupling calibrated to half the norm doubles both spin values
     lam_half = sl.calibrate_lambda(obs05.Q / 2.0)
-    params = sl.with_lambda(sl.make_params(omega=0.5), lam_half)
+    params = sl.PhysicalParams(omega=0.5, lam=lam_half)
     rep = spin_z(sol05, params, obs=obs05)
     assert rep.Sz_algebraic == pytest.approx(1.0, rel=1e-12)
     assert rep.Sz_grid == pytest.approx(1.0, rel=2e-2)
@@ -199,7 +199,21 @@ def test_spin_grid_quadratic_convergence(sol05, params05, obs05):
 
 def test_spin_requires_calibration(sol05):
     with pytest.raises(DomainError):
-        spin_z(sol05, sl.make_params(omega=0.5))
+        spin_z(sol05, sl.PhysicalParams(omega=0.5))
+
+
+def test_spin_grid_check_runs_once(sol05, params05, obs05, monkeypatch):
+    # a 16^3 grid misses S_z by ~11 %; the check raises without a second grid
+    calls = []
+
+    def counted(solution, spec):
+        calls.append(spec.n)
+        return sz_grid_integral(solution, spec)
+
+    monkeypatch.setattr(sl.observables, "sz_grid_integral", counted)
+    with pytest.raises(GridError):
+        spin_z(sol05, params05, obs=obs05, grid=GridSpec(n=16, extent=12.0))
+    assert calls == [16]
 
 
 def test_grid_extent_guard(sol05):

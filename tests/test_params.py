@@ -1,56 +1,52 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
-from solitonlab import (DomainError, calibrate_lambda, dimensionful_norm,
-                        make_params, to_dimensionless, with_lambda)
+from solitonlab import (DomainError, PhysicalParams, calibrate_lambda,
+                        dimensionful_norm)
 
 
 def test_make_params_basic():
-    p = make_params(1, 1, 1, 0.5)
-    assert to_dimensionless(p).Omega == 0.5
+    p = PhysicalParams(1, 1, 1, 0.5)
+    assert p.Omega == 0.5
 
 
 def test_make_params_rejects_interval_endpoint():
     # omega = c/ell0 admits no localized solution
     with pytest.raises(DomainError):
-        make_params(1, 1, 1, 1.0)
+        PhysicalParams(1, 1, 1, 1.0)
 
 
 def test_make_params_scaling():
-    p = make_params(1, 1, 2, 0.25)
-    assert to_dimensionless(p).Omega == 0.5
+    p = PhysicalParams(1, 1, 2, 0.25)
+    assert p.Omega == 0.5
 
 
 @pytest.mark.parametrize("kwargs", [
     dict(hbar=0.0), dict(c=-1.0), dict(ell0=0.0),
     dict(omega=-0.1), dict(omega=2.0), dict(omega=math.inf),
     dict(lam=-1.0), dict(lam=0.0),
+    dict(hbar=math.nan), dict(c=math.inf), dict(ell0=math.inf),
+    dict(omega=math.nan), dict(lam=math.nan), dict(lam=math.inf),
 ])
 def test_make_params_rejects_bad_inputs(kwargs):
     with pytest.raises(DomainError):
-        make_params(**kwargs)
+        PhysicalParams(**kwargs)
 
 
-def test_dimensionless_values():
-    assert to_dimensionless(make_params(omega=0.6)).nu == pytest.approx(0.8, abs=1e-15)
-    assert to_dimensionless(make_params(omega=0.5)).B == 1.5
-    # omega -> 0 limit: nu -> 1
-    assert to_dimensionless(make_params(omega=1e-12)).nu == pytest.approx(1.0, abs=1e-15)
+def test_replace_revalidates():
+    p = PhysicalParams(omega=0.5)
+    assert replace(p, lam=2.0).lam == 2.0
+    for bad in (dict(lam=0.0), dict(lam=math.nan), dict(hbar=0.0), dict(omega=1.0)):
+        with pytest.raises(DomainError):
+            replace(p, **bad)
 
 
 def test_dimensionless_rejects_omega_zero():
     with pytest.raises(DomainError):
-        to_dimensionless(make_params(omega=0.0))
-
-
-def test_nu_omega_circle_property():
-    rng = np.random.default_rng(7)
-    for omega in rng.uniform(1e-6, 1 - 1e-6, size=200):
-        d = to_dimensionless(make_params(omega=float(omega)))
-        assert d.nu ** 2 + d.Omega ** 2 == pytest.approx(1.0, abs=1e-15)
-        assert d.B == 1.0 + d.Omega
+        PhysicalParams(omega=0.0)
 
 
 def test_round_trip_physical_dimensionless():
@@ -59,7 +55,7 @@ def test_round_trip_physical_dimensionless():
         c = float(rng.uniform(0.1, 10))
         ell0 = float(rng.uniform(0.1, 10))
         omega = float(rng.uniform(0.01, 0.99)) * c / ell0
-        d = to_dimensionless(make_params(c=c, ell0=ell0, omega=omega))
+        d = PhysicalParams(c=c, ell0=ell0, omega=omega)
         assert d.Omega * c / ell0 == pytest.approx(omega, rel=1e-14)
 
 
@@ -78,21 +74,19 @@ def test_calibrate_lambda_homogeneous_in_hbar():
 def test_calibrate_lambda_rejects(bad):
     with pytest.raises(DomainError):
         calibrate_lambda(bad)
+    with pytest.raises(DomainError):
+        calibrate_lambda(1.0, ell0=bad)
+    with pytest.raises(DomainError):
+        calibrate_lambda(1.0, hbar=bad)
 
 
 def test_calibration_round_trip_exact():
     # dimensionful norm after calibration is hbar, float-for-float
     q = 30.595593674675264
-    p = with_lambda(make_params(omega=0.5), calibrate_lambda(q))
+    p = PhysicalParams(omega=0.5, lam=calibrate_lambda(q))
     assert dimensionful_norm(p, q) == 1.0
-
-
-def test_kappa_present_only_when_calibrated():
-    assert to_dimensionless(make_params(omega=0.5)).kappa is None
-    p = with_lambda(make_params(omega=0.5), 4 * math.pi)
-    assert to_dimensionless(p).kappa == pytest.approx(1.0, rel=1e-15)
 
 
 def test_dimensionful_norm_requires_lambda():
     with pytest.raises(DomainError):
-        dimensionful_norm(make_params(omega=0.5), 1.0)
+        dimensionful_norm(PhysicalParams(omega=0.5), 1.0)

@@ -290,6 +290,14 @@ def test_shoot_same_side_bracket():
         shoot(0.5, (0.3, 0.5))
 
 
+def test_shoot_width_guard_reads_options():
+    # the bracket-width test uses opts.shoot_tol, not the keyword's default
+    opts = SolverOptions(shoot_tol=1e-2, max_iterations=5)
+    result = shoot(0.5, coarse_scan(0.5, opts), opts=opts)
+    lo, hi = result.bracket
+    assert 1e-12 < hi - lo <= 1e-2 * max(1.0, result.F0)
+
+
 def test_scan_and_shoot_ground_state(sol05):
     sh = sol05.shooting
     lo, hi = sh.bracket
