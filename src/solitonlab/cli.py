@@ -220,10 +220,10 @@ def _solve_document(omega: float, cfg: RunConfig) -> dict:
                                   params)
         try:
             doc = archive.read_json(path)
-            archive.check_schema(doc)
+            _checked_solution(doc)
             return doc
-        except (FileNotFoundError, ValueError):
-            pass  # absent, not JSON or another schema: a miss, overwritten below
+        except (FileNotFoundError, ValueError, KeyError, TypeError, DomainError):
+            pass  # absent, unreadable or miscalibrated: a miss, overwritten below
     solution = solve_ground(params.Omega, cfg.solver)
     obs = compute_integrals(solution)
     ids = identity_report(obs, solution.Omega)
@@ -298,12 +298,23 @@ def _cmd_sweep(cfg: RunConfig) -> int:
     return 0 if n_ok else 2
 
 
+def _checked_solution(doc: dict):
+    """archive.solution_from_document(doc), with its lambda checked to be the
+    calibrated coupling of its own Q (DomainError otherwise)."""
+    solution, obs, ids, params = archive.solution_from_document(doc)
+    lam = calibrate_lambda(obs.Q, ell0=params.ell0, hbar=params.hbar)
+    if params.lam is None or not abs(params.lam - lam) <= 1e-12 * lam:
+        raise DomainError(f"calibration lambda {params.lam!r} is not "
+                          f"calibrate_lambda(Q) = {lam!r}")
+    return solution, obs, ids, params
+
+
 def _load_solution(cfg: RunConfig):
     try:
-        return archive.solution_from_document(archive.read_json(cfg.solution))
+        return _checked_solution(archive.read_json(cfg.solution))
     except (ValueError, KeyError, TypeError, DomainError) as err:
         # not JSON, another schema_version, a missing or mistyped field, or
-        # an inadmissible calibration
+        # an inadmissible or miscalibrated calibration
         raise DomainError(f"cannot load {cfg.solution}: {err!r}")
 
 

@@ -15,6 +15,11 @@ state; the far tail is continued analytically once F has dropped several
 orders below F0, which keeps the stored profile clean of the exponential
 shooting instability.
 
+Bisection is replayed rather than run (shoot): the zero-crossing radii of
+overshoot trials estimate the critical amplitude, two trials verify a
+window around it, and only the midpoints inside the window run trials.
+The result is plain bisection's to the bit, at about half the trials.
+
 Every integration of a solve runs _march, a DP5 march with this
 right-hand side written inline: the coarse scan takes free adaptive steps,
 bisection trials and the final pass step clamped to the mesh nodes. It
@@ -364,6 +369,8 @@ class _Shooter:
         that is the undershoot side, no integration needed. A run that
         reaches x_max undecided extends it by 1.5x (truncation, not
         dynamics) and the larger window is kept for subsequent trials.
+        After an f_cross halt, x_cross holds the radius where F crossed
+        zero, interpolated linearly between the last two states.
         """
         opts = self.opts
         start = series_start(F0, self.Omega, opts.x0)
@@ -378,15 +385,19 @@ class _Shooter:
             states = chain(((nodes[0], start.F, start.G),),
                            _march(self.Omega, nodes, start.F, start.G, rtol,
                                   every_step=not clamped))
-            for _x, F, G in states:
+            xp = Fp = None
+            for x, F, G in states:
                 if abs(F) < floor and abs(G) < floor:
                     return Outcome.DECAYED, "decay"
                 if F < 0.0:
+                    # F's zero between the last two states (Fp >= 0 > F)
+                    self.x_cross = x if xp is None else xp + (x - xp) * Fp / (Fp - F)
                     return Outcome.DIVERGED_DOWN, "f_cross"
                 if G < 0.0:
                     return Outcome.DIVERGED_UP, "g_cross"
                 if abs(F) > guard or abs(G) > guard:
                     return Outcome.DIVERGED_UP, "blowup"
+                xp, Fp = x, F
             self._extend()
         raise ConvergenceError(
             f"trial F0 = {F0} stayed indeterminate up to x_max = {self.x_max:.1f}")
@@ -455,6 +466,71 @@ def _refine_window(sh: _Shooter, lo: float, hi: float, rtol: float):
         f"overshoot window vanished between F0 = {lo} and {hi}")
 
 
+# Width unit of shoot's verified window [b - 2M ulps, b + M ulps], M ulps of
+# the best overshoot amplitude b; the band around F* in which the float-level
+# classification is not monotone in F0 is <= 5 ulps wide
+_WINDOW_ULPS = 128
+# most trials of the estimate phase before shoot falls back to plain bisection
+_MAX_ESTIMATE_STEPS = 60
+
+
+def _verified_window(sh: _Shooter, lo: float, hi: float, x_hi: float, rtol: float):
+    """(a, c, memo): a window around the critical amplitude F* whose edges
+    classify by real trials, a diverged_up and c diverged_down, and the
+    outcomes {F0: Outcome} of the trials run to find it; or None.
+
+    lo < hi are the bracket's undershoot and overshoot ends, x_hi the radius
+    of hi's F crossing. An overshoot at F0 > F* crosses zero at x_h with
+    2*nu*x_h + ln(F0 - F*) nearly constant, so the two best f_cross
+    overshoots b < b2 estimate F* = b - (b2 - b) / expm1(2*nu*(x_b - x_b2)).
+    Bisection's own midpoints run until two overshoots are known; then each
+    trial is at F*_est + q*(b - F*_est), where q starts at 1e-2, grows tenfold
+    after an undershoot (to at most 0.5) and resets after an overshoot, until
+    F*_est is within M ulps of b. The edges a = b - 2M ulps and c = b + M ulps
+    are fresh points, never estimate-phase ones, which may lie inside the
+    non-monotone band. An x_max extension, a decayed trial, a failed edge or
+    more than _MAX_ESTIMATE_STEPS trials give None.
+    """
+    mesh = sh.mesh
+    memo = {}
+    overs = [(hi, x_hi)]  # f_cross overshoots, best (smallest F0) last
+    q = 1e-2
+
+    def run(F0):
+        if F0 not in memo:
+            memo[F0] = sh.trial(F0, rtol, clamped=True)[0]
+        return memo[F0]
+
+    for _ in range(_MAX_ESTIMATE_STEPS):
+        b, x_b = overs[-1]
+        if len(overs) < 2:
+            F0 = 0.5 * (lo + b)  # bisection's own midpoint
+        else:
+            b2, x_b2 = overs[-2]
+            d = math.expm1(2.0 * sh.nu * (x_b - x_b2))
+            est = max(b - (b2 - b) / d, lo) if d > 0.0 else lo
+            if b - est <= _WINDOW_ULPS * math.ulp(b):
+                break
+            F0 = est + q * (b - est)
+        if not lo < F0 < b:
+            return None  # float exhaustion
+        out = run(F0)
+        if out is Outcome.DECAYED or sh.mesh is not mesh:
+            return None
+        if out is Outcome.DIVERGED_UP:
+            lo, q = F0, min(10.0 * q, 0.5)
+        else:
+            overs.append((F0, sh.x_cross))
+            q = 1e-2
+    else:
+        return None
+    step = _WINDOW_ULPS * math.ulp(b)
+    a, c = b - 2.0 * step, b + step
+    if run(a) is Outcome.DIVERGED_UP and run(c) is Outcome.DIVERGED_DOWN and sh.mesh is mesh:
+        return a, c, memo
+    return None
+
+
 def shoot(Omega: float, bracket0: tuple, shoot_tol: float = 1e-12,
           opts: Optional[SolverOptions] = None,
           shooter: Optional[_Shooter] = None) -> ShootingResult:
@@ -465,6 +541,19 @@ def shoot(Omega: float, bracket0: tuple, shoot_tol: float = 1e-12,
     shoot_tol contract (bracket width <= opts.shoot_tol * max(1, F0)) is
     then met with large margin. The shoot_tol keyword only builds the default
     options when opts is None.
+
+    Estimate-then-replay: _verified_window first locates F* from the halt
+    radii of overshoot trials and checks a window (a, c) around it by two
+    real trials. The bisection loop then runs a trial only at a midpoint
+    inside (a, c) (reusing the estimate's trials); a midpoint <= a is
+    diverged_up and one >= c diverged_down, as bisection's trial there would
+    give. At float level the classification is not monotone in a band of a
+    few ulps around F*, so any root finder that leaves bisection's path can
+    stop at another adjacent pair; replaying the path keeps F0, the bracket,
+    n_iterations, the classification history and x_max exactly bisection's,
+    at about half the trials. Without a window (no estimate, or one that
+    raised) the mesh is restored to its state before the estimate and every
+    midpoint runs a trial.
     """
     if not 0.0 < Omega < 1.0:
         raise DomainError(f"Omega must lie in (0, 1), got {Omega}")
@@ -484,12 +573,26 @@ def shoot(Omega: float, bracket0: tuple, shoot_tol: float = 1e-12,
             "need one diverged_up and one diverged_down")
     if out_lo is Outcome.DIVERGED_DOWN:
         lo, hi = hi, lo  # keep lo on the undershoot side
+    mesh = sh.mesh
+    try:
+        # x_cross is the overshoot end's: the undershoot end's trial leaves it
+        window = _verified_window(sh, lo, hi, sh.x_cross, rtol) if lo < hi else None
+    except (ConvergenceError, IntegrationError):
+        window = None
+    if window is None:
+        sh._set_mesh(mesh)  # x_max stays bisection's: undo the estimate's extensions
+    a, c, memo = window or (-math.inf, math.inf, {})
     n_iter = 0
     for n_iter in range(1, opts.max_iterations + 1):
         mid = 0.5 * (lo + hi)
         if mid == lo or mid == hi:
             break
-        out, _halt = sh.trial(mid, rtol, clamped=True)
+        if mid <= a:
+            out = Outcome.DIVERGED_UP
+        elif mid >= c:
+            out = Outcome.DIVERGED_DOWN
+        else:
+            out = memo[mid] if mid in memo else sh.trial(mid, rtol, clamped=True)[0]
         history.append((mid, out.value))
         if out is Outcome.DECAYED:
             lo = hi = mid

@@ -15,6 +15,10 @@ nodes, is the independent interpolant to check the Hermite one against.
 integrate_free and _make_check, the generic free-step path on ivp.Stepper
 with the trial's halt tests, are the bit-for-bit reference of
 radial._march's free-step mode.
+
+shoot is plain bisection, a trial at every midpoint: the bit-for-bit
+reference of radial.shoot, which infers the midpoints' outcomes outside a
+verified window around the critical amplitude.
 """
 import math
 from typing import Optional
@@ -24,8 +28,9 @@ from scipy.integrate import quad
 from scipy.interpolate import CubicSpline
 from scipy.optimize import minimize
 
-from solitonlab.errors import GridError
+from solitonlab.errors import BracketError, ConvergenceError, DomainError, GridError
 from solitonlab.ivp import Check, Rhs, Stepper
+from solitonlab.radial import Outcome, ShootingResult, SolverOptions, _Shooter
 from solitonlab.spingrid import GridSpec, LadderReport, _radial_interpolant
 
 
@@ -340,3 +345,56 @@ def sz_grid_integral_dense(solution, spec: GridSpec, radial=None) -> float:
     for a, b in zip(up, j3up):
         total += float(np.sum(w * (a.conj() * b).real))
     return total
+
+
+def shoot(Omega: float, bracket0: tuple, shoot_tol: float = 1e-12,
+          opts: Optional[SolverOptions] = None,
+          shooter: Optional[_Shooter] = None) -> ShootingResult:
+    """Bisect the shooting amplitude between opposite classifications.
+
+    Bisection continues to float exhaustion (adjacent representable values),
+    which minimizes contamination of the far tail by the unstable mode; the
+    shoot_tol contract (bracket width <= opts.shoot_tol * max(1, F0)) is
+    then met with large margin. The shoot_tol keyword only builds the default
+    options when opts is None.
+    """
+    if not 0.0 < Omega < 1.0:
+        raise DomainError(f"Omega must lie in (0, 1), got {Omega}")
+    opts = opts or SolverOptions(shoot_tol=shoot_tol)
+    sh = shooter or _Shooter(Omega, opts)
+    rtol = opts.final_rtol
+    lo, hi = float(bracket0[0]), float(bracket0[1])
+    history = []
+    out_lo, halt_lo = sh.trial(lo, rtol, clamped=True)
+    out_hi, halt_hi = sh.trial(hi, rtol, clamped=True)
+    history.append((lo, out_lo.value))
+    history.append((hi, out_hi.value))
+    sides = {out_lo, out_hi}
+    if sides != {Outcome.DIVERGED_UP, Outcome.DIVERGED_DOWN}:
+        raise BracketError(
+            f"bracket endpoints classify as {out_lo.value}/{out_hi.value}, "
+            "need one diverged_up and one diverged_down")
+    if out_lo is Outcome.DIVERGED_DOWN:
+        lo, hi = hi, lo  # keep lo on the undershoot side
+    n_iter = 0
+    for n_iter in range(1, opts.max_iterations + 1):
+        mid = 0.5 * (lo + hi)
+        if mid == lo or mid == hi:
+            break
+        out, _halt = sh.trial(mid, rtol, clamped=True)
+        history.append((mid, out.value))
+        if out is Outcome.DECAYED:
+            lo = hi = mid
+            break
+        if out is Outcome.DIVERGED_UP:
+            lo = mid
+        else:
+            hi = mid
+    F0 = 0.5 * (lo + hi)
+    width = abs(hi - lo)
+    if not width <= opts.shoot_tol * max(1.0, abs(F0)):
+        raise ConvergenceError(
+            f"bisection stalled with bracket width {width:.3e} at Omega = {Omega}")
+    bracket = (min(lo, hi), max(lo, hi))
+    return ShootingResult(F0=F0, bracket=bracket, n_iterations=n_iter,
+                          classification_history=tuple(history))

@@ -105,7 +105,9 @@ def test_solve_treats_bad_cache_entry_as_miss(tmp_path):
     fresh = entry.read_bytes()
     old_schema = json.loads(fresh)
     old_schema["schema_version"] = 1
-    for bad in ("{not json", json.dumps(old_schema)):
+    miscalibrated = json.loads(fresh)
+    miscalibrated["calibration"]["lambda"] *= 2.0
+    for bad in ("{not json", json.dumps(old_schema), json.dumps(miscalibrated)):
         entry.write_text(bad)
         out = tmp_path / "again.json"
         assert main(args + ["--out", str(out)]) == 0
@@ -121,12 +123,16 @@ def test_solve_treats_bad_cache_entry_as_miss(tmp_path):
     pytest.param({"ell0": 0}, id="ell0=0"),
     pytest.param({"lambda": -3}, id="lambda=-3"),
     pytest.param({"omega": 1.0}, id="omega=c/ell0"),
+    # admissible constants, but lambda is not the calibration of the archive's Q
+    pytest.param(lambda cal: {"lambda": 2.0 * cal["lambda"]}, id="lambda=2x"),
+    pytest.param({"lambda": None}, id="lambda=null"),
 ])
 def test_unreadable_solution_is_invalid_input(tmp_path, capsys, sol_path, content):
     path = tmp_path / "bad.json"
-    if isinstance(content, dict):
+    if not isinstance(content, str):
         doc = json.loads(sol_path.read_text())
-        doc["calibration"].update(content)
+        cal = doc["calibration"]
+        cal.update(content(cal) if callable(content) else content)
         content = json.dumps(doc)
     path.write_text(content)
     ab = ["--a", "0,0,1", "--b", "0,0,1"]

@@ -7,6 +7,7 @@ from hypothesis import example, given, settings, strategies as st
 import golden
 import oracles
 from oracles import _make_check, integrate_free
+from solitonlab import radial
 from solitonlab import (BracketError, ConvergenceError, DomainError, IntegrationError,
                         Outcome, RadialState, SolitonLabError, SolverOptions, TailError,
                         rhs, series_start, shoot, solve_ground)
@@ -341,6 +342,70 @@ def test_coarse_scan_brackets_pinned():
     assert {w: coarse_scan(w, opts) for w in _PINNED_BRACKETS} == _PINNED_BRACKETS
 
 
+def _shot(shoot_fn, Omega, opts, bracket=None):
+    """(ShootingResult, x_max) of a scan (unless bracket is given) and a
+    shoot on a fresh shooter, or the error's (type, message)."""
+    sh = _Shooter(Omega, opts)
+    try:
+        bracket = bracket or coarse_scan(Omega, opts, shooter=sh)
+        return shoot_fn(Omega, bracket, opts=opts, shooter=sh), sh.x_max
+    except SolitonLabError as err:
+        return type(err), str(err)
+
+
+def _pinned_examples(test):
+    for Omega in _PINNED_BRACKETS:
+        test = example(Omega=Omega)(test)
+    return test
+
+
+@settings(max_examples=10, deadline=None, derandomize=True)
+@given(Omega=st.floats(0.02, 0.99))
+@_pinned_examples
+def test_shoot_replays_bisection(Omega):
+    # estimate-then-replay takes bisection's path: F0, bracket, n_iterations,
+    # the whole history and the shooter's x_max are == to plain bisection's
+    opts = SolverOptions()
+    bracket = _PINNED_BRACKETS.get(Omega)
+    assert _shot(shoot, Omega, opts, bracket) == _shot(oracles.shoot, Omega, opts, bracket)
+
+
+@pytest.mark.parametrize("Omega, x_max, extended", [(0.5, 12.0, 27.0201),
+                                                    (0.9, 20.0, 67.5401)])
+def test_shoot_falls_back_after_estimate_extension(monkeypatch, Omega, x_max, extended):
+    # a trial of the estimate phase lengthens x_max: shoot restores the mesh
+    # and bisects plainly, so x_max grows only where bisection's does
+    windows = []
+    verified_window = radial._verified_window
+
+    def spy(sh, *args):
+        before = sh.x_max
+        windows.append((verified_window(sh, *args), before, sh.x_max))
+        return windows[-1][0]
+
+    monkeypatch.setattr(radial, "_verified_window", spy)
+    opts = SolverOptions(x_max=x_max)
+    result = _shot(shoot, Omega, opts)
+    (window, before, after), = windows
+    assert window is None and after > before
+    assert result == _shot(oracles.shoot, Omega, opts)
+    assert result[1] == pytest.approx(extended)
+
+
+def test_solve_ground_runs_half_the_trials(monkeypatch):
+    # plain bisection runs 50 clamped trials at Omega = 0.5
+    calls = []
+    trial = _Shooter.trial
+
+    def counted(self, F0, rtol, clamped=False):
+        calls.append(clamped)
+        return trial(self, F0, rtol, clamped)
+
+    monkeypatch.setattr(_Shooter, "trial", counted)
+    solve_ground(0.5)
+    assert sum(calls) <= 26
+
+
 # with default options no ground state is found at small Omega; at 0.005 the
 # scan's free-step bracket classifies up at both ends on the bisection mesh
 @pytest.mark.parametrize("Omega, error", [(0.005, BracketError), (0.01, TailError),
@@ -349,6 +414,22 @@ def test_low_omega_fails_with_documented_error(Omega, error):
     with pytest.raises(SolitonLabError) as caught:
         solve_ground(Omega)
     assert caught.type is error
+
+
+@settings(max_examples=12, deadline=None, derandomize=True)
+@given(Omega=st.floats(0.001, 0.06, exclude_min=True) | st.floats(0.97, 0.99))
+def test_edge_omega_solves_or_raises_documented_error(Omega):
+    # the band of every shooting fallback seen: a solution that passes its
+    # own guards, or a SolitonLabError; never NaN or another exception
+    opts = SolverOptions()
+    try:
+        s = solve_ground(Omega, opts)
+    except SolitonLabError:
+        return
+    assert math.isfinite(s.shooting.F0)
+    assert s.residuals.max_midpoint_residual <= opts.residual_tol
+    assert s.residuals.nu_rel_dev <= 0.05
+    assert s.residuals.min_F > 0.0
 
 
 def test_amplitude_decreases_toward_weak_binding(sol05):
