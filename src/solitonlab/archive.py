@@ -3,6 +3,10 @@
 Floats are serialized with Python's shortest round-trip representation, so a
 parsed archive reproduces every stored number bit-exactly. Writes go through
 a temporary file plus atomic rename.
+
+Of the data the profile (x, F, G) and the constants determine, an archive
+stores only a report for readers; the loader derives it again and accepts
+only the document that archive_document writes for the derivation.
 """
 from __future__ import annotations
 
@@ -10,15 +14,25 @@ import hashlib
 import json
 import os
 import tempfile
-from dataclasses import asdict
+from dataclasses import asdict, replace
 import numpy as np
 
-from .observables import IdentityReport, ObservableSet
-from .params import PhysicalParams
+from .observables import (IdentityReport, ObservableSet, compute_integrals,
+                          identity_report)
+from .params import PhysicalParams, calibrate_lambda
 from .radial import (RadialProfile, ResidualReport, ShootingResult,
-                     SolitonSolution, SolverOptions, TailFit)
+                     SolitonSolution, SolverOptions, TailFit, _rhs)
 
-SCHEMA_VERSION = 2
+SCHEMA_VERSION = 3
+
+
+def derive_report(solution: SolitonSolution, params: PhysicalParams):
+    """(ObservableSet, IdentityReport, PhysicalParams with the calibrated lam)
+    of a solution: everything in its archive that the profile determines."""
+    observables = compute_integrals(solution)
+    identities = identity_report(observables, solution.Omega)
+    lam = calibrate_lambda(observables.Q, ell0=params.ell0, hbar=params.hbar)
+    return observables, identities, replace(params, lam=lam)
 
 
 def archive_document(solution: SolitonSolution,
@@ -34,8 +48,6 @@ def archive_document(solution: SolitonSolution,
             "x": p.grid.tolist(),
             "F": p.F.tolist(),
             "G": p.G.tolist(),
-            "dF": p.dF.tolist(),
-            "dG": p.dG.tolist(),
         },
         "shooting": {
             "F0": solution.shooting.F0,
@@ -46,14 +58,7 @@ def archive_document(solution: SolitonSolution,
         },
         "tail": asdict(p.tail),
         "residuals": asdict(solution.residuals),
-        "observables": {
-            "Q": observables.Q,
-            "Qs": observables.Qs,
-            "I4": observables.I4,
-            "J4": observables.J4,
-            "T": observables.T,
-            "quad_error": dict(observables.quad_error),
-        },
+        "observables": asdict(observables),
         "identities": asdict(identities),
         "calibration": {
             "hbar": params.hbar,
@@ -66,26 +71,23 @@ def archive_document(solution: SolitonSolution,
     }
 
 
-def check_schema(doc) -> None:
-    """Raise ValueError unless doc is an archive of the current schema."""
+def solution_from_document(doc: dict):
+    """Rebuild (SolitonSolution, ObservableSet, IdentityReport, PhysicalParams),
+    deriving dF, dG, the observables, identities and lambda from the stored
+    profile and constants. ValueError unless doc is of this schema and exactly
+    what archive_document writes for them; KeyError, TypeError, DomainError or
+    QuadratureError for a missing, mistyped or inadmissible field."""
     version = doc.get("schema_version") if isinstance(doc, dict) else None
     if version != SCHEMA_VERSION:
         raise ValueError(f"unsupported schema_version {version!r}, "
                          f"expected {SCHEMA_VERSION}")
-
-
-def solution_from_document(doc: dict):
-    """Rebuild (SolitonSolution, ObservableSet, IdentityReport, PhysicalParams)."""
-    check_schema(doc)
     g = doc["grid"]
-    profile = RadialProfile(
-        grid=np.asarray(g["x"], dtype=float),
-        F=np.asarray(g["F"], dtype=float),
-        G=np.asarray(g["G"], dtype=float),
-        dF=np.asarray(g["dF"], dtype=float),
-        dG=np.asarray(g["dG"], dtype=float),
-        tail=TailFit(**doc["tail"]),
-    )
+    x, F, G = (np.asarray(g[k], dtype=float) for k in ("x", "F", "G"))
+    if not (x.ndim == 1 and x.shape == F.shape == G.shape and x.size >= 3):
+        raise ValueError("grid x, F and G must be 1-D arrays of one length >= 3")
+    cal = doc["calibration"]
+    params = PhysicalParams(hbar=cal["hbar"], c=cal["c"], ell0=cal["ell0"],
+                            omega=cal["omega"])
     sh = doc["shooting"]
     shooting = ShootingResult(
         F0=sh["F0"], bracket=tuple(sh["bracket"]),
@@ -93,20 +95,20 @@ def solution_from_document(doc: dict):
         classification_history=tuple((f0, label) for f0, label in
                                      sh["classification_history"]),
     )
-    solution = SolitonSolution(
-        Omega=doc["Omega"], profile=profile, shooting=shooting,
-        residuals=ResidualReport(**doc["residuals"]),
-        provenance=doc["provenance"],
-    )
-    o = doc["observables"]
-    observables = ObservableSet(
-        Q=o["Q"], Qs=o["Qs"], I4=o["I4"], J4=o["J4"], T=o["T"],
-        quad_error=dict(o["quad_error"]),
-    )
-    identities = IdentityReport(**doc["identities"])
-    cal = doc["calibration"]
-    params = PhysicalParams(hbar=cal["hbar"], c=cal["c"], ell0=cal["ell0"],
-                            omega=cal["omega"], lam=cal["lambda"])
+    with np.errstate(all="ignore"):  # overflow in a forged profile is an error, not a warning
+        dF, dG = _rhs(x, F, G, params.Omega)
+        solution = SolitonSolution(
+            Omega=params.Omega,
+            profile=RadialProfile(grid=x, F=F, G=G, dF=dF, dG=dG,
+                                  tail=TailFit(**doc["tail"])),
+            shooting=shooting, residuals=ResidualReport(**doc["residuals"]),
+            provenance=doc["provenance"],
+        )
+        observables, identities, params = derive_report(solution, params)
+    derived = archive_document(solution, observables, identities, params)
+    if derived != doc:
+        stale = sorted(k for k in doc.keys() | derived.keys() if doc.get(k) != derived.get(k))
+        raise ValueError(f"archive fields {stale} differ from their derivation")
     return solution, observables, identities, params
 
 

@@ -23,16 +23,19 @@ from .correlation import (build_singlet, chsh, chsh_optimize, epr_correlation,
 from .ensemble import EnsembleSpec, ensemble_estimate
 from .errors import (BracketError, ConvergenceError, DomainError, GridError,
                      IntegrationError, QuadratureError, SolitonLabError, TailError)
-from .observables import compute_integrals, identity_report
-from .params import PhysicalParams, calibrate_lambda, dimensionful_norm
+from .params import PhysicalParams, dimensionful_norm
 from .radial import SolverOptions, solve_ground
 
 SWEEP_COLUMNS = ["Omega", "F0", "Q", "Qs", "I4", "J4", "T", "nu_fit",
                  "d1_residual", "d2_residual", "v13", "v15", "v16",
                  "energy_ratio", "lambda_calibrated", "status"]
 
+_MAX_SWEEP_STEPS = 100_000
+
 _SOLVER_FAILURES = (BracketError, ConvergenceError, TailError,
                     IntegrationError, QuadratureError, GridError)
+# what reading and archive.solution_from_document raise for a bad archive
+_UNLOADABLE = (ValueError, KeyError, TypeError, DomainError, QuadratureError)
 
 
 @dataclass
@@ -220,15 +223,12 @@ def _solve_document(omega: float, cfg: RunConfig) -> dict:
                                   params)
         try:
             doc = archive.read_json(path)
-            _checked_solution(doc)
+            archive.solution_from_document(doc)
             return doc
-        except (FileNotFoundError, ValueError, KeyError, TypeError, DomainError):
-            pass  # absent, unreadable or miscalibrated: a miss, overwritten below
+        except (FileNotFoundError,) + _UNLOADABLE:
+            pass  # absent, unreadable or inconsistent: a miss, overwritten below
     solution = solve_ground(params.Omega, cfg.solver)
-    obs = compute_integrals(solution)
-    ids = identity_report(obs, solution.Omega)
-    lam = calibrate_lambda(obs.Q, ell0=params.ell0, hbar=params.hbar)
-    doc = archive.archive_document(solution, obs, ids, replace(params, lam=lam))
+    doc = archive.archive_document(solution, *archive.derive_report(solution, params))
     if path:
         archive.write_json_atomic(path, doc)
     return doc
@@ -267,8 +267,8 @@ def _sweep_row(omega: float, cfg: RunConfig) -> dict:
 
 
 def _cmd_sweep(cfg: RunConfig) -> int:
-    if cfg.steps is None or cfg.steps < 2:
-        raise DomainError(f"sweep needs steps >= 2, got {cfg.steps}")
+    if cfg.steps is None or not 2 <= cfg.steps <= _MAX_SWEEP_STEPS:
+        raise DomainError(f"sweep needs steps in [2, {_MAX_SWEEP_STEPS}], got {cfg.steps}")
     if not cfg.omega_min < cfg.omega_max:
         raise DomainError(f"sweep range ({cfg.omega_min}, {cfg.omega_max}) "
                           f"must satisfy min < max")
@@ -298,30 +298,15 @@ def _cmd_sweep(cfg: RunConfig) -> int:
     return 0 if n_ok else 2
 
 
-def _checked_solution(doc: dict):
-    """archive.solution_from_document(doc), with its lambda checked to be the
-    calibrated coupling of its own Q (DomainError otherwise)."""
-    solution, obs, ids, params = archive.solution_from_document(doc)
-    lam = calibrate_lambda(obs.Q, ell0=params.ell0, hbar=params.hbar)
-    if params.lam is None or not abs(params.lam - lam) <= 1e-12 * lam:
-        raise DomainError(f"calibration lambda {params.lam!r} is not "
-                          f"calibrate_lambda(Q) = {lam!r}")
-    return solution, obs, ids, params
-
-
 def _load_solution(cfg: RunConfig):
     try:
-        return _checked_solution(archive.read_json(cfg.solution))
-    except (ValueError, KeyError, TypeError, DomainError) as err:
-        # not JSON, another schema_version, a missing or mistyped field, or
-        # an inadmissible or miscalibrated calibration
+        return archive.solution_from_document(archive.read_json(cfg.solution))
+    except _UNLOADABLE as err:
         raise DomainError(f"cannot load {cfg.solution}: {err!r}")
 
 
 def _cmd_observables(cfg: RunConfig) -> int:
-    solution, _obs, _ids, params = _load_solution(cfg)
-    obs = compute_integrals(solution)
-    ids = identity_report(obs, solution.Omega)
+    solution, obs, ids, params = _load_solution(cfg)
     doc = archive.archive_document(solution, obs, ids, params)
     summary = (f"observables Omega={solution.Omega:.6g}: Q={obs.Q:.12g} "
                f"T={obs.T:.12g} d1={ids.d1_residual:.3e} d2={ids.d2_residual:.3e} "

@@ -21,6 +21,8 @@ __all__ = ["EnsembleSpec", "EnsembleEstimate", "draw_phases",
            "realization_estimate", "ensemble_estimate"]
 
 _MASK64 = (1 << 64) - 1
+# most trials per realization, and most realizations (a float64 array each)
+_MAX_DRAWS = 10_000_000
 
 
 @dataclass(frozen=True)
@@ -32,11 +34,12 @@ class EnsembleSpec:
     b: tuple = (0.0, 0.0, 1.0)
 
     def __post_init__(self):
-        if self.n_trials < 1:
-            raise DomainError(f"n_trials must be >= 1, got {self.n_trials}")
-        if self.realizations < 2:
+        if not 1 <= self.n_trials <= _MAX_DRAWS:
+            raise DomainError(f"n_trials must lie in [1, {_MAX_DRAWS}], got {self.n_trials}")
+        if not 2 <= self.realizations <= _MAX_DRAWS:
             # a standard error needs two samples
-            raise DomainError(f"realizations must be >= 2, got {self.realizations}")
+            raise DomainError(f"realizations must lie in [2, {_MAX_DRAWS}], "
+                              f"got {self.realizations}")
 
 
 @dataclass(frozen=True)

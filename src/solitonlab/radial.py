@@ -129,6 +129,9 @@ class SolitonSolution:
 
 # most coarse-scan grid points, scan_max / scan_step (the default scan has 50)
 _MAX_SCAN_POINTS = 10_000
+# most radial mesh nodes (the default mesh has 4,001 at Omega = 0.5); the
+# default x_max = max(40, 25/nu) reaches it at Omega ~ 1 - 3.1e-8
+_MAX_MESH_NODES = 10_000_000
 
 
 @dataclass(frozen=True)
@@ -216,9 +219,13 @@ def series_start(F0: float, Omega: float, x0: float = 1e-4) -> RadialState:
 
 def _build_mesh(x0: float, x_end: float, dx: float) -> np.ndarray:
     """Uniform mesh x0 + dx*k covering [x0, x_end]; growing x_end only appends
-    nodes, so the node sequence over any prefix is extension-stable."""
-    n = int(math.ceil((x_end - x0) / dx)) + 1
-    return x0 + dx * np.arange(n)
+    nodes, so the node sequence over any prefix is extension-stable. Raises
+    DomainError, before allocating, for more than _MAX_MESH_NODES nodes."""
+    intervals = (x_end - x0) / dx
+    if not intervals <= _MAX_MESH_NODES - 1:
+        raise DomainError(f"the mesh [{x0}, {x_end}] at spacing {dx} would exceed "
+                          f"{_MAX_MESH_NODES} nodes")
+    return x0 + dx * np.arange(int(math.ceil(intervals)) + 1)
 
 
 def _march(Omega: float, nodes: list, F: float, G: float, rtol: float,
@@ -577,7 +584,7 @@ def shoot(Omega: float, bracket0: tuple, shoot_tol: float = 1e-12,
     try:
         # x_cross is the overshoot end's: the undershoot end's trial leaves it
         window = _verified_window(sh, lo, hi, sh.x_cross, rtol) if lo < hi else None
-    except (ConvergenceError, IntegrationError):
+    except (ConvergenceError, IntegrationError, DomainError):
         window = None
     if window is None:
         sh._set_mesh(mesh)  # x_max stays bisection's: undo the estimate's extensions

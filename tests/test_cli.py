@@ -12,7 +12,7 @@ import solitonlab
 from solitonlab import archive, cli
 from solitonlab.cli import SWEEP_COLUMNS, main
 from solitonlab.params import PhysicalParams
-from solitonlab.radial import SolverOptions
+from solitonlab.radial import SolverOptions, _rhs
 
 
 @pytest.fixture(scope="module")
@@ -69,12 +69,13 @@ def test_cache_key_depends_on_tolerances():
 
 def test_solve_archive_content(sol_path):
     doc = json.loads(sol_path.read_text())
-    assert doc["schema_version"] == 2
+    assert doc["schema_version"] == 3
     assert "tail_corrections" not in doc["observables"]
     assert "v14" not in doc["identities"]
     assert doc["tail"]["nu_fit"] == pytest.approx(math.sqrt(0.75), rel=1e-3)
+    assert set(doc["grid"]) == {"x", "F", "G"}
     n = len(doc["grid"]["x"])
-    assert all(len(doc["grid"][k]) == n for k in ("F", "G", "dF", "dG"))
+    assert all(len(doc["grid"][k]) == n for k in ("F", "G"))
     assert doc["calibration"]["lambda"] == pytest.approx(4 * math.pi * doc["observables"]["Q"], rel=1e-12)
 
 
@@ -105,14 +106,26 @@ def test_solve_treats_bad_cache_entry_as_miss(tmp_path):
     fresh = entry.read_bytes()
     old_schema = json.loads(fresh)
     old_schema["schema_version"] = 1
+    # a schema-2 entry: the same archive with the derivatives stored in the grid
+    schema2 = json.loads(fresh)
+    schema2["schema_version"] = 2
+    x, F, G = (np.asarray(schema2["grid"][k]) for k in ("x", "F", "G"))
+    dF, dG = _rhs(x, F, G, schema2["Omega"])
+    schema2["grid"].update(dF=dF.tolist(), dG=dG.tolist())
     miscalibrated = json.loads(fresh)
     miscalibrated["calibration"]["lambda"] *= 2.0
-    for bad in ("{not json", json.dumps(old_schema), json.dumps(miscalibrated)):
+    for bad in ("{not json", json.dumps(old_schema), archive.dumps(schema2),
+                json.dumps(miscalibrated)):
         entry.write_text(bad)
         out = tmp_path / "again.json"
         assert main(args + ["--out", str(out)]) == 0
         assert out.read_bytes() == fresh
         assert entry.read_bytes() == fresh
+
+
+def _scale_q_and_lambda(doc):
+    doc["observables"]["Q"] *= 2.0
+    doc["calibration"]["lambda"] *= 2.0
 
 
 @pytest.mark.parametrize("content", [
@@ -124,15 +137,26 @@ def test_solve_treats_bad_cache_entry_as_miss(tmp_path):
     pytest.param({"lambda": -3}, id="lambda=-3"),
     pytest.param({"omega": 1.0}, id="omega=c/ell0"),
     # admissible constants, but lambda is not the calibration of the archive's Q
-    pytest.param(lambda cal: {"lambda": 2.0 * cal["lambda"]}, id="lambda=2x"),
+    pytest.param(lambda doc: doc["calibration"].update(
+        {"lambda": 2.0 * doc["calibration"]["lambda"]}), id="lambda=2x"),
     pytest.param({"lambda": None}, id="lambda=null"),
+    # stored fields that contradict the profile they derive from
+    pytest.param(lambda doc: doc["grid"]["F"].pop(), id="F-one-node-short"),
+    pytest.param(lambda doc: doc.update(Omega=0.6), id="Omega-edited"),
+    pytest.param(_scale_q_and_lambda, id="Q-and-lambda-2x"),
+    pytest.param(lambda doc: doc["identities"].update(v13=0.5), id="identity-edited"),
 ])
 def test_unreadable_solution_is_invalid_input(tmp_path, capsys, sol_path, content):
+    # each tamper case exited 0 (F short under correlate, Omega edited, Q and
+    # lambda 2x, identity edited) or 1 (F short under observables) before the
+    # loader derived the report from the profile
     path = tmp_path / "bad.json"
     if not isinstance(content, str):
         doc = json.loads(sol_path.read_text())
-        cal = doc["calibration"]
-        cal.update(content(cal) if callable(content) else content)
+        if callable(content):
+            content(doc)
+        else:
+            doc["calibration"].update(content)
         content = json.dumps(doc)
     path.write_text(content)
     ab = ["--a", "0,0,1", "--b", "0,0,1"]
@@ -206,11 +230,17 @@ def test_config_accepts_int_for_float(sol_path, tmp_path):
                                    ["--mesh-dx", "nan"], ["--final-rtol", "0"],
                                    ["--final-rtol", "nan"], ["--scan-step", "0"],
                                    ["--scan-step", "-0.1"], ["--scan-max", "nan"],
-                                   ["--shoot-tol", "nan"], ["--scan-step", "1e-300"]])
+                                   ["--shoot-tol", "nan"], ["--scan-step", "1e-300"],
+                                   pytest.param(["--x-max", "1e300"], id="x-max-1e300"),
+                                   pytest.param(["--mesh-dx", "1e-300"], id="mesh-dx-1e-300"),
+                                   pytest.param(["--omega", "0.9999999999999999"],
+                                                id="omega-1-ulp-below-1")])
 def test_bad_solver_option_is_invalid_input(tmp_path, capsys, flags):
     # these ended in a traceback (exit 1; --scan-step 1e-300 in the scan's
-    # allocation), read as non-convergence (exit 2) or, for --shoot-tol nan,
-    # exited 0 with the option in the archive
+    # allocation, --x-max 1e300, --mesh-dx 1e-300 and the Omega one ulp
+    # below 1 in the radial mesh's), read as non-convergence (exit 2) or,
+    # for --shoot-tol nan, exited 0 with the option in the archive; the mesh
+    # cases are refused before the mesh is allocated
     out = tmp_path / "x.json"
     code = main(["solve", "--omega", "0.5", "--no-cache", "--out", str(out)] + flags)
     assert code == 3
@@ -347,6 +377,16 @@ def test_ensemble_single_realization_is_invalid_input(sol_path, capsys):
     assert err.startswith("error: ") and err.count("\n") == 1
 
 
+@pytest.mark.parametrize("flag", ["--n-trials", "--realizations"])
+def test_ensemble_oversize_is_invalid_input(sol_path, capsys, flag):
+    # this ended in a traceback (exit 1) in the phase or value allocation
+    code = main(["ensemble", "--solution", str(sol_path), "--a", "0,0,1",
+                 "--b", "0,0,1", flag, str(10 ** 20)])
+    assert code == 3
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+
+
 # --- observables command --------------------------------------------------------
 
 def test_observables_recompute_matches_archive(sol_path, workdir):
@@ -360,6 +400,16 @@ def test_observables_recompute_matches_archive(sol_path, workdir):
 def test_sweep_rejects_single_step(workdir):
     assert main(["sweep", "--omega-min", "0.3", "--omega-max", "0.7",
                  "--steps", "1", "--out", str(workdir / "s.csv")]) == 3
+
+
+def test_sweep_rejects_oversize_steps(workdir, capsys):
+    # this built the whole Omega list first (MemoryError under a 2 GB limit)
+    out = workdir / "s_big.csv"
+    assert main(["sweep", "--omega-min", "0.3", "--omega-max", "0.7",
+                 "--steps", str(10 ** 11), "--out", str(out)]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert not out.exists()
 
 
 def test_sweep_rejects_bad_range(workdir):

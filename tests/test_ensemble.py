@@ -105,7 +105,9 @@ def test_ensemble_rejects_single_realization():
 
 
 @pytest.mark.parametrize("kwargs", [dict(n_trials=0, realizations=4, seed=1),
-                                    dict(n_trials=4, realizations=0, seed=1)])
+                                    dict(n_trials=4, realizations=0, seed=1),
+                                    dict(n_trials=10 ** 7 + 1, realizations=4, seed=1),
+                                    dict(n_trials=4, realizations=10 ** 7 + 1, seed=1)])
 def test_ensemble_spec_validation(kwargs):
     with pytest.raises(DomainError):
         EnsembleSpec(**kwargs)

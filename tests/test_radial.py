@@ -243,6 +243,18 @@ def test_solver_options_scan_point_bound_is_inclusive():
     SolverOptions(scan_step=0.5, scan_max=5000.0)
 
 
+def test_mesh_node_bound(monkeypatch):
+    # the bound is inclusive, and the x_max extension ratchet meets it too
+    assert radial._MAX_MESH_NODES == 10_000_000
+    monkeypatch.setattr(radial, "_MAX_MESH_NODES", 5000)
+    assert radial._build_mesh(0.0, 4999.0, 1.0).size == 5000
+    with pytest.raises(DomainError):
+        radial._build_mesh(0.0, 4999.5, 1.0)
+    sh = _Shooter(0.5, SolverOptions())  # 4,001 nodes
+    with pytest.raises(DomainError):
+        sh._extend()  # 6,001 nodes
+
+
 _SPECIAL = st.sampled_from([0.0, -0.0, -1.0, 1.0, 0.5, math.inf, -math.inf, math.nan])
 _VALUES = st.one_of(_SPECIAL, st.floats(), st.integers(-3, 300))
 _FIELDS = ("x0", "x_max", "mesh_dx", "scan_step", "scan_max", "scan_rtol", "final_rtol",
