@@ -31,9 +31,14 @@ SWEEP_COLUMNS = ["Omega", "F0", "Q", "Qs", "I4", "J4", "T", "nu_fit",
                  "energy_ratio", "lambda_calibrated", "status"]
 
 _MAX_SWEEP_STEPS = 100_000
+# the pool forks all its workers up front
+_MAX_JOBS = 64
 
-_SOLVER_FAILURES = (BracketError, ConvergenceError, TailError,
-                    IntegrationError, QuadratureError, GridError)
+# what one sweep row may raise without ending the sweep: the solver's
+# failures, and DomainError for a row the solver refuses (say, a mesh above
+# 10^7 nodes near Omega = 1)
+_ROW_FAILURES = (BracketError, ConvergenceError, TailError, IntegrationError,
+                 QuadratureError, GridError, DomainError)
 # what reading and archive.solution_from_document raise for a bad archive
 _UNLOADABLE = (ValueError, KeyError, TypeError, DomainError, QuadratureError)
 
@@ -249,7 +254,7 @@ def _sweep_row(omega: float, cfg: RunConfig) -> dict:
     row["Omega"] = repr(float(omega))
     try:
         doc = _solve_document(omega, cfg)
-    except _SOLVER_FAILURES as err:
+    except _ROW_FAILURES as err:
         row["status"] = f"error:{type(err).__name__}"
         return row
     o, i = doc["observables"], doc["identities"]
@@ -275,12 +280,12 @@ def _cmd_sweep(cfg: RunConfig) -> int:
     for omega in (cfg.omega_min, cfg.omega_max):
         # raises DomainError unless the constants admit both ends of the range
         PhysicalParams(hbar=cfg.hbar, c=cfg.c, ell0=cfg.ell0, omega=omega)
-    if not cfg.jobs >= 1:
-        raise DomainError(f"sweep needs jobs >= 1, got {cfg.jobs}")
+    if not 1 <= cfg.jobs <= _MAX_JOBS:
+        raise DomainError(f"sweep needs jobs in [1, {_MAX_JOBS}], got {cfg.jobs}")
     omegas = [cfg.omega_min + k * (cfg.omega_max - cfg.omega_min) / (cfg.steps - 1)
               for k in range(cfg.steps)]
     if cfg.jobs > 1:
-        # the pool forks all its workers up front: no more than there are rows
+        # no more workers than there are rows
         with ProcessPoolExecutor(max_workers=min(cfg.jobs, len(omegas))) as pool:
             rows = list(pool.map(_sweep_row, omegas, [cfg] * len(omegas)))
     else:

@@ -16,9 +16,10 @@ orders below F0, which keeps the stored profile clean of the exponential
 shooting instability.
 
 Bisection is replayed rather than run (shoot): the zero-crossing radii of
-overshoot trials estimate the critical amplitude, two trials verify a
-window around it, and only the midpoints inside the window run trials.
-The result is plain bisection's to the bit, at about half the trials.
+overshoot trials estimate the critical amplitude, trials at bisection's
+predicted midpoints bracket it within a few dozen ulps, and only the
+midpoints near that bracket run trials. The result is plain bisection's to
+the bit, at about a third of the trials.
 
 Every integration of a solve runs _march, a DP5 march with this
 right-hand side written inline: the coarse scan takes free adaptive steps,
@@ -473,32 +474,52 @@ def _refine_window(sh: _Shooter, lo: float, hi: float, rtol: float):
         f"overshoot window vanished between F0 = {lo} and {hi}")
 
 
-# Width unit of shoot's verified window [b - 2M ulps, b + M ulps], M ulps of
-# the best overshoot amplitude b; the band around F* in which the float-level
-# classification is not monotone in F0 is <= 5 ulps wide
-_WINDOW_ULPS = 128
+# The float-level classification is monotone in F0 except in a band around F*
+# at most 6 ulps wide (mapped at 63 Omega in [0.02, 0.98]). A real trial thus
+# fixes bisection's outcome beyond it: every F0 _BAND_ULPS ulps or more below
+# an undershoot is diverged_up, above an overshoot diverged_down.
+_BAND_ULPS = 12
 # most trials of the estimate phase before shoot falls back to plain bisection
 _MAX_ESTIMATE_STEPS = 60
 
 
+def _bisection_path(lo: float, hi: float, is_up):
+    """Plain bisection's midpoints from (lo, hi), lo the undershoot end, with
+    is_up(mid) standing in for the trial at each midpoint."""
+    while True:
+        mid = 0.5 * (lo + hi)
+        if mid == lo or mid == hi:
+            return
+        yield mid
+        if is_up(mid):
+            lo = mid
+        else:
+            hi = mid
+
+
 def _verified_window(sh: _Shooter, lo: float, hi: float, x_hi: float, rtol: float):
-    """(a, c, memo): a window around the critical amplitude F* whose edges
-    classify by real trials, a diverged_up and c diverged_down, and the
-    outcomes {F0: Outcome} of the trials run to find it; or None.
+    """(a, c, memo): every F0 <= a classifies diverged_up and every F0 >= c
+    diverged_down, and memo holds the outcomes {F0: Outcome} of the trials
+    run to find them; or None.
 
     lo < hi are the bracket's undershoot and overshoot ends, x_hi the radius
     of hi's F crossing. An overshoot at F0 > F* crosses zero at x_h with
     2*nu*x_h + ln(F0 - F*) nearly constant, so the two best f_cross
     overshoots b < b2 estimate F* = b - (b2 - b) / expm1(2*nu*(x_b - x_b2)).
     Bisection's own midpoints run until two overshoots are known; then each
-    trial is at F*_est + q*(b - F*_est), where q starts at 1e-2, grows tenfold
-    after an undershoot (to at most 0.5) and resets after an overshoot, until
-    F*_est is within M ulps of b. The edges a = b - 2M ulps and c = b + M ulps
-    are fresh points, never estimate-phase ones, which may lie inside the
-    non-monotone band. An x_max extension, a decayed trial, a failed edge or
-    more than _MAX_ESTIMATE_STEPS trials give None.
+    trial is at F*_est + q*(b - F*_est), where q starts at 1e-2, grows
+    tenfold after an undershoot (to at most 0.5) and shrinks tenfold after an
+    overshoot (to at least 1e-6). Once that step is B = _BAND_ULPS ulps or
+    less, trials go to bisection's predicted midpoint nearest F*_est + B,
+    and once b is within 2B ulps of F*_est to the one nearest F*_est - B,
+    so that the replay reuses them. When the best undershoot lo and
+    overshoot b are within 4B ulps, a = lo - B ulps and c = b + B ulps: the
+    two real trials fix both, whatever the estimate's error. An x_max
+    extension, a decayed trial or more than _MAX_ESTIMATE_STEPS trials give
+    None.
     """
     mesh = sh.mesh
+    path_ends = (lo, hi)
     memo = {}
     overs = [(hi, x_hi)]  # f_cross overshoots, best (smallest F0) last
     q = 1e-2
@@ -508,19 +529,34 @@ def _verified_window(sh: _Shooter, lo: float, hi: float, x_hi: float, rtol: floa
             memo[F0] = sh.trial(F0, rtol, clamped=True)[0]
         return memo[F0]
 
+    def nearest_midpoint(target, est):
+        # the untried midpoint on target's side of est that is nearest to it,
+        # on the path the trials so far and est predict for bisection
+        def is_up(mid):
+            return memo[mid] is Outcome.DIVERGED_UP if mid in memo else mid < est
+        side = [m for m in _bisection_path(*path_ends, is_up)
+                if lo < m < b and (m < est) == (target < est)]
+        return min(side, key=lambda m: abs(m - target), default=target)
+
     for _ in range(_MAX_ESTIMATE_STEPS):
         b, x_b = overs[-1]
+        band = _BAND_ULPS * math.ulp(b)
+        if b - lo <= 4.0 * band:
+            return lo - band, b + band, memo
         if len(overs) < 2:
             F0 = 0.5 * (lo + b)  # bisection's own midpoint
         else:
             b2, x_b2 = overs[-2]
             d = math.expm1(2.0 * sh.nu * (x_b - x_b2))
             est = max(b - (b2 - b) / d, lo) if d > 0.0 else lo
-            if b - est <= _WINDOW_ULPS * math.ulp(b):
-                break
-            F0 = est + q * (b - est)
-        if not lo < F0 < b:
-            return None  # float exhaustion
+            if b - est <= 2.0 * band:
+                F0 = nearest_midpoint(est - band, est)
+            elif q * (b - est) <= band:
+                F0 = nearest_midpoint(est + band, est)
+            else:
+                F0 = est + q * (b - est)
+            if not lo < F0 < b:
+                F0 = 0.5 * (lo + b)
         out = run(F0)
         if out is Outcome.DECAYED or sh.mesh is not mesh:
             return None
@@ -528,13 +564,8 @@ def _verified_window(sh: _Shooter, lo: float, hi: float, x_hi: float, rtol: floa
             lo, q = F0, min(10.0 * q, 0.5)
         else:
             overs.append((F0, sh.x_cross))
-            q = 1e-2
-    else:
-        return None
-    step = _WINDOW_ULPS * math.ulp(b)
-    a, c = b - 2.0 * step, b + step
-    if run(a) is Outcome.DIVERGED_UP and run(c) is Outcome.DIVERGED_DOWN and sh.mesh is mesh:
-        return a, c, memo
+            if len(overs) > 2:
+                q = max(q / 10.0, 1e-6)
     return None
 
 
@@ -550,17 +581,19 @@ def shoot(Omega: float, bracket0: tuple, shoot_tol: float = 1e-12,
     options when opts is None.
 
     Estimate-then-replay: _verified_window first locates F* from the halt
-    radii of overshoot trials and checks a window (a, c) around it by two
-    real trials. The bisection loop then runs a trial only at a midpoint
-    inside (a, c) (reusing the estimate's trials); a midpoint <= a is
-    diverged_up and one >= c diverged_down, as bisection's trial there would
-    give. At float level the classification is not monotone in a band of a
-    few ulps around F*, so any root finder that leaves bisection's path can
-    stop at another adjacent pair; replaying the path keeps F0, the bracket,
-    n_iterations, the classification history and x_max exactly bisection's,
-    at about half the trials. Without a window (no estimate, or one that
-    raised) the mesh is restored to its state before the estimate and every
-    midpoint runs a trial.
+    radii of overshoot trials and brackets it by an undershoot and an
+    overshoot trial within 4*_BAND_ULPS ulps, which yield a window (a, c)
+    _BAND_ULPS ulps wider. The bisection loop then runs a trial only at a
+    midpoint inside (a, c) (reusing the estimate's trials, most of which sit
+    at bisection's midpoints); a midpoint <= a is diverged_up and one >= c
+    diverged_down, as bisection's trial there would give. At float level the
+    classification is not monotone in a band of a few ulps around F*, so any
+    root finder that leaves bisection's path can stop at another adjacent
+    pair; replaying the path keeps F0, the bracket, n_iterations, the
+    classification history and x_max exactly bisection's, at about a third
+    of the trials. Without a window (no estimate, or one that raised) the
+    mesh is restored to its state before the estimate and every midpoint
+    runs a trial.
     """
     if not 0.0 < Omega < 1.0:
         raise DomainError(f"Omega must lie in (0, 1), got {Omega}")

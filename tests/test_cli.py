@@ -488,6 +488,32 @@ def test_sweep_rejects_jobs_below_one(workdir, monkeypatch, capsys, jobs):
     assert _RecordingPool.sizes == [] and not out.exists()
 
 
+@pytest.mark.parametrize("jobs", [cli._MAX_JOBS + 1, 100_000])
+def test_sweep_rejects_jobs_above_bound(workdir, monkeypatch, capsys, jobs):
+    # the pool forks its workers up front; no pool may be built at all
+    monkeypatch.setattr(cli, "ProcessPoolExecutor", _RecordingPool)
+    monkeypatch.setattr(_RecordingPool, "sizes", [])
+    out = workdir / "sweep_jobs.csv"
+    assert main(["sweep", "--omega-min", "0.3", "--omega-max", "0.7", "--steps", "3",
+                 "--jobs", str(jobs), "--out", str(out)]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert _RecordingPool.sizes == [] and not out.exists()
+
+
+def test_sweep_row_domain_error_is_a_row(workdir):
+    # the second row's mesh would exceed 10^7 nodes: that row fails, the
+    # sweep goes on and keeps the solved row
+    out = workdir / "sweep_domain.csv"
+    assert main(["sweep", "--omega-min", "0.5", "--omega-max", "0.99999999999",
+                 "--steps", "2", "--no-cache", "--out", str(out)]) == 0
+    rows = [dict(zip(SWEEP_COLUMNS, line.split(",")))
+            for line in out.read_text().strip().split("\n")[1:]]
+    assert [(r["Omega"], r["status"]) for r in rows] == [
+        ("0.5", "ok"), ("0.99999999999", "error:DomainError")]
+    assert all(rows[1][c] == "" for c in SWEEP_COLUMNS[1:-1])
+
+
 def test_sweep_nine_steps_all_identities(workdir):
     out = workdir / "sweep9.csv"
     assert main(["sweep", "--omega-min", "0.1", "--omega-max", "0.9",

@@ -404,8 +404,11 @@ def test_shoot_falls_back_after_estimate_extension(monkeypatch, Omega, x_max, ex
     assert result[1] == pytest.approx(extended)
 
 
-def test_solve_ground_runs_half_the_trials(monkeypatch):
-    # plain bisection runs 50 clamped trials at Omega = 0.5
+@pytest.mark.parametrize("Omega, most", [(0.1, 20), (0.5, 18), (0.97, 18)],
+                         ids=["0.1", "0.5", "0.97"])
+def test_solve_ground_runs_half_the_trials(monkeypatch, Omega, most):
+    # plain bisection runs 45, 50 and 52 clamped trials; shoot runs 18, 16
+    # and 16
     calls = []
     trial = _Shooter.trial
 
@@ -414,8 +417,8 @@ def test_solve_ground_runs_half_the_trials(monkeypatch):
         return trial(self, F0, rtol, clamped)
 
     monkeypatch.setattr(_Shooter, "trial", counted)
-    solve_ground(0.5)
-    assert sum(calls) <= 26
+    solve_ground(Omega)
+    assert sum(calls) <= most
 
 
 # with default options no ground state is found at small Omega; at 0.005 the
