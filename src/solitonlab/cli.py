@@ -9,6 +9,8 @@ environment variable, or ~/.cache/solitonlab.
 from __future__ import annotations
 
 import argparse
+import csv
+import io
 import json
 import math
 import os
@@ -28,7 +30,7 @@ from .radial import SolverOptions, solve_ground
 
 SWEEP_COLUMNS = ["Omega", "F0", "Q", "Qs", "I4", "J4", "T", "nu_fit",
                  "d1_residual", "d2_residual", "v13", "v15", "v16",
-                 "energy_ratio", "lambda_calibrated", "status"]
+                 "energy_ratio", "lambda_calibrated", "status", "message"]
 
 _MAX_SWEEP_STEPS = 100_000
 # the pool forks all its workers up front
@@ -256,6 +258,7 @@ def _sweep_row(omega: float, cfg: RunConfig) -> dict:
         doc = _solve_document(omega, cfg)
     except _ROW_FAILURES as err:
         row["status"] = f"error:{type(err).__name__}"
+        row["message"] = str(err)
         return row
     o, i = doc["observables"], doc["identities"]
     values = {
@@ -290,9 +293,12 @@ def _cmd_sweep(cfg: RunConfig) -> int:
             rows = list(pool.map(_sweep_row, omegas, [cfg] * len(omegas)))
     else:
         rows = [_sweep_row(w, cfg) for w in omegas]
-    lines = [",".join(SWEEP_COLUMNS)]
-    lines += [",".join(row[c] for c in SWEEP_COLUMNS) for row in rows]
-    text = "\n".join(lines) + "\n"
+    # csv quotes a message with a comma, such as the mesh bound's "[0.0001, ...]"
+    buf = io.StringIO()
+    writer = csv.DictWriter(buf, SWEEP_COLUMNS, lineterminator="\n")
+    writer.writeheader()
+    writer.writerows(rows)
+    text = buf.getvalue()
     if cfg.out:
         archive.write_text_atomic(cfg.out, text)
     else:

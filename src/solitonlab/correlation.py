@@ -220,8 +220,6 @@ def ladder_check_grid(solution, tol: float = 0.02,
     spec = grid or GridSpec(n=64, extent=10.0)
     report = ladder_residuals(solution, spec)
     if not report.max_residual <= tol:
-        worst = max(report.as_dict(), key=report.as_dict().get)
-        raise GridError(
-            f"ladder relation {worst} has residual {report.max_residual:.4f} "
-            f"> {tol} at n = {spec.n}")
+        failing = {k: v for k, v in report.as_dict().items() if not v <= tol}
+        raise GridError(f"ladder residuals {failing} exceed {tol} at n = {spec.n}")
     return report

@@ -18,9 +18,11 @@ and their twelve gradients are sampled once and shared by both spinors, and
 D2 = z dx - x dz and D3 = x dy - y dx. The complex coefficients of every
 spinor and ladder residual on these sixteen real "atoms" are constant tables.
 
-The cube is streamed in slabs of _SLAB x-planes, each sampled with a one-plane
-halo on either side so that every stencil is the full grid's; only float sums
-cross slab boundaries, so memory is O(n^2 * _SLAB), not O(n^3).
+The cube is streamed in slabs of _SLAB x-planes, each differentiated with a
+one-plane halo on either side so that every stencil is the full grid's. Each
+x-plane is sampled once: the two halo planes carry over into the next slab.
+Only those planes and float sums cross slab boundaries, so memory is
+O(n^2 * _SLAB), not O(n^3).
 
 The grid is node-centered with an even point count, so the coordinate origin
 (where z/r is undefined) is never sampled.
@@ -84,7 +86,8 @@ class LadderReport:
 
     @property
     def max_residual(self) -> float:
-        return max(self.as_dict().values())
+        # NaN-propagating: Python's max drops a NaN after a finite value
+        return float(np.max(list(self.as_dict().values())))
 
 
 # Rows: the four components of a spinor; columns: complex coefficients on the
@@ -125,7 +128,12 @@ _LADDER = np.stack([_real_rows(c) for c in (
     _j(_DN, "3") + _plain(0.5 * _DN),
     _j(_DN, "+") - _plain(_UP),
 )])
-_SZ_UP, _SZ_J3UP = _real_rows(_plain(_UP)), _real_rows(_j(_UP, "3"))
+# 24 of its 64 rows are zero: the 40 others, and the quantity each adds to
+_QUANTITY, _ROW = np.nonzero(_LADDER.any(axis=2))
+_ROWS = _LADDER[_QUANTITY, _ROW]
+_SZ = np.stack([_real_rows(_plain(_UP)), _real_rows(_j(_UP, "3"))])
+# phi_up and J_3 phi_up, less the 4 rows where phi_up is zero and adds nothing
+_SZ_UP, _SZ_J3UP = _SZ[:, _SZ[0].any(axis=1)]
 
 
 def _radial_interpolant(solution):
@@ -182,18 +190,25 @@ def _slabs(solution, spec: GridSpec):
     w1[0] = w1[-1] = 0.5 * h  # trapezoid end weights
     pre = 1.0 / math.sqrt(4.0 * math.pi)
     Y, Z = ax[None, :, None], ax[None, None, :]
+    # the four fields on x-planes first, first + 1, ...: each plane is sampled
+    # once, and the two halo planes carry over into the next slab
+    planes, first = np.empty((4, 0, spec.n, spec.n)), 0
     for i0 in range(0, spec.n, _SLAB):
         i1 = min(i0 + _SLAB, spec.n)
         lo, hi = max(i0 - 1, 0), min(i1 + 1, spec.n)  # with the halo planes
-        X = ax[lo:hi, None, None]
+        X = ax[first + planes.shape[1]:hi, None, None]
         R = np.sqrt(X * X + Y * Y + Z * Z)
         f, g = fg(R)
-        g_over_r = pre * g / R
-        fields = (pre * f, g_over_r * X, g_over_r * Y, g_over_r * Z)
+        with np.errstate(invalid="ignore"):  # 0/0 where R underflows: checked below
+            g_over_r = pre * g / R
+        planes = np.concatenate(
+            (planes[:, lo - first:], [pre * f, g_over_r * X, g_over_r * Y, g_over_r * Z]),
+            axis=1)
+        first = lo
         core = slice(i0 - lo, i1 - lo)
-        X = X[core]
+        X = ax[i0:i1, None, None]
         atoms = np.empty((4, 4, i1 - i0, spec.n, spec.n))  # (atom kind, field, ...)
-        for j, c in enumerate(fields):
+        for j, c in enumerate(planes):
             dx = np.gradient(c, h, axis=0, edge_order=2)[core]
             dy, dz = np.gradient(c[core], h, axis=(1, 2), edge_order=2)
             atoms[:, j] = c[core], Y * dz - Z * dy, Z * dx - X * dz, X * dy - Y * dx
@@ -206,21 +221,27 @@ def ladder_residuals(solution, spec: GridSpec) -> LadderReport:
 
     The cube is streamed in slabs in real arithmetic: per slab, 12 real
     gradients are taken once and shared by both spinors and all six
-    relations, and only the weighted squared sums are kept; the square roots
-    are taken at the end. Peak memory is O(n^2 * _SLAB), about 60 MB of
-    arrays at n = 128.
+    relations. The atoms are multiplied by the 40 nonzero rows of the 64-row
+    ladder table only, each row's weighted squared sum is added into its
+    quantity, and the square roots are taken at the end. Peak memory is
+    O(n^2 * _SLAB), about 49 MB of arrays at n = 128 (tracemalloc). Raises
+    GridError if a basis norm is not finite and > 0, as when the trapezoid
+    weights or the radii underflow on a tiny cube.
     """
-    rows = _LADDER.reshape(-1, 16)
-    sums = np.zeros(len(_LADDER))
-    # one buffer for every slab's rows: a fresh array per slab (32 MiB at
+    row_sums = np.zeros(len(_ROWS))
+    # one buffer for every slab's rows: a fresh array per slab (20 MiB at
     # n = 128) is mmapped and page-faulted in anew each time
-    buf = np.empty(len(rows) * _SLAB * spec.n * spec.n)
+    buf = np.empty(len(_ROWS) * _SLAB * spec.n * spec.n)
     for atoms, w in _slabs(solution, spec):
-        out = buf[:len(rows) * atoms.shape[1]].reshape(len(rows), -1)
-        r = np.matmul(rows, atoms, out=out)
+        out = buf[:len(_ROWS) * atoms.shape[1]].reshape(len(_ROWS), -1)
+        r = np.matmul(_ROWS, atoms, out=out)
         r *= r
-        sums += (r @ w).reshape(len(_LADDER), -1).sum(axis=1)
+        row_sums += r @ w
+    sums = np.bincount(_QUANTITY, weights=row_sums, minlength=len(_LADDER))
     n_up, n_dn, *res = [math.sqrt(s) for s in sums]
+    if not (0.0 < n_up < math.inf and 0.0 < n_dn < math.inf):
+        raise GridError(f"grid norms of the basis spinors are {n_up!r} and {n_dn!r}, "
+                        f"not finite and > 0, at extent {spec.extent!r}")
     return LadderReport(
         jplus_up=res[0] / n_up, j3_up=res[1] / n_up, jminus_up=res[2] / n_dn,
         jminus_dn=res[3] / n_dn, j3_dn=res[4] / n_dn, jplus_dn=res[5] / n_up,
@@ -229,8 +250,13 @@ def ladder_residuals(solution, spec: GridSpec) -> LadderReport:
 
 
 def sz_grid_integral(solution, spec: GridSpec) -> float:
-    """Dimensionless grid integral of phi_up^+ J_3 phi_up (converges to Q/2)."""
+    """Dimensionless grid integral of phi_up^+ J_3 phi_up (converges to Q/2).
+
+    Raises GridError if the integral is not finite and > 0."""
     total = 0.0
     for atoms, w in _slabs(solution, spec):
         total += float(np.sum((_SZ_UP @ atoms) * (_SZ_J3UP @ atoms), axis=0) @ w)
+    if not 0.0 < total < math.inf:
+        raise GridError(f"grid S_z integral is {total!r}, not finite and > 0, "
+                        f"at extent {spec.extent!r}")
     return total

@@ -1,3 +1,4 @@
+import csv
 import json
 import math
 import os
@@ -11,6 +12,7 @@ import golden
 import solitonlab
 from solitonlab import archive, cli
 from solitonlab.cli import SWEEP_COLUMNS, main
+from solitonlab.errors import TailError
 from solitonlab.params import PhysicalParams
 from solitonlab.radial import SolverOptions, _rhs
 
@@ -437,11 +439,13 @@ def test_sweep_csv_contract(workdir):
     lines = out.read_text().strip().split("\n")
     assert lines[0] == ",".join(SWEEP_COLUMNS)
     assert lines[0] == ("Omega,F0,Q,Qs,I4,J4,T,nu_fit,d1_residual,d2_residual,"
-                        "v13,v15,v16,energy_ratio,lambda_calibrated,status")
+                        "v13,v15,v16,energy_ratio,lambda_calibrated,status,message")
     assert len(lines) == 4
     for line in lines[1:]:
         fields = dict(zip(SWEEP_COLUMNS, line.split(",")))
-        assert fields["status"] == "ok"
+        assert fields["status"] == "ok" and fields["message"] == ""
+        # an ok row is its fields joined by commas, then the empty message
+        assert line == ",".join(fields[c] for c in SWEEP_COLUMNS[:-1]) + ","
         assert float(fields["d1_residual"]) <= 1e-6
         assert float(fields["d2_residual"]) <= 1e-6
         # round-trip: values parse to floats exactly representable
@@ -507,11 +511,30 @@ def test_sweep_row_domain_error_is_a_row(workdir):
     out = workdir / "sweep_domain.csv"
     assert main(["sweep", "--omega-min", "0.5", "--omega-max", "0.99999999999",
                  "--steps", "2", "--no-cache", "--out", str(out)]) == 0
-    rows = [dict(zip(SWEEP_COLUMNS, line.split(",")))
-            for line in out.read_text().strip().split("\n")[1:]]
+    with open(out, newline="") as fh:
+        rows = list(csv.DictReader(fh))
     assert [(r["Omega"], r["status"]) for r in rows] == [
         ("0.5", "ok"), ("0.99999999999", "error:DomainError")]
-    assert all(rows[1][c] == "" for c in SWEEP_COLUMNS[1:-1])
+    assert all(rows[1][c] == "" for c in SWEEP_COLUMNS[1:-2])
+    # the failed row carries its error's message, commas and all
+    assert rows[0]["message"] == ""
+    assert rows[1]["message"].startswith("the mesh [0.0001, ")
+    assert "would exceed" in rows[1]["message"]
+
+
+def test_sweep_failure_message_round_trips(workdir, monkeypatch):
+    message = 'bad, "quoted"\nand a second line'
+
+    def fail(omega, cfg):
+        raise TailError(message)
+
+    monkeypatch.setattr(cli, "_solve_document", fail)
+    out = workdir / "sweep_message.csv"
+    assert main(["sweep", "--omega-min", "0.3", "--omega-max", "0.7", "--steps", "2",
+                 "--no-cache", "--out", str(out)]) == 2
+    with open(out, newline="") as fh:
+        rows = list(csv.DictReader(fh))
+    assert [(r["status"], r["message"]) for r in rows] == [("error:TailError", message)] * 2
 
 
 def test_sweep_nine_steps_all_identities(workdir):

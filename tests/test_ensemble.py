@@ -2,8 +2,10 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 from scipy import stats
 
+import oracles
 from solitonlab import DomainError
 from solitonlab.correlation import build_singlet, epr_correlation
 from solitonlab.ensemble import (EnsembleSpec, draw_phases, ensemble_estimate,
@@ -134,3 +136,37 @@ def test_coherence_factor_exact_moments(n):
     m4 = np.mean((c - mean) ** 4)
     assert abs(mean - 1.0) <= 4.0 * math.sqrt(var / r) + 1e-12
     assert abs(var - (1.0 - 1.0 / n)) <= 4.0 * math.sqrt(max(m4 - var * var, 0.0) / r) + 1e-12
+
+
+# --- against the per-realization oracle ----------------------------------------
+# ensemble_estimate re-keys one generator and takes 2^13-phase blocks of
+# realizations at once; the oracle builds a generator per realization and
+# takes each coherence alone. Every output is == the oracle's.
+
+SEEDS = st.one_of(st.sampled_from([0, -1, -(2 ** 40) - 7, 2 ** 63, 2 ** 64 - 1]),
+                  st.integers(-(2 ** 70), 2 ** 70))
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(seed=SEEDS, n_trials=st.one_of(st.sampled_from([1, 64, 2 ** 13 + 1]),
+                                      st.integers(1, 300)),
+       realizations=st.integers(2, 300))
+@example(seed=0, n_trials=1, realizations=2)
+@example(seed=-3, n_trials=64, realizations=131)                  # 128 rows a block
+@example(seed=2 ** 63, n_trials=2 ** 13 + 1, realizations=3)      # one row a block
+@example(seed=2 ** 64 - 1, n_trials=100, realizations=83)         # 81 rows a block
+def test_ensemble_equals_per_realization_oracle(seed, n_trials, realizations):
+    spec = EnsembleSpec(n_trials=n_trials, realizations=realizations, seed=seed,
+                        a=(0, 0, 1), b=(0.6, 0.0, 0.8))
+    ours, oracle = ensemble_estimate(spec, PAIR), oracles.ensemble_estimate(spec, PAIR)
+    assert ours.per_realization == oracle.per_realization
+    assert (ours.mean, ours.stderr) == (oracle.mean, oracle.stderr)
+    assert ours == oracle
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(seed=SEEDS, r=st.one_of(st.sampled_from([0, 2 ** 63, 2 ** 64 - 1]),
+                               st.integers(-(2 ** 65), 2 ** 65)),
+       n=st.integers(1, 3000))
+def test_draw_phases_equals_oracle(seed, r, n):
+    assert np.array_equal(draw_phases(seed, r, n), oracles.draw_phases(seed, r, n))

@@ -7,9 +7,9 @@ import numpy as np
 import pytest
 
 import oracles
-from solitonlab import GridError
-from solitonlab.spingrid import (GridSpec, _radial_interpolant, ladder_residuals,
-                                 sz_grid_integral)
+from solitonlab import GridError, correlation
+from solitonlab.spingrid import (GridSpec, LadderReport, _radial_interpolant,
+                                 ladder_residuals, sz_grid_integral)
 
 
 @pytest.mark.parametrize("n, extent", [(0, 12.0), (2, 12.0), (64, 0.0),
@@ -34,8 +34,8 @@ def test_gridspec_rejects_odd_point_count():
         GridSpec(n=63, extent=12.0)
 
 
-# 38 is not a multiple of the slab height: a short last slab
-@pytest.mark.parametrize("n", [32, 38, 64])
+# 4 is one slab; 6 and 38 end on a short slab (at 6 shorter than the halo)
+@pytest.mark.parametrize("n", [4, 6, 32, 38, 64])
 def test_streamed_grid_matches_dense(sol05, n):
     spec = GridSpec(n=n, extent=10.0)
     streamed = ladder_residuals(sol05, spec).as_dict()
@@ -92,3 +92,22 @@ def test_streamed_grid_memory_bounded(sol05, check):
     finally:
         tracemalloc.stop()
     assert peak <= 32e6, peak
+
+
+# the h^3 trapezoid weights underflow to 0 at 1e-160; at 1e-200 and 1e-300 the
+# radius underflows too, and g/r is 0/0
+@pytest.mark.parametrize("extent", [1e-160, 1e-200, 1e-300])
+@pytest.mark.parametrize("check", [ladder_residuals, sz_grid_integral])
+def test_underflowing_grid_raises_grid_error(sol05, check, extent):
+    with pytest.raises(GridError, match="not finite and > 0"):
+        check(sol05, GridSpec(n=8, extent=extent))
+
+
+def test_nan_relation_fails_the_ladder_check(sol05, monkeypatch):
+    spec = GridSpec(n=8, extent=10.0)
+    report = LadderReport(jplus_up=1e-3, j3_up=math.nan, jminus_up=1e-3, jminus_dn=1e-3,
+                          j3_dn=1e-3, jplus_dn=1e-3, grid_spec=spec)
+    assert math.isnan(report.max_residual)
+    monkeypatch.setattr(correlation, "ladder_residuals", lambda solution, grid: report)
+    with pytest.raises(GridError, match="j3_up"):
+        correlation.ladder_check_grid(sol05, grid=spec)
