@@ -4,9 +4,10 @@ Floats are serialized with Python's shortest round-trip representation, so a
 parsed archive reproduces every stored number bit-exactly. Writes go through
 a temporary file plus atomic rename.
 
-Of the data the profile (x, F, G) and the constants determine, an archive
-stores only a report for readers; the loader derives it again and accepts
-only the document that archive_document writes for the derivation.
+Everything an archive holds beyond the constants, the solver options, the
+shooting history and x_max_used is a report for readers: the loader derives
+it again through the solve's own final pass and accepts only the document
+that archive_document writes for the derivation.
 """
 from __future__ import annotations
 
@@ -15,13 +16,12 @@ import json
 import os
 import tempfile
 from dataclasses import asdict, replace
-import numpy as np
 
 from .observables import (IdentityReport, ObservableSet, compute_integrals,
                           identity_report)
 from .params import PhysicalParams, calibrate_lambda
-from .radial import (RadialProfile, ResidualReport, ShootingResult,
-                     SolitonSolution, SolverOptions, TailFit, _rhs)
+from .radial import (SolitonSolution, SolverOptions, replay_bisection,
+                     solution_from_shooting)
 
 SCHEMA_VERSION = 3
 
@@ -72,39 +72,28 @@ def archive_document(solution: SolitonSolution,
 
 
 def solution_from_document(doc: dict):
-    """Rebuild (SolitonSolution, ObservableSet, IdentityReport, PhysicalParams),
-    deriving dF, dG, the observables, identities and lambda from the stored
-    profile and constants. ValueError unless doc is of this schema and exactly
-    what archive_document writes for them; KeyError, TypeError, DomainError or
-    QuadratureError for a missing, mistyped or inadmissible field."""
+    """Rebuild (SolitonSolution, ObservableSet, IdentityReport, PhysicalParams)
+    from the archive's inputs: the constants, the solver options, the
+    shooting history and x_max_used. The shooting result is the history's
+    radial.replay_bisection, and the solution is radial.solution_from_shooting,
+    the solve's own final pass and guards; the observables, identities and
+    lambda are derived from it. ValueError unless doc is of this schema and
+    exactly what archive_document writes for the derivation; KeyError,
+    TypeError, ArithmeticError or a SolitonLabError for a missing, mistyped,
+    inadmissible or unsolvable field."""
     version = doc.get("schema_version") if isinstance(doc, dict) else None
     if version != SCHEMA_VERSION:
         raise ValueError(f"unsupported schema_version {version!r}, "
                          f"expected {SCHEMA_VERSION}")
-    g = doc["grid"]
-    x, F, G = (np.asarray(g[k], dtype=float) for k in ("x", "F", "G"))
-    if not (x.ndim == 1 and x.shape == F.shape == G.shape and x.size >= 3):
-        raise ValueError("grid x, F and G must be 1-D arrays of one length >= 3")
     cal = doc["calibration"]
     params = PhysicalParams(hbar=cal["hbar"], c=cal["c"], ell0=cal["ell0"],
                             omega=cal["omega"])
-    sh = doc["shooting"]
-    shooting = ShootingResult(
-        F0=sh["F0"], bracket=tuple(sh["bracket"]),
-        n_iterations=sh["n_iterations"],
-        classification_history=tuple((f0, label) for f0, label in
-                                     sh["classification_history"]),
-    )
-    with np.errstate(all="ignore"):  # overflow in a forged profile is an error, not a warning
-        dF, dG = _rhs(x, F, G, params.Omega)
-        solution = SolitonSolution(
-            Omega=params.Omega,
-            profile=RadialProfile(grid=x, F=F, G=G, dF=dF, dG=dG,
-                                  tail=TailFit(**doc["tail"])),
-            shooting=shooting, residuals=ResidualReport(**doc["residuals"]),
-            provenance=doc["provenance"],
-        )
-        observables, identities, params = derive_report(solution, params)
+    provenance = doc["provenance"]
+    opts = SolverOptions(**provenance["options"])
+    shooting = replay_bisection(doc["shooting"]["classification_history"], opts)
+    solution = solution_from_shooting(params.Omega, shooting, opts,
+                                      provenance["x_max_used"])
+    observables, identities, params = derive_report(solution, params)
     derived = archive_document(solution, observables, identities, params)
     if derived != doc:
         stale = sorted(k for k in doc.keys() | derived.keys() if doc.get(k) != derived.get(k))

@@ -16,7 +16,7 @@ import math
 import os
 import sys
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field, fields, replace
+from dataclasses import asdict, dataclass, field, fields, replace
 from typing import Optional, get_args, get_type_hints
 
 from . import __version__, archive
@@ -41,8 +41,9 @@ _MAX_JOBS = 64
 # 10^7 nodes near Omega = 1)
 _ROW_FAILURES = (BracketError, ConvergenceError, TailError, IntegrationError,
                  QuadratureError, GridError, DomainError)
-# what reading and archive.solution_from_document raise for a bad archive
-_UNLOADABLE = (ValueError, KeyError, TypeError, DomainError, QuadratureError)
+# what reading and archive.solution_from_document raise for a bad archive,
+# including the final pass it re-runs (say, OverflowError for a forged F0)
+_UNLOADABLE = (ValueError, KeyError, TypeError, ArithmeticError, SolitonLabError)
 
 
 @dataclass
@@ -230,8 +231,11 @@ def _solve_document(omega: float, cfg: RunConfig) -> dict:
                                   params)
         try:
             doc = archive.read_json(path)
-            archive.solution_from_document(doc)
-            return doc
+            solution, _obs, _ids, cached = archive.solution_from_document(doc)
+            # an entry for other inputs, say copied over this key, is a miss too
+            if (replace(cached, lam=None) == params
+                    and solution.provenance["options"] == asdict(cfg.solver)):
+                return doc
         except (FileNotFoundError,) + _UNLOADABLE:
             pass  # absent, unreadable or inconsistent: a miss, overwritten below
     solution = solve_ground(params.Omega, cfg.solver)

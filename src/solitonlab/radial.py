@@ -46,7 +46,8 @@ from .errors import (BracketError, ConvergenceError, DomainError,
 __all__ = [
     "Outcome", "RadialState", "TailFit", "RadialProfile", "ShootingResult",
     "ResidualReport", "SolitonSolution", "SolverOptions",
-    "rhs", "series_start", "shoot", "solve_ground",
+    "rhs", "series_start", "shoot", "replay_bisection", "solution_from_shooting",
+    "solve_ground",
 ]
 
 
@@ -593,7 +594,8 @@ def shoot(Omega: float, bracket0: tuple, shoot_tol: float = 1e-12,
     classification history and x_max exactly bisection's, at about a third
     of the trials. Without a window (no estimate, or one that raised) the
     mesh is restored to its state before the estimate and every midpoint
-    runs a trial.
+    runs a trial. The result is replay_bisection of the history, which the
+    archive loader runs too.
     """
     if not 0.0 < Omega < 1.0:
         raise DomainError(f"Omega must lie in (0, 1), got {Omega}")
@@ -622,8 +624,7 @@ def shoot(Omega: float, bracket0: tuple, shoot_tol: float = 1e-12,
     if window is None:
         sh._set_mesh(mesh)  # x_max stays bisection's: undo the estimate's extensions
     a, c, memo = window or (-math.inf, math.inf, {})
-    n_iter = 0
-    for n_iter in range(1, opts.max_iterations + 1):
+    for _ in range(opts.max_iterations):
         mid = 0.5 * (lo + hi)
         if mid == lo or mid == hi:
             break
@@ -635,20 +636,56 @@ def shoot(Omega: float, bracket0: tuple, shoot_tol: float = 1e-12,
             out = memo[mid] if mid in memo else sh.trial(mid, rtol, clamped=True)[0]
         history.append((mid, out.value))
         if out is Outcome.DECAYED:
-            lo = hi = mid
             break
         if out is Outcome.DIVERGED_UP:
             lo = mid
         else:
             hi = mid
+    return replay_bisection(history, opts)
+
+
+def replay_bisection(history, opts: SolverOptions) -> ShootingResult:
+    """The ShootingResult that shoot returns for a classification history.
+
+    Replays bisection's update from the first two entries, which must be
+    one diverged_up and one diverged_down: every later entry must sit at the
+    midpoint the replay predicts, and the history must end where shoot
+    stops (adjacent floats, a decayed trial, or max_iterations). ValueError
+    for a history off that path; ConvergenceError, as in shoot, if the final
+    bracket is wider than shoot_tol * max(1, F0).
+    """
+    history = tuple((f0, Outcome(label).value) for f0, label in history)
+    up, down = Outcome.DIVERGED_UP.value, Outcome.DIVERGED_DOWN.value
+    if sorted(label for _, label in history[:2]) != [down, up]:
+        raise ValueError("a shooting history starts with one diverged_up and "
+                         "one diverged_down entry")
+    (lo, label), (hi, _) = history[:2]
+    if label == down:
+        lo, hi = hi, lo  # keep lo on the undershoot side
+    k, n_iter = 2, 0
+    for n_iter in range(1, opts.max_iterations + 1):
+        mid = 0.5 * (lo + hi)
+        if mid == lo or mid == hi:
+            break
+        if k == len(history) or history[k][0] != mid:
+            raise ValueError(f"shooting history entry {k} is not bisection's midpoint {mid!r}")
+        label = history[k][1]
+        k += 1
+        if label == Outcome.DECAYED.value:
+            lo = hi = mid
+            break
+        if label == up:
+            lo = mid
+        else:
+            hi = mid
+    if k != len(history):
+        raise ValueError(f"shooting history runs {len(history) - k} entries past its end")
     F0 = 0.5 * (lo + hi)
     width = abs(hi - lo)
     if not width <= opts.shoot_tol * max(1.0, abs(F0)):
-        raise ConvergenceError(
-            f"bisection stalled with bracket width {width:.3e} at Omega = {Omega}")
-    bracket = (min(lo, hi), max(lo, hi))
-    return ShootingResult(F0=F0, bracket=bracket, n_iterations=n_iter,
-                          classification_history=tuple(history))
+        raise ConvergenceError(f"bisection stalled with bracket width {width:.3e}")
+    return ShootingResult(F0=F0, bracket=(min(lo, hi), max(lo, hi)), n_iterations=n_iter,
+                          classification_history=history)
 
 
 def _final_profile(Omega: float, F0: float, sh: _Shooter, opts: SolverOptions):
@@ -746,34 +783,38 @@ def _midpoint_residual(profile: RadialProfile, Omega: float):
     return res, scale
 
 
-def solve_ground(Omega: float, opts: Optional[SolverOptions] = None) -> SolitonSolution:
-    """End-to-end ground-state solve: scan, bisect, final pass, tail fit.
-
-    Nothing is retried: trials already lengthen x_max on indeterminate runs.
-    A final pass that misses the glue threshold, or a fitted tail exponent
-    more than 5% from sqrt(1 - Omega^2), raises TailError; a midpoint
-    residual above residual_tol raises ConvergenceError. Both guards reject
-    NaN.
+def solution_from_shooting(Omega: float, shooting: ShootingResult, opts: SolverOptions,
+                           x_max_used: float) -> SolitonSolution:
+    """The one way a SolitonSolution is built: the final pass at shooting.F0
+    on the trials' mesh, its x_max ratcheted by 1.5x up to x_max_used, which
+    must be one of the ratchet's ends (ValueError otherwise). A final pass
+    that misses the glue threshold, or a fitted tail exponent more than 5%
+    from sqrt(1 - Omega^2), raises TailError; a midpoint residual above
+    residual_tol raises ConvergenceError. Both guards reject NaN.
     """
+    sh = _Shooter(Omega, opts)
+    while sh.x_max < x_max_used:
+        sh._extend()
+    if sh.x_max != x_max_used:
+        raise ValueError(f"x_max_used = {x_max_used!r} is not an end of the x_max ratchet")
+    profile, report = _final_profile(Omega, shooting.F0, sh, opts)
+    if not report.nu_rel_dev <= 0.05:
+        raise TailError(f"nu_fit = {profile.tail.nu_fit:.6f} deviates "
+                        f"{report.nu_rel_dev:.1%} from sqrt(1 - Omega^2)")
+    if not report.max_midpoint_residual <= opts.residual_tol:
+        raise ConvergenceError(f"midpoint residual {report.max_midpoint_residual:.3e} "
+                               f"exceeds {opts.residual_tol:.1e}")
+    provenance = {"code_version": __version__, "options": asdict(opts), "x_max_used": sh.x_max}
+    return SolitonSolution(Omega=Omega, profile=profile, shooting=shooting,
+                           residuals=report, provenance=provenance)
+
+
+def solve_ground(Omega: float, opts: Optional[SolverOptions] = None) -> SolitonSolution:
+    """End-to-end ground-state solve: scan, bisect, solution_from_shooting.
+    Nothing is retried: trials already lengthen x_max on indeterminate runs."""
     if not 0.0 < Omega < 1.0:
         raise DomainError(f"Omega must lie in (0, 1), got {Omega}")
     opts = opts or SolverOptions()
     sh = _Shooter(Omega, opts)
-    bracket = coarse_scan(Omega, opts, shooter=sh)
-    shooting = shoot(Omega, bracket, opts=opts, shooter=sh)
-    profile, report = _final_profile(Omega, shooting.F0, sh, opts)
-    if not report.nu_rel_dev <= 0.05:
-        raise TailError(
-            f"nu_fit = {profile.tail.nu_fit:.6f} deviates "
-            f"{report.nu_rel_dev:.1%} from sqrt(1 - Omega^2)")
-    if not report.max_midpoint_residual <= opts.residual_tol:
-        raise ConvergenceError(
-            f"midpoint residual {report.max_midpoint_residual:.3e} exceeds "
-            f"{opts.residual_tol:.1e}")
-    provenance = {
-        "code_version": __version__,
-        "options": asdict(opts),
-        "x_max_used": sh.x_max,
-    }
-    return SolitonSolution(Omega=Omega, profile=profile, shooting=shooting,
-                           residuals=report, provenance=provenance)
+    shooting = shoot(Omega, coarse_scan(Omega, opts, shooter=sh), opts=opts, shooter=sh)
+    return solution_from_shooting(Omega, shooting, opts, sh.x_max)

@@ -10,7 +10,7 @@ import pytest
 
 import golden
 import solitonlab
-from solitonlab import archive, cli
+from solitonlab import archive, cli, radial
 from solitonlab.cli import SWEEP_COLUMNS, main
 from solitonlab.errors import TailError
 from solitonlab.params import PhysicalParams
@@ -116,8 +116,13 @@ def test_solve_treats_bad_cache_entry_as_miss(tmp_path):
     schema2["grid"].update(dF=dF.tolist(), dG=dG.tolist())
     miscalibrated = json.loads(fresh)
     miscalibrated["calibration"]["lambda"] *= 2.0
-    for bad in ("{not json", json.dumps(old_schema), archive.dumps(schema2),
-                json.dumps(miscalibrated)):
+    tampered = []
+    for param in _TAMPERS:
+        doc = json.loads(fresh)
+        param.values[0](doc)
+        tampered.append(json.dumps(doc))
+    for bad in ["{not json", json.dumps(old_schema), archive.dumps(schema2),
+                json.dumps(miscalibrated)] + tampered:
         entry.write_text(bad)
         out = tmp_path / "again.json"
         assert main(args + ["--out", str(out)]) == 0
@@ -125,9 +130,103 @@ def test_solve_treats_bad_cache_entry_as_miss(tmp_path):
         assert entry.read_bytes() == fresh
 
 
+@pytest.mark.parametrize("other", [["--omega", "0.3"], ["--omega", "0.5", "--hbar", "2"],
+                                   ["--omega", "0.5", "--mesh-dx", "0.02"]],
+                         ids=["Omega=0.3", "hbar=2", "mesh-dx=0.02"])
+def test_solve_treats_entry_for_other_inputs_as_miss(tmp_path, other):
+    # an entry that loads but was solved for other inputs, copied over the
+    # key of solve --omega 0.5, was returned as the Omega = 0.5 artifact
+    cache = tmp_path / "cache"
+    solve = ["solve", "--cache-dir", str(cache)]
+    fresh, wrong = tmp_path / "fresh.json", tmp_path / "other.json"
+    assert main(solve + ["--omega", "0.5", "--out", str(fresh)]) == 0
+    (entry,) = cache.iterdir()
+    assert main(solve + other + ["--out", str(wrong)]) == 0
+    entry.write_bytes(wrong.read_bytes())
+    again = tmp_path / "again.json"
+    assert main(solve + ["--omega", "0.5", "--out", str(again)]) == 0
+    assert again.read_bytes() == fresh.read_bytes()
+    assert entry.read_bytes() == fresh.read_bytes()
+
+
+def test_extended_mesh_round_trips(tmp_path):
+    # x_max 3 is extended six times by the trials; the loader rebuilds the
+    # same mesh from the options and x_max_used
+    sol, obs = tmp_path / "sol.json", tmp_path / "obs.json"
+    assert main(["solve", "--omega", "0.5", "--x-max", "3", "--no-cache",
+                 "--out", str(sol)]) == 0
+    assert json.loads(sol.read_text())["provenance"]["x_max_used"] == 34.3301
+    assert main(["observables", "--solution", str(sol), "--out", str(obs)]) == 0
+    assert obs.read_bytes() == sol.read_bytes()
+
+
+def test_one_final_pass_builds_every_solution(monkeypatch):
+    # solve_ground and the archive loader build their solution by the same
+    # call, radial.solution_from_shooting: one final pass each
+    calls = []
+    final_profile = radial._final_profile
+
+    def spy(*args):
+        calls.append(args[1])
+        return final_profile(*args)
+
+    monkeypatch.setattr(radial, "_final_profile", spy)
+    solution = radial.solve_ground(0.5)
+    assert calls == [solution.shooting.F0]
+    doc = archive.archive_document(
+        solution, *archive.derive_report(solution, PhysicalParams(omega=0.5)))
+    loaded = archive.solution_from_document(json.loads(archive.dumps(doc)))[0]
+    assert calls == [solution.shooting.F0] * 2
+    assert loaded.provenance == solution.provenance
+
+
 def _scale_q_and_lambda(doc):
     doc["observables"]["Q"] *= 2.0
     doc["calibration"]["lambda"] *= 2.0
+
+
+def _history_at(F0):
+    # a shooting block that replays: one bisection step between F0 and the
+    # next float, so the final pass runs at F0
+    def edit(doc):
+        hi = math.nextafter(F0, math.inf)
+        doc["shooting"].update(F0=0.5 * (F0 + hi), bracket=[F0, hi], n_iterations=1,
+                               classification_history=[[F0, "diverged_up"],
+                                                       [hi, "diverged_down"]])
+    return edit
+
+
+# edits of the shooting, tail, residuals, provenance and grid blocks, each of
+# which loaded (and observables exited 0) before the loader re-ran the final
+# pass; F0 = 1e200 on a history that replays overflows in series_start, and
+# glue_frac = 1e-13 makes the final pass raise TailError
+_TAMPERS = [
+    pytest.param(lambda doc: doc["shooting"].update(F0=1.5 * doc["shooting"]["F0"]),
+                 id="F0-1.5x"),
+    pytest.param(lambda doc: doc["tail"].update(nu_fit=0.1), id="nu_fit=0.1"),
+    pytest.param(lambda doc: doc["tail"].update(A_glue_F=2.0 * doc["tail"]["A_glue_F"]),
+                 id="A_glue_F-2x"),
+    pytest.param(lambda doc: doc["residuals"].update(max_midpoint_residual=1e-3),
+                 id="residual=1e-3"),
+    pytest.param(lambda doc: doc["shooting"].update(classification_history=[]),
+                 id="history-empty"),
+    pytest.param(lambda doc: doc["shooting"]["bracket"].reverse(), id="bracket-swapped"),
+    pytest.param(lambda doc: doc["provenance"].update(x_max_used=-1), id="x_max_used=-1"),
+    pytest.param(lambda doc: doc["provenance"]["options"].update(glue_frac=7),
+                 id="glue_frac=7"),
+    pytest.param(lambda doc: doc["provenance"].update(code_version=1),
+                 id="code_version-not-str"),
+    pytest.param(lambda doc: doc["provenance"].update(extra=1), id="provenance-extra-key"),
+    pytest.param(lambda doc: doc["grid"]["F"].append(1.001 * doc["grid"]["F"].pop()),
+                 id="F-last-1.001x"),
+    pytest.param(lambda doc: doc["shooting"].update(F0=1e200), id="F0=1e200"),
+    pytest.param(_history_at(1e200), id="F0=1e200-replayed"),
+    pytest.param(lambda doc: doc["provenance"].update(x_max_used=41.0), id="x_max_used=41"),
+    pytest.param(lambda doc: doc["provenance"]["options"].update(bogus=1),
+                 id="options-unknown-key"),
+    pytest.param(lambda doc: doc["provenance"]["options"].update(glue_frac=1e-13),
+                 id="final-pass-raises"),
+]
 
 
 @pytest.mark.parametrize("content", [
@@ -147,11 +246,13 @@ def _scale_q_and_lambda(doc):
     pytest.param(lambda doc: doc.update(Omega=0.6), id="Omega-edited"),
     pytest.param(_scale_q_and_lambda, id="Q-and-lambda-2x"),
     pytest.param(lambda doc: doc["identities"].update(v13=0.5), id="identity-edited"),
+    *_TAMPERS,
 ])
 def test_unreadable_solution_is_invalid_input(tmp_path, capsys, sol_path, content):
     # each tamper case exited 0 (F short under correlate, Omega edited, Q and
     # lambda 2x, identity edited) or 1 (F short under observables) before the
-    # loader derived the report from the profile
+    # loader derived the report from the profile, and each of _TAMPERS
+    # exited 0 before it re-ran the final pass
     path = tmp_path / "bad.json"
     if not isinstance(content, str):
         doc = json.loads(sol_path.read_text())

@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -12,7 +13,8 @@ from solitonlab import (BracketError, ConvergenceError, DomainError, Integration
                         Outcome, RadialState, SolitonLabError, SolverOptions, TailError,
                         rhs, series_start, shoot, solve_ground)
 from solitonlab.ivp import integrate_mesh
-from solitonlab.radial import _MAX_SCAN_POINTS, coarse_scan, _Shooter, _march, _rhs
+from solitonlab.radial import (_MAX_SCAN_POINTS, coarse_scan, replay_bisection,
+                               solution_from_shooting, _Shooter, _march, _rhs)
 
 
 # --- right-hand side -------------------------------------------------------
@@ -380,6 +382,84 @@ def test_shoot_replays_bisection(Omega):
     opts = SolverOptions()
     bracket = _PINNED_BRACKETS.get(Omega)
     assert _shot(shoot, Omega, opts, bracket) == _shot(oracles.shoot, Omega, opts, bracket)
+
+
+class _Threshold:
+    """Stands in for _Shooter: diverged_up below t, diverged_down above, and
+    decayed at t itself if decays is set."""
+
+    def __init__(self, t, decays=False):
+        self.t, self.decays = t, decays
+
+    def trial(self, F0, rtol, clamped=False):
+        if F0 == self.t and self.decays:
+            return Outcome.DECAYED, "decay"
+        return (Outcome.DIVERGED_UP if F0 < self.t else Outcome.DIVERGED_DOWN), ""
+
+
+# (bracket, threshold, decays, options, n_iterations as a function of the
+# history's length): floats run out, a decayed trial, max_iterations
+_BISECTIONS = {
+    "floats-run-out": ((0.25, 0.5), 1.0 / 3.0, False, SolverOptions(), lambda n: n - 1),
+    "undershoot-end-second": ((0.5, 0.25), 1.0 / 3.0, False, SolverOptions(), lambda n: n - 1),
+    "decayed": ((0.25, 0.5), 0.3125, True, SolverOptions(), lambda n: n - 2),
+    "max-iterations": ((0.25, 0.5), 1.0 / 3.0, False,
+                       SolverOptions(max_iterations=5, shoot_tol=0.1), lambda n: n - 2),
+}
+
+
+@pytest.mark.parametrize("case", list(_BISECTIONS))
+def test_replay_bisection_is_shoots_result(case):
+    # the replay reads shoot's F0, bracket and n_iterations off the history
+    # alone; plain bisection (the oracle) computes them as it goes
+    bracket, t, decays, opts, n_iterations = _BISECTIONS[case]
+    result = oracles.shoot(0.5, bracket, opts=opts, shooter=_Threshold(t, decays))
+    assert replay_bisection(result.classification_history, opts) == result
+    assert result.n_iterations == n_iterations(len(result.classification_history))
+
+
+def _edited(history, k, entry):
+    return history[:k] + ((entry,) if entry else ()) + history[k + 1:]
+
+
+def test_replay_bisection_refuses_a_history_off_the_path():
+    opts = SolverOptions()
+    h = oracles.shoot(0.5, (0.25, 0.5), opts=opts,
+                      shooter=_Threshold(1.0 / 3.0)).classification_history
+    for bad in [(), h[:1], h[:2][::-1] + h[2:] + ((0.4, "diverged_down"),),
+                ((0.25, "diverged_up"), (0.5, "diverged_up")) + h[2:],
+                _edited(h, 2, (0.375, "decayed")),  # path ends at a decay
+                _edited(h, 3, (math.nextafter(h[3][0], 1.0), h[3][1])),
+                _edited(h, 3, (h[3][0], "sideways")),
+                _edited(h, 3, (h[3][0], "diverged_down" if h[3][1] == "diverged_up"
+                               else "diverged_up")),
+                h[:-1], h + (h[-1],), _edited(h, 4, None)]:
+        with pytest.raises(ValueError):
+            replay_bisection(bad, opts)
+
+
+def test_replay_bisection_applies_the_stall_guard():
+    loose = SolverOptions(max_iterations=5, shoot_tol=0.1)
+    result = oracles.shoot(0.5, (0.25, 0.5), opts=loose, shooter=_Threshold(1.0 / 3.0))
+    with pytest.raises(ConvergenceError):
+        replay_bisection(result.classification_history, replace(loose, shoot_tol=1e-3))
+
+
+def test_solution_from_shooting_follows_the_trials_ratchet():
+    # x_max 3 is extended six times to 34.3301 although each trial may
+    # extend it only once: the budget is per trial, so the rebuilt ratchet
+    # runs to x_max_used however many extensions that takes
+    opts = SolverOptions(x_max=3.0, max_x_extensions=1)
+    s = solve_ground(0.5, opts)
+    assert s.provenance["x_max_used"] == 34.3301
+    again = solution_from_shooting(0.5, s.shooting, opts, 34.3301)
+    for name in ("grid", "F", "G", "dF", "dG"):
+        assert np.array_equal(getattr(again.profile, name), getattr(s.profile, name))
+    assert (again.residuals, again.profile.tail, again.provenance) == (
+        s.residuals, s.profile.tail, s.provenance)
+    for x_max_used in (3.0, 34.33, 41.0, -1.0, math.nan):
+        with pytest.raises(ValueError):
+            solution_from_shooting(0.5, s.shooting, opts, x_max_used)
 
 
 @pytest.mark.parametrize("Omega, x_max, extended", [(0.5, 12.0, 27.0201),
