@@ -20,7 +20,7 @@ from dataclasses import asdict, replace
 from .observables import (IdentityReport, ObservableSet, compute_integrals,
                           identity_report)
 from .params import PhysicalParams, calibrate_lambda
-from .radial import (SolitonSolution, SolverOptions, replay_bisection,
+from .radial import (SolitonSolution, SolverOptions, ratchet_nodes, replay_bisection,
                      solution_from_shooting)
 
 SCHEMA_VERSION = 3
@@ -90,9 +90,13 @@ def solution_from_document(doc: dict):
                             omega=cal["omega"])
     provenance = doc["provenance"]
     opts = SolverOptions(**provenance["options"])
+    x_max_used, stored = provenance["x_max_used"], len(doc["grid"]["x"])
+    # before any mesh is built, so that no mesh outgrows the stored grid
+    if ratchet_nodes(params.Omega, opts, x_max_used) != stored:
+        raise ValueError(f"the stored grid has {stored} nodes, not the node count "
+                         f"of the mesh at x_max_used = {x_max_used!r}")
     shooting = replay_bisection(doc["shooting"]["classification_history"], opts)
-    solution = solution_from_shooting(params.Omega, shooting, opts,
-                                      provenance["x_max_used"])
+    solution = solution_from_shooting(params.Omega, shooting, opts, x_max_used)
     observables, identities, params = derive_report(solution, params)
     derived = archive_document(solution, observables, identities, params)
     if derived != doc:

@@ -46,8 +46,8 @@ from .errors import (BracketError, ConvergenceError, DomainError,
 __all__ = [
     "Outcome", "RadialState", "TailFit", "RadialProfile", "ShootingResult",
     "ResidualReport", "SolitonSolution", "SolverOptions",
-    "rhs", "series_start", "shoot", "replay_bisection", "solution_from_shooting",
-    "solve_ground",
+    "rhs", "series_start", "shoot", "replay_bisection", "ratchet_nodes",
+    "solution_from_shooting", "solve_ground",
 ]
 
 
@@ -219,15 +219,41 @@ def series_start(F0: float, Omega: float, x0: float = 1e-4) -> RadialState:
     return RadialState(x=x0, F=F0 - (Omega + 1.0) * c1 * x0 * x0 / 2.0, G=c1 * x0)
 
 
-def _build_mesh(x0: float, x_end: float, dx: float) -> np.ndarray:
-    """Uniform mesh x0 + dx*k covering [x0, x_end]; growing x_end only appends
-    nodes, so the node sequence over any prefix is extension-stable. Raises
-    DomainError, before allocating, for more than _MAX_MESH_NODES nodes."""
+def _mesh_nodes(x0: float, x_end: float, dx: float) -> int:
+    """Node count of _build_mesh(x0, x_end, dx); DomainError for more than
+    _MAX_MESH_NODES."""
     intervals = (x_end - x0) / dx
     if not intervals <= _MAX_MESH_NODES - 1:
         raise DomainError(f"the mesh [{x0}, {x_end}] at spacing {dx} would exceed "
                           f"{_MAX_MESH_NODES} nodes")
-    return x0 + dx * np.arange(int(math.ceil(intervals)) + 1)
+    return int(math.ceil(intervals)) + 1
+
+
+def _build_mesh(x0: float, x_end: float, dx: float) -> np.ndarray:
+    """Uniform mesh x0 + dx*k covering [x0, x_end]; growing x_end only appends
+    nodes, so the node sequence over any prefix is extension-stable. Raises
+    DomainError, before allocating, for more than _MAX_MESH_NODES nodes."""
+    return x0 + dx * np.arange(_mesh_nodes(x0, x_end, dx))
+
+
+def _initial_x_max(Omega: float, opts: SolverOptions) -> float:
+    if opts.x_max is not None:
+        return opts.x_max
+    return max(40.0, 25.0 / math.sqrt(1.0 - Omega * Omega))
+
+
+def ratchet_nodes(Omega: float, opts: SolverOptions, x_max_used: float) -> int:
+    """Node count of the trials' mesh that ends at x_max_used, found without
+    building a mesh: the x_max ratchet starts at the initial x_max and
+    extends it by 1.5x (_Shooter), and its end is the mesh's last node
+    x0 + dx * (nodes - 1). ValueError if x_max_used is not one of its ends."""
+    x0, dx = opts.x0, opts.mesh_dx
+    nodes = _mesh_nodes(x0, _initial_x_max(Omega, opts), dx)
+    while x0 + dx * (nodes - 1) < x_max_used:
+        nodes = _mesh_nodes(x0, 1.5 * (x0 + dx * (nodes - 1)), dx)
+    if x0 + dx * (nodes - 1) != x_max_used:
+        raise ValueError(f"x_max_used = {x_max_used!r} is not an end of the x_max ratchet")
+    return nodes
 
 
 def _march(Omega: float, nodes: list, F: float, G: float, rtol: float,
@@ -353,8 +379,7 @@ class _Shooter:
         self.Omega = Omega
         self.nu = math.sqrt(1.0 - Omega * Omega)
         self.opts = opts
-        x_max = opts.x_max if opts.x_max is not None else max(40.0, 25.0 / self.nu)
-        self._set_mesh(_build_mesh(opts.x0, x_max, opts.mesh_dx))
+        self._set_mesh(_build_mesh(opts.x0, _initial_x_max(Omega, opts), opts.mesh_dx))
 
     def _set_mesh(self, mesh: np.ndarray) -> None:
         self.mesh = mesh
@@ -792,11 +817,10 @@ def solution_from_shooting(Omega: float, shooting: ShootingResult, opts: SolverO
     from sqrt(1 - Omega^2), raises TailError; a midpoint residual above
     residual_tol raises ConvergenceError. Both guards reject NaN.
     """
+    nodes = ratchet_nodes(Omega, opts, x_max_used)
     sh = _Shooter(Omega, opts)
-    while sh.x_max < x_max_used:
+    while sh.mesh.size < nodes:
         sh._extend()
-    if sh.x_max != x_max_used:
-        raise ValueError(f"x_max_used = {x_max_used!r} is not an end of the x_max ratchet")
     profile, report = _final_profile(Omega, shooting.F0, sh, opts)
     if not report.nu_rel_dev <= 0.05:
         raise TailError(f"nu_fit = {profile.tail.nu_fit:.6f} deviates "

@@ -12,11 +12,11 @@ Component layout of the 4-spinor (upper 2-spinor, lower 2-spinor):
     phi_dn = (0, f, i g (x-iy)/r, -i g z/r) / sqrt(4 pi)
 
 Every component of both spinors is a fixed complex combination of four real
-fields, f, g x/r, g y/r and g z/r, so the grid work is real: the four fields
-and their twelve gradients are sampled once and shared by both spinors, and
--i(r x grad) acts through the real operators D1 = y dz - z dy,
-D2 = z dx - x dz and D3 = x dy - y dx. The complex coefficients of every
-spinor and ladder residual on these sixteen real "atoms" are constant tables.
+fields, f, g x/r, g y/r and g z/r, so the grid work is real: -i(r x grad)
+acts through the real operators D1 = y dz - z dy, D2 = z dx - x dz and
+D3 = x dy - y dx. The complex coefficients of every quantity on these sixteen
+real "atoms" are constant tables, and each check builds only the atoms and
+gradients its tables read: all 16 for the ladder relations, 6 for S_z.
 
 The cube is streamed in slabs of _SLAB x-planes, each differentiated with a
 one-plane halo on either side so that every stencil is the full grid's. Each
@@ -131,9 +131,19 @@ _LADDER = np.stack([_real_rows(c) for c in (
 # 24 of its 64 rows are zero: the 40 others, and the quantity each adds to
 _QUANTITY, _ROW = np.nonzero(_LADDER.any(axis=2))
 _ROWS = _LADDER[_QUANTITY, _ROW]
+# up to sign they are 16 distinct terms, each squared once (J+ phi_up and J- phi_dn
+# share theirs, say): a row with its lead entry made > 0; _TERM maps rows to terms
+_lead = _ROWS[np.arange(len(_ROWS)), np.argmax(_ROWS != 0, axis=1)]
+_distinct = {}
+_TERM = np.array([_distinct.setdefault(tuple(r), len(_distinct))
+                  for r in (np.sign(_lead)[:, None] * _ROWS).tolist()])
+_LADDER_ATOMS = np.flatnonzero(_ROWS.any(axis=0))  # all 16
+_TERMS = np.array(list(_distinct))[:, _LADDER_ATOMS]
 _SZ = np.stack([_real_rows(_plain(_UP)), _real_rows(_j(_UP, "3"))])
 # phi_up and J_3 phi_up, less the 4 rows where phi_up is zero and adds nothing
-_SZ_UP, _SZ_J3UP = _SZ[:, _SZ[0].any(axis=1)]
+_SZ_ROWS = _SZ[:, _SZ[0].any(axis=1)]
+_SZ_ATOMS = np.flatnonzero(_SZ_ROWS.any(axis=(0, 1)))
+_SZ_UP, _SZ_J3UP = _SZ_ROWS[:, :, _SZ_ATOMS]
 
 
 def _radial_interpolant(solution):
@@ -174,9 +184,31 @@ def _radial_interpolant(solution):
     return fg
 
 
-def _slabs(solution, spec: GridSpec):
-    """Yield (atoms, weights) slab by slab: the 16 real atoms as (16, points)
-    and the matching 3-D trapezoid weights as (points,)."""
+def _atoms(planes, core, h, X, Y, Z, atoms):
+    """Atoms 4 * kind + field (kind: the field, D1, D2, D3) on the core planes
+    of the fields' window, by one np.gradient per axis that one of them reads."""
+    axes = set("".join(("", "yz", "xz", "xy")[a // 4] for a in atoms))
+    c = planes[:, core]
+    dx = np.gradient(planes, h, axis=1, edge_order=2)[:, core] if "x" in axes else None
+    dy = np.gradient(c, h, axis=2, edge_order=2) if "y" in axes else None
+    dz = np.gradient(c, h, axis=3, edge_order=2) if "z" in axes else None
+    # D1 = Y dz - Z dy, D2 = Z dx - X dz and D3 = X dy - Y dx, in place
+    products = (None, (Y, dz, Z, dy), (Z, dx, X, dz), (X, dy, Y, dx))
+    values = np.empty((len(atoms),) + c.shape[1:])
+    for v, a in zip(values, atoms):
+        kind, j = divmod(a, 4)
+        if kind:
+            p, dp, q, dq = products[kind]
+            np.multiply(p, dp[j], out=v)
+            v -= q * dq[j]
+        else:
+            v[...] = c[j]
+    return values
+
+
+def _slabs(solution, spec: GridSpec, atoms):
+    """Yield (values, weights) slab by slab: the requested atoms as
+    (len(atoms), points) and the matching 3-D trapezoid weights as (points,)."""
     ax = np.linspace(-spec.extent, spec.extent, spec.n)
     corner = math.sqrt(3.0) * ax[-1]
     if corner > solution.profile.x_max:
@@ -205,39 +237,27 @@ def _slabs(solution, spec: GridSpec):
             (planes[:, lo - first:], [pre * f, g_over_r * X, g_over_r * Y, g_over_r * Z]),
             axis=1)
         first = lo
-        core = slice(i0 - lo, i1 - lo)
-        X = ax[i0:i1, None, None]
-        atoms = np.empty((4, 4, i1 - i0, spec.n, spec.n))  # (atom kind, field, ...)
-        for j, c in enumerate(planes):
-            dx = np.gradient(c, h, axis=0, edge_order=2)[core]
-            dy, dz = np.gradient(c[core], h, axis=(1, 2), edge_order=2)
-            atoms[:, j] = c[core], Y * dz - Z * dy, Z * dx - X * dz, X * dy - Y * dx
+        values = _atoms(planes, slice(i0 - lo, i1 - lo), h, ax[i0:i1, None, None], Y, Z, atoms)
         w = w1[i0:i1, None, None] * w1[None, :, None] * w1[None, None, :]
-        yield atoms.reshape(16, -1), w.ravel()
+        yield values.reshape(len(atoms), -1), w.ravel()
 
 
 def ladder_residuals(solution, spec: GridSpec) -> LadderReport:
     """Grid L2 residuals of all six ladder relations.
 
-    The cube is streamed in slabs in real arithmetic: per slab, 12 real
-    gradients are taken once and shared by both spinors and all six
-    relations. The atoms are multiplied by the 40 nonzero rows of the 64-row
-    ladder table only, each row's weighted squared sum is added into its
-    quantity, and the square roots are taken at the end. Peak memory is
-    O(n^2 * _SLAB), about 49 MB of arrays at n = 128 (tracemalloc). Raises
-    GridError if a basis norm is not finite and > 0, as when the trapezoid
-    weights or the radii underflow on a tiny cube.
+    The cube is streamed in slabs in real arithmetic. Per slab, the 16 atoms
+    are multiplied by the 16 distinct rows of the ladder table and each
+    squared, weighted sum is added into the quantities of its rows; the
+    square roots are taken at the end. Peak memory is O(n^2 * _SLAB), about
+    39 MB of arrays at n = 128 (tracemalloc). Raises GridError if a basis
+    norm is not finite and > 0, as when the trapezoid weights or the radii
+    underflow on a tiny cube.
     """
-    row_sums = np.zeros(len(_ROWS))
-    # one buffer for every slab's rows: a fresh array per slab (20 MiB at
-    # n = 128) is mmapped and page-faulted in anew each time
-    buf = np.empty(len(_ROWS) * _SLAB * spec.n * spec.n)
-    for atoms, w in _slabs(solution, spec):
-        out = buf[:len(_ROWS) * atoms.shape[1]].reshape(len(_ROWS), -1)
-        r = np.matmul(_ROWS, atoms, out=out)
-        r *= r
-        row_sums += r @ w
-    sums = np.bincount(_QUANTITY, weights=row_sums, minlength=len(_LADDER))
+    term_sums = np.zeros(len(_TERMS))
+    for atoms, w in _slabs(solution, spec, _LADDER_ATOMS):
+        r = _TERMS @ atoms
+        term_sums += np.square(r, out=r) @ w
+    sums = np.bincount(_QUANTITY, weights=term_sums[_TERM], minlength=len(_LADDER))
     n_up, n_dn, *res = [math.sqrt(s) for s in sums]
     if not (0.0 < n_up < math.inf and 0.0 < n_dn < math.inf):
         raise GridError(f"grid norms of the basis spinors are {n_up!r} and {n_dn!r}, "
@@ -254,7 +274,7 @@ def sz_grid_integral(solution, spec: GridSpec) -> float:
 
     Raises GridError if the integral is not finite and > 0."""
     total = 0.0
-    for atoms, w in _slabs(solution, spec):
+    for atoms, w in _slabs(solution, spec, _SZ_ATOMS):
         total += float(np.sum((_SZ_UP @ atoms) * (_SZ_J3UP @ atoms), axis=0) @ w)
     if not 0.0 < total < math.inf:
         raise GridError(f"grid S_z integral is {total!r}, not finite and > 0, "

@@ -274,6 +274,26 @@ def _sample_fields(solution, spec: GridSpec, radial):
     return (X, Y, Z), h, weights, up, dn
 
 
+def atoms_dense(solution, spec: GridSpec) -> np.ndarray:
+    """All 16 real atoms of the streamed grid over the whole cube, as
+    (16, n, n, n): the fields f, g x/r, g y/r and g z/r, then D1, D2 and D3
+    of each, by one np.gradient call per field over all three axes. The
+    bit-for-bit reference of spingrid._slabs, which builds only the atoms a
+    check reads, slab by slab."""
+    fg = _radial_interpolant(solution)
+    ax, h, _w = _axes_weights(spec)
+    X, Y, Z = np.meshgrid(ax, ax, ax, indexing="ij")
+    R = np.sqrt(X * X + Y * Y + Z * Z)
+    pre = 1.0 / math.sqrt(4.0 * math.pi)
+    F, G = fg(R)
+    g_over_r = pre * G / R
+    atoms = np.empty((4, 4) + X.shape)  # (atom kind, field, ...)
+    for j, c in enumerate((pre * F, g_over_r * X, g_over_r * Y, g_over_r * Z)):
+        dx, dy, dz = np.gradient(c, h, edge_order=2)
+        atoms[:, j] = c, Y * dz - Z * dy, Z * dx - X * dz, X * dy - Y * dx
+    return atoms.reshape((16,) + X.shape)
+
+
 def _gradients(comps, h):
     """(d/dx, d/dy, d/dz) of each component, central differences."""
     return tuple(tuple(np.gradient(c, h, axis=ax, edge_order=2) for ax in range(3))

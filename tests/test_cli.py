@@ -196,6 +196,17 @@ def _history_at(F0):
     return edit
 
 
+def _x_max_used_extended(extensions):
+    # x_max_used at a later end of the trials' x_max ratchet: 12 extensions
+    # of the Omega = 0.5 archive's mesh make 519,201 nodes
+    def edit(doc):
+        sh = radial._Shooter(doc["Omega"], SolverOptions(**doc["provenance"]["options"]))
+        for _ in range(extensions):
+            sh._extend()
+        doc["provenance"].update(x_max_used=sh.x_max)
+    return edit
+
+
 # edits of the shooting, tail, residuals, provenance and grid blocks, each of
 # which loaded (and observables exited 0) before the loader re-ran the final
 # pass; F0 = 1e200 on a history that replays overflows in series_start, and
@@ -226,7 +237,52 @@ _TAMPERS = [
                  id="options-unknown-key"),
     pytest.param(lambda doc: doc["provenance"]["options"].update(glue_frac=1e-13),
                  id="final-pass-raises"),
+    pytest.param(_x_max_used_extended(12), id="x_max_used-12-extensions"),
 ]
+
+
+@pytest.mark.parametrize("edit, refusal", [
+    (_x_max_used_extended(12), "the stored grid has 4001 nodes"),
+    (lambda doc: doc["provenance"]["options"].update(mesh_dx=doc["provenance"]["options"]
+                                                     ["mesh_dx"] / 100.0),
+     "is not an end of the x_max ratchet"),
+], ids=["x_max_used-12-extensions", "mesh_dx/100"])
+def test_loader_builds_no_mesh_longer_than_the_stored_grid(monkeypatch, sol_path, edit,
+                                                           refusal):
+    # the loader built the mesh and ran the final pass at whatever ratchet end
+    # and spacing the document named (12 extensions: 519,201 nodes, 0.37 s
+    # and +82 MB) before it compared anything with the stored grid
+    doc = json.loads(sol_path.read_text())
+    stored = len(doc["grid"]["x"])
+    edit(doc)
+    sizes = []
+    build_mesh = radial._build_mesh
+
+    def spy(*args):
+        mesh = build_mesh(*args)
+        sizes.append(mesh.size)
+        return mesh
+
+    monkeypatch.setattr(radial, "_build_mesh", spy)
+    archive.solution_from_document(json.loads(sol_path.read_text()))
+    assert max(sizes) == stored
+    sizes.clear()
+    with pytest.raises(ValueError, match=refusal):
+        archive.solution_from_document(doc)
+    assert all(size <= stored for size in sizes), sizes
+
+
+def test_ratchet_nodes_is_the_trials_mesh():
+    # every end of the ratchet, with its node count, without building a mesh
+    for Omega, opts in ((0.5, SolverOptions()), (0.5, SolverOptions(x_max=3.0)),
+                        (0.9, SolverOptions(mesh_dx=0.03))):
+        sh = radial._Shooter(Omega, opts)
+        for _ in range(8):
+            assert radial.ratchet_nodes(Omega, opts, sh.x_max) == sh.mesh.size
+            for off_end in (math.nextafter(sh.x_max, 0.0), math.nextafter(sh.x_max, math.inf)):
+                with pytest.raises(ValueError):
+                    radial.ratchet_nodes(Omega, opts, off_end)
+            sh._extend()
 
 
 @pytest.mark.parametrize("content", [

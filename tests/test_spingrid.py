@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 import oracles
-from solitonlab import GridError, correlation
+from solitonlab import GridError, correlation, spingrid
 from solitonlab.spingrid import (GridSpec, LadderReport, _radial_interpolant,
                                  ladder_residuals, sz_grid_integral)
 
@@ -45,6 +45,40 @@ def test_streamed_grid_matches_dense(sol05, n):
     spec = GridSpec(n=n, extent=12.0)
     assert sz_grid_integral(sol05, spec) == pytest.approx(
         oracles.sz_grid_integral_dense(sol05, spec), rel=1e-12, abs=0.0)
+
+
+def test_derived_tables_cover_every_term():
+    # the terms squared, and the atoms built, are derived from the tables at
+    # import: +- a term rebuilds each nonzero ladder row, and the S_z atoms
+    # hold every column that the S_z tables read
+    quantity, row = np.nonzero(spingrid._LADDER.any(axis=2))
+    assert np.array_equal(quantity, spingrid._QUANTITY) and len(row) == 40
+    assert spingrid._TERMS.shape == (16, 16)
+    assert np.array_equal(spingrid._LADDER_ATOMS, np.arange(16))
+    for k, t in enumerate(spingrid._TERM):
+        term = np.zeros(16)
+        term[spingrid._LADDER_ATOMS] = spingrid._TERMS[t]
+        ladder_row = spingrid._LADDER[quantity[k], row[k]]
+        assert np.array_equal(ladder_row, term) or np.array_equal(ladder_row, -term), k
+    rows = spingrid._SZ_ROWS
+    assert set(np.flatnonzero(rows.any(axis=(0, 1)))) <= set(spingrid._SZ_ATOMS)
+    assert np.array_equal(spingrid._SZ_ATOMS, [0, 1, 2, 3, 13, 14])
+    assert np.array_equal(rows[0][:, spingrid._SZ_ATOMS], spingrid._SZ_UP)
+    assert np.array_equal(rows[1][:, spingrid._SZ_ATOMS], spingrid._SZ_J3UP)
+
+
+@pytest.mark.parametrize("atoms", [spingrid._LADDER_ATOMS, spingrid._SZ_ATOMS],
+                         ids=["ladder", "sz"])
+@pytest.mark.parametrize("n", [4, 6, 38])  # one slab, a short last slab, faces
+def test_slab_atoms_are_the_dense_atoms(sol05, n, atoms):
+    spec = GridSpec(n=n, extent=10.0)
+    dense = oracles.atoms_dense(sol05, spec)[atoms]
+    i0 = 0
+    for values, _w in spingrid._slabs(sol05, spec, atoms):
+        i1 = i0 + values.shape[1] // (n * n)
+        assert np.array_equal(values, dense[:, i0:i1].reshape(len(atoms), -1)), i0
+        i0 = i1
+    assert i0 == n
 
 
 def test_interpolant_hits_nodes_and_origin_anchors(sol05):
@@ -92,6 +126,18 @@ def test_streamed_grid_memory_bounded(sol05, check):
     finally:
         tracemalloc.stop()
     assert peak <= 32e6, peak
+
+
+def test_ladder_check_squares_each_term_once(sol05):
+    # squaring all 40 nonzero table rows per slab peaked at 12.5 MB; the 16
+    # distinct terms at about 10 MB
+    tracemalloc.start()
+    try:
+        ladder_residuals(sol05, GridSpec(n=64, extent=10.0))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 11e6, peak
 
 
 # the h^3 trapezoid weights underflow to 0 at 1e-160; at 1e-200 and 1e-300 the
