@@ -349,12 +349,15 @@ def _cmd_correlate(cfg: RunConfig) -> int:
 
 
 def _cmd_chsh(cfg: RunConfig) -> int:
+    vectors = [cfg.a, cfg.a_prime, cfg.b, cfg.b_prime]
+    if cfg.optimize and any(v is not None for v in vectors):
+        raise DomainError("chsh --optimize chooses the analyzers itself; "
+                          "it takes no --a, --a-prime, --b or --b-prime")
     pair, params = _singlet_from_archive(cfg)
     if cfg.optimize:
         settings, s = chsh_optimize(pair_correlation_fn(pair, hbar=params.hbar))
         summary = f"chsh: S_max = {s:.9f} (2*sqrt(2) = {2 * math.sqrt(2):.9f})"
     else:
-        vectors = [cfg.a, cfg.a_prime, cfg.b, cfg.b_prime]
         if any(v is None for v in vectors):
             raise DomainError("chsh needs --a --a-prime --b --b-prime, or --optimize")
         settings = [_parse_vector(v) for v in vectors]

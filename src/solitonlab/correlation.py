@@ -85,10 +85,15 @@ def build_singlet(radial_norm: float) -> EntangledPair:
 
 
 def pauli_dot(a) -> np.ndarray:
-    """sigma . a as a 2x2 complex matrix; equals the action of 2(J.a)."""
-    a1, a2, a3 = a
-    return np.array([[a3, a1 - 1j * a2],
-                     [a1 + 1j * a2, -a3]], dtype=complex)
+    """sigma . a as a 2x2 complex matrix, one for each direction of a (3,) or
+    (..., 3) array; equals the action of 2(J.a)."""
+    a = np.asarray(a, dtype=float)
+    out = np.empty(a.shape[:-1] + (2, 2), dtype=complex)
+    out[..., 0, 0] = a[..., 2]
+    out[..., 0, 1] = a[..., 0] - 1j * a[..., 1]
+    out[..., 1, 0] = a[..., 0] + 1j * a[..., 1]
+    out[..., 1, 1] = -a[..., 2]
+    return out
 
 
 def apply_2J(direction, v: SpinVector) -> SpinVector:
@@ -131,23 +136,12 @@ def pair_correlation_fn(pair: EntangledPair, hbar: float = 1.0) -> Callable:
     scale = (pair.radial_norm_per_particle / hbar) ** 2
 
     def fn(a, b):
-        a = np.atleast_2d(np.asarray(a, dtype=float))
-        b = np.atleast_2d(np.asarray(b, dtype=float))
-        sa = _pauli_batch(a)
-        sb = _pauli_batch(b)
+        sa = pauli_dot(np.atleast_2d(a))
+        sb = pauli_dot(np.atleast_2d(b))
         val = np.einsum("ik,nij,nkl,jl->n", amps.conj(), sa, sb, amps).real * scale
         return val if val.size > 1 else float(val[0])
 
     return fn
-
-
-def _pauli_batch(a: np.ndarray) -> np.ndarray:
-    out = np.empty((a.shape[0], 2, 2), dtype=complex)
-    out[:, 0, 0] = a[:, 2]
-    out[:, 0, 1] = a[:, 0] - 1j * a[:, 1]
-    out[:, 1, 0] = a[:, 0] + 1j * a[:, 1]
-    out[:, 1, 1] = -a[:, 2]
-    return out
 
 
 def chsh(a, a_prime, b, b_prime, correlation_fn: Callable) -> float:

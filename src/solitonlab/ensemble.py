@@ -20,7 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .correlation import EntangledPair, epr_correlation
-from .errors import DomainError
+from .errors import DomainError, is_count
 
 __all__ = ["EnsembleSpec", "EnsembleEstimate", "draw_phases",
            "realization_estimate", "ensemble_estimate"]
@@ -42,6 +42,9 @@ class EnsembleSpec:
     b: tuple = (0.0, 0.0, 1.0)
 
     def __post_init__(self):
+        for name in ("n_trials", "realizations", "seed"):
+            if not is_count(getattr(self, name)):
+                raise DomainError(f"{name} must be an integer, got {getattr(self, name)!r}")
         if not 1 <= self.n_trials <= _MAX_DRAWS:
             raise DomainError(f"n_trials must lie in [1, {_MAX_DRAWS}], got {self.n_trials}")
         if not 2 <= self.realizations <= _MAX_DRAWS:
@@ -83,8 +86,8 @@ def draw_phases(seed: int, realization_index: int, n: int) -> np.ndarray:
     realization owns an independent stream and identical inputs reproduce
     identical phases on any platform.
     """
-    if n < 1:
-        raise DomainError(f"need n >= 1 phases, got {n}")
+    if not (is_count(n) and n >= 1):
+        raise DomainError(f"need n >= 1 phases, got {n!r}")
     phases = np.empty((1, n))
     _phase_stream(seed)(realization_index, phases)
     return phases[0]

@@ -1,4 +1,11 @@
-"""Exception hierarchy for the soliton laboratory."""
+"""Exception hierarchy for the soliton laboratory, and the count test its
+validators share."""
+import numbers
+
+
+def is_count(value) -> bool:
+    """An integer that is not a bool: the test every count passes before its range."""
+    return isinstance(value, numbers.Integral) and not isinstance(value, bool)
 
 
 class SolitonLabError(Exception):

@@ -15,11 +15,13 @@ state; the far tail is continued analytically once F has dropped several
 orders below F0, which keeps the stored profile clean of the exponential
 shooting instability.
 
-Bisection is replayed rather than run (shoot): the zero-crossing radii of
-overshoot trials estimate the critical amplitude, trials at bisection's
-predicted midpoints bracket it within a few dozen ulps, and only the
-midpoints near that bracket run trials. The result is plain bisection's to
-the bit, at about a third of the trials.
+Bisection's rule is written once, as a walk (_bisect) that asks a
+classifier for each midpoint: shoot classifies by trials, the archive loader
+(replay_bisection) by the stored history, and the estimate by its predicted
+outcomes. In shoot the zero-crossing radii of overshoot trials estimate the
+critical amplitude, trials at the predicted midpoints bracket it within a
+few dozen ulps, and only the midpoints near that bracket run trials. The
+result is plain bisection's to the bit, at about a third of the trials.
 
 Every integration of a solve runs _march, a DP5 march with this
 right-hand side written inline: the coarse scan takes free adaptive steps,
@@ -31,7 +33,6 @@ tests keep as its oracle.
 from __future__ import annotations
 
 import math
-import numbers
 from dataclasses import dataclass, asdict
 from enum import Enum
 from itertools import chain
@@ -41,7 +42,7 @@ import numpy as np
 
 from . import __version__, ivp
 from .errors import (BracketError, ConvergenceError, DomainError,
-                     IntegrationError, TailError)
+                     IntegrationError, TailError, is_count)
 
 __all__ = [
     "Outcome", "RadialState", "TailFit", "RadialProfile", "ShootingResult",
@@ -187,8 +188,7 @@ class SolverOptions:
             raise DomainError(f"glue_frac must lie in (0, 1), got {self.glue_frac}")
         for name, least in (("max_iterations", 1), ("max_x_extensions", 0)):
             count = getattr(self, name)
-            if not (isinstance(count, numbers.Integral) and not isinstance(count, bool)
-                    and count >= least):
+            if not (is_count(count) and count >= least):
                 raise DomainError(f"{name} must be an integer >= {least}, got {count!r}")
 
 
@@ -509,21 +509,51 @@ _BAND_ULPS = 12
 _MAX_ESTIMATE_STEPS = 60
 
 
-def _bisection_path(lo: float, hi: float, is_up):
-    """Plain bisection's midpoints from (lo, hi), lo the undershoot end, with
-    is_up(mid) standing in for the trial at each midpoint."""
-    while True:
+def _bisect(history, opts: SolverOptions, classify) -> ShootingResult:
+    """Bisection from history's first two entries (F0, label), one diverged_up
+    and one diverged_down: take the midpoint; stop at adjacent floats, a
+    decayed midpoint or max_iterations; move the end on the midpoint's side.
+    Recorded entries must sit at the predicted midpoints (ValueError), later
+    midpoints are classify(mid) -> Outcome. ConvergenceError if the final
+    bracket is wider than shoot_tol * max(1, F0).
+    """
+    history = [(f0, Outcome(label).value) for f0, label in history]
+    up, down = Outcome.DIVERGED_UP.value, Outcome.DIVERGED_DOWN.value
+    if sorted(label for _, label in history[:2]) != [down, up]:
+        raise ValueError("a shooting history starts with one diverged_up and "
+                         "one diverged_down entry")
+    (lo, label), (hi, _) = history[:2]
+    if label == down:
+        lo, hi = hi, lo  # keep lo on the undershoot side
+    k, n_iter = 2, 0
+    for n_iter in range(1, opts.max_iterations + 1):
         mid = 0.5 * (lo + hi)
         if mid == lo or mid == hi:
-            return
-        yield mid
-        if is_up(mid):
+            break
+        if k == len(history):
+            history.append((mid, classify(mid).value))
+        if history[k][0] != mid:
+            raise ValueError(f"shooting history entry {k} is not bisection's midpoint {mid!r}")
+        label = history[k][1]
+        k += 1
+        if label == Outcome.DECAYED.value:
+            lo = hi = mid
+            break
+        if label == up:
             lo = mid
         else:
             hi = mid
+    if k != len(history):
+        raise ValueError(f"shooting history runs {len(history) - k} entries past its end")
+    F0 = 0.5 * (lo + hi)
+    width = abs(hi - lo)
+    if not width <= opts.shoot_tol * max(1.0, abs(F0)):
+        raise ConvergenceError(f"bisection stalled with bracket width {width:.3e}")
+    return ShootingResult(F0=F0, bracket=(min(lo, hi), max(lo, hi)), n_iterations=n_iter,
+                          classification_history=tuple(history))
 
 
-def _verified_window(sh: _Shooter, lo: float, hi: float, x_hi: float, rtol: float):
+def _verified_window(sh: _Shooter, lo: float, hi: float, x_hi: float, opts: SolverOptions):
     """(a, c, memo): every F0 <= a classifies diverged_up and every F0 >= c
     diverged_down, and memo holds the outcomes {F0: Outcome} of the trials
     run to find them; or None.
@@ -545,23 +575,23 @@ def _verified_window(sh: _Shooter, lo: float, hi: float, x_hi: float, rtol: floa
     None.
     """
     mesh = sh.mesh
-    path_ends = (lo, hi)
+    ends = ((lo, Outcome.DIVERGED_UP), (hi, Outcome.DIVERGED_DOWN))
     memo = {}
     overs = [(hi, x_hi)]  # f_cross overshoots, best (smallest F0) last
     q = 1e-2
 
     def run(F0):
         if F0 not in memo:
-            memo[F0] = sh.trial(F0, rtol, clamped=True)[0]
+            memo[F0] = sh.trial(F0, opts.final_rtol, clamped=True)[0]
         return memo[F0]
 
     def nearest_midpoint(target, est):
         # the untried midpoint on target's side of est that is nearest to it,
-        # on the path the trials so far and est predict for bisection
-        def is_up(mid):
-            return memo[mid] is Outcome.DIVERGED_UP if mid in memo else mid < est
-        side = [m for m in _bisection_path(*path_ends, is_up)
-                if lo < m < b and (m < est) == (target < est)]
+        # on the walk the trials so far and est predict for bisection
+        def predict(mid):
+            return memo.get(mid, Outcome.DIVERGED_UP if mid < est else Outcome.DIVERGED_DOWN)
+        path = _bisect(ends, opts, predict).classification_history[2:]
+        side = [m for m, _ in path if lo < m < b and (m < est) == (target < est)]
         return min(side, key=lambda m: abs(m - target), default=target)
 
     for _ in range(_MAX_ESTIMATE_STEPS):
@@ -609,18 +639,17 @@ def shoot(Omega: float, bracket0: tuple, shoot_tol: float = 1e-12,
     Estimate-then-replay: _verified_window first locates F* from the halt
     radii of overshoot trials and brackets it by an undershoot and an
     overshoot trial within 4*_BAND_ULPS ulps, which yield a window (a, c)
-    _BAND_ULPS ulps wider. The bisection loop then runs a trial only at a
-    midpoint inside (a, c) (reusing the estimate's trials, most of which sit
-    at bisection's midpoints); a midpoint <= a is diverged_up and one >= c
-    diverged_down, as bisection's trial there would give. At float level the
-    classification is not monotone in a band of a few ulps around F*, so any
-    root finder that leaves bisection's path can stop at another adjacent
-    pair; replaying the path keeps F0, the bracket, n_iterations, the
-    classification history and x_max exactly bisection's, at about a third
-    of the trials. Without a window (no estimate, or one that raised) the
-    mesh is restored to its state before the estimate and every midpoint
-    runs a trial. The result is replay_bisection of the history, which the
-    archive loader runs too.
+    _BAND_ULPS ulps wider. The result is bisection's walk (_bisect) from the
+    two bracket entries, which classifies a midpoint <= a as diverged_up and
+    one >= c as diverged_down, as bisection's trial there would, and runs a
+    trial only at a midpoint inside (a, c) that the estimate has not tried.
+    At float level the classification is not monotone in a band of a few
+    ulps around F*, so any root finder that leaves bisection's path can stop
+    at another adjacent pair; walking the path keeps F0, the bracket,
+    n_iterations, the classification history and x_max exactly bisection's,
+    at about a third of the trials. Without a window (no estimate, or one
+    that raised) the mesh is restored to its state before the estimate and
+    every midpoint runs a trial.
     """
     if not 0.0 < Omega < 1.0:
         raise DomainError(f"Omega must lie in (0, 1), got {Omega}")
@@ -628,89 +657,44 @@ def shoot(Omega: float, bracket0: tuple, shoot_tol: float = 1e-12,
     sh = shooter or _Shooter(Omega, opts)
     rtol = opts.final_rtol
     lo, hi = float(bracket0[0]), float(bracket0[1])
-    history = []
-    out_lo, halt_lo = sh.trial(lo, rtol, clamped=True)
-    out_hi, halt_hi = sh.trial(hi, rtol, clamped=True)
-    history.append((lo, out_lo.value))
-    history.append((hi, out_hi.value))
-    sides = {out_lo, out_hi}
-    if sides != {Outcome.DIVERGED_UP, Outcome.DIVERGED_DOWN}:
+    out_lo = sh.trial(lo, rtol, clamped=True)[0]
+    out_hi = sh.trial(hi, rtol, clamped=True)[0]
+    if {out_lo, out_hi} != {Outcome.DIVERGED_UP, Outcome.DIVERGED_DOWN}:
         raise BracketError(
             f"bracket endpoints classify as {out_lo.value}/{out_hi.value}, "
             "need one diverged_up and one diverged_down")
+    ends = ((lo, out_lo), (hi, out_hi))
     if out_lo is Outcome.DIVERGED_DOWN:
-        lo, hi = hi, lo  # keep lo on the undershoot side
+        lo, hi = hi, lo  # the estimate takes the undershoot end first
     mesh = sh.mesh
     try:
         # x_cross is the overshoot end's: the undershoot end's trial leaves it
-        window = _verified_window(sh, lo, hi, sh.x_cross, rtol) if lo < hi else None
+        window = _verified_window(sh, lo, hi, sh.x_cross, opts) if lo < hi else None
     except (ConvergenceError, IntegrationError, DomainError):
         window = None
     if window is None:
         sh._set_mesh(mesh)  # x_max stays bisection's: undo the estimate's extensions
     a, c, memo = window or (-math.inf, math.inf, {})
-    for _ in range(opts.max_iterations):
-        mid = 0.5 * (lo + hi)
-        if mid == lo or mid == hi:
-            break
-        if mid <= a:
-            out = Outcome.DIVERGED_UP
-        elif mid >= c:
-            out = Outcome.DIVERGED_DOWN
-        else:
-            out = memo[mid] if mid in memo else sh.trial(mid, rtol, clamped=True)[0]
-        history.append((mid, out.value))
-        if out is Outcome.DECAYED:
-            break
-        if out is Outcome.DIVERGED_UP:
-            lo = mid
-        else:
-            hi = mid
-    return replay_bisection(history, opts)
+
+    def classify(mid):
+        if a < mid < c:
+            return memo[mid] if mid in memo else sh.trial(mid, rtol, clamped=True)[0]
+        return Outcome.DIVERGED_UP if mid <= a else Outcome.DIVERGED_DOWN
+
+    return _bisect(ends, opts, classify)
 
 
 def replay_bisection(history, opts: SolverOptions) -> ShootingResult:
-    """The ShootingResult that shoot returns for a classification history.
+    """The ShootingResult that shoot returns for a classification history:
+    shoot's walk (_bisect) over the recorded entries, with a ValueError for
+    a history off bisection's path or one that ends before it stops."""
+    history = tuple(history)
 
-    Replays bisection's update from the first two entries, which must be
-    one diverged_up and one diverged_down: every later entry must sit at the
-    midpoint the replay predicts, and the history must end where shoot
-    stops (adjacent floats, a decayed trial, or max_iterations). ValueError
-    for a history off that path; ConvergenceError, as in shoot, if the final
-    bracket is wider than shoot_tol * max(1, F0).
-    """
-    history = tuple((f0, Outcome(label).value) for f0, label in history)
-    up, down = Outcome.DIVERGED_UP.value, Outcome.DIVERGED_DOWN.value
-    if sorted(label for _, label in history[:2]) != [down, up]:
-        raise ValueError("a shooting history starts with one diverged_up and "
-                         "one diverged_down entry")
-    (lo, label), (hi, _) = history[:2]
-    if label == down:
-        lo, hi = hi, lo  # keep lo on the undershoot side
-    k, n_iter = 2, 0
-    for n_iter in range(1, opts.max_iterations + 1):
-        mid = 0.5 * (lo + hi)
-        if mid == lo or mid == hi:
-            break
-        if k == len(history) or history[k][0] != mid:
-            raise ValueError(f"shooting history entry {k} is not bisection's midpoint {mid!r}")
-        label = history[k][1]
-        k += 1
-        if label == Outcome.DECAYED.value:
-            lo = hi = mid
-            break
-        if label == up:
-            lo = mid
-        else:
-            hi = mid
-    if k != len(history):
-        raise ValueError(f"shooting history runs {len(history) - k} entries past its end")
-    F0 = 0.5 * (lo + hi)
-    width = abs(hi - lo)
-    if not width <= opts.shoot_tol * max(1.0, abs(F0)):
-        raise ConvergenceError(f"bisection stalled with bracket width {width:.3e}")
-    return ShootingResult(F0=F0, bracket=(min(lo, hi), max(lo, hi)), n_iterations=n_iter,
-                          classification_history=history)
+    def refuse(mid):
+        raise ValueError(f"shooting history entry {len(history)} is not "
+                         f"bisection's midpoint {mid!r}")
+
+    return _bisect(history, opts, refuse)
 
 
 def _final_profile(Omega: float, F0: float, sh: _Shooter, opts: SolverOptions):

@@ -515,6 +515,25 @@ def test_chsh_requires_settings_or_optimize(sol_path):
     assert main(["chsh", "--solution", str(sol_path), "--a", "0,0,1"]) == 3
 
 
+@pytest.mark.parametrize("settings", [
+    pytest.param(["--a", "garbage", "--b", "9,9,9"], id="a-and-b-malformed"),
+    pytest.param(["--a-prime", "1,0,0"], id="a-prime"),
+    pytest.param(["--b-prime", "0,0,1"], id="b-prime"),
+    pytest.param({"a": "0,0,1"}, id="config-a"), pytest.param({"b": "oops"}, id="config-b")])
+def test_chsh_optimize_refuses_analyzer_settings(sol_path, tmp_path, capsys, settings):
+    # --optimize exited 0 and silently dropped the settings, malformed or not
+    if isinstance(settings, dict):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(settings))
+        settings = ["--config", str(cfg)]
+    out = tmp_path / "out.json"
+    code = main(["chsh", "--solution", str(sol_path), "--optimize", "--out", str(out)]
+                + settings)
+    assert code == 3 and not out.exists()
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+
+
 def test_ensemble_reproducible_artifacts(sol_path, workdir):
     out1, out2 = workdir / "e1.json", workdir / "e2.json"
     args = ["ensemble", "--solution", str(sol_path), "--a", "0,0,1", "--b", "0,0,1",

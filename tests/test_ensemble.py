@@ -109,10 +109,22 @@ def test_ensemble_rejects_single_realization():
 @pytest.mark.parametrize("kwargs", [dict(n_trials=0, realizations=4, seed=1),
                                     dict(n_trials=4, realizations=0, seed=1),
                                     dict(n_trials=10 ** 7 + 1, realizations=4, seed=1),
-                                    dict(n_trials=4, realizations=10 ** 7 + 1, seed=1)])
+                                    dict(n_trials=4, realizations=10 ** 7 + 1, seed=1),
+                                    # counts are integers, as in SolverOptions
+                                    dict(n_trials=2.5, realizations=4, seed=1),
+                                    dict(n_trials=4, realizations=3.5, seed=1),
+                                    dict(n_trials=True, realizations=4, seed=1),
+                                    dict(n_trials=4, realizations=4, seed=1.5),
+                                    dict(n_trials=4, realizations=4, seed=None)])
 def test_ensemble_spec_validation(kwargs):
     with pytest.raises(DomainError):
         EnsembleSpec(**kwargs)
+
+
+@pytest.mark.parametrize("n", [0, 2.5, True])
+def test_draw_phases_takes_an_integer_count(n):
+    with pytest.raises(DomainError):
+        draw_phases(1, 0, n)
 
 
 def test_stderr_scaling_with_realizations():

@@ -386,15 +386,24 @@ def test_shoot_replays_bisection(Omega):
 
 class _Threshold:
     """Stands in for _Shooter: diverged_up below t, diverged_down above, and
-    decayed at t itself if decays is set."""
+    decayed at t itself if decays is set. It has no mesh to extend, and an
+    overshoot crosses zero where 2*nu*x_cross + ln(F0 - t) = 0, the law
+    shoot's estimate assumes, so the estimate finds a window."""
+    mesh, nu, x_cross = None, 1.0, 0.0
 
     def __init__(self, t, decays=False):
         self.t, self.decays = t, decays
 
+    def _set_mesh(self, mesh):
+        pass
+
     def trial(self, F0, rtol, clamped=False):
         if F0 == self.t and self.decays:
             return Outcome.DECAYED, "decay"
-        return (Outcome.DIVERGED_UP if F0 < self.t else Outcome.DIVERGED_DOWN), ""
+        if F0 < self.t:
+            return Outcome.DIVERGED_UP, ""
+        self.x_cross = -0.5 * math.log(max(F0 - self.t, 1e-300))
+        return Outcome.DIVERGED_DOWN, ""
 
 
 # (bracket, threshold, decays, options, n_iterations as a function of the
@@ -411,11 +420,21 @@ _BISECTIONS = {
 @pytest.mark.parametrize("case", list(_BISECTIONS))
 def test_replay_bisection_is_shoots_result(case):
     # the replay reads shoot's F0, bracket and n_iterations off the history
-    # alone; plain bisection (the oracle) computes them as it goes
+    # alone; plain bisection (the oracle) computes them as it goes, and
+    # shoot's own walk stops where it does (all but the decayed case walk
+    # through a window of the estimate)
     bracket, t, decays, opts, n_iterations = _BISECTIONS[case]
     result = oracles.shoot(0.5, bracket, opts=opts, shooter=_Threshold(t, decays))
     assert replay_bisection(result.classification_history, opts) == result
+    assert shoot(0.5, bracket, opts=opts, shooter=_Threshold(t, decays)) == result
     assert result.n_iterations == n_iterations(len(result.classification_history))
+
+
+def test_shoot_stalls_where_bisection_does():
+    stalled = SolverOptions(max_iterations=5)
+    for shoot_fn in (shoot, oracles.shoot):
+        with pytest.raises(ConvergenceError):
+            shoot_fn(0.5, (0.25, 0.5), opts=stalled, shooter=_Threshold(1.0 / 3.0))
 
 
 def _edited(history, k, entry):
