@@ -86,6 +86,9 @@ def draw_phases(seed: int, realization_index: int, n: int) -> np.ndarray:
     realization owns an independent stream and identical inputs reproduce
     identical phases on any platform.
     """
+    for name, value in (("seed", seed), ("realization_index", realization_index)):
+        if not is_count(value):
+            raise DomainError(f"{name} must be an integer, got {value!r}")
     if not (is_count(n) and n >= 1):
         raise DomainError(f"need n >= 1 phases, got {n!r}")
     phases = np.empty((1, n))

@@ -18,14 +18,27 @@ D3 = x dy - y dx. The complex coefficients of every quantity on these sixteen
 real "atoms" are constant tables, and each check builds only the atoms and
 gradients its tables read: all 16 for the ladder relations, 6 for S_z.
 
-The cube is streamed in slabs of _SLAB x-planes, each differentiated with a
-one-plane halo on either side so that every stencil is the full grid's. Each
+The nodes of each axis are +-(k + 1/2) h, k = 0 .. n/2 - 1, with
+h = 2 extent / (n - 1): the point count is even, so the coordinate origin
+(where z/r is undefined) is never sampled, and a node's mirror image is its
+exact negation.
+
+Each field has a fixed parity under each of the reflections x -> -x,
+y -> -y and z -> -z, and so has each of D1, D2 and D3; every term squared
+for the ladder relations, and every row pair multiplied for S_z, reads atoms
+of one parity, so every summand is even. The checks therefore sample,
+differentiate and sum only the octant x, y, z > 0 and multiply each sum by 8.
+A ghost plane at -h/2 before each inner face is sampled like any other (R is
+bit-equal there and g x/r changes sign exactly), so the central difference
+at +h/2 reads the full cube's neighbour; the ghosts' own derivatives are
+dropped. The octant's trapezoid weight is h up to the outer face and h/2 on
+it.
+
+The octant is streamed in slabs of x-planes, each differentiated with a
+one-plane halo on either side so that every stencil is the full cube's. Each
 x-plane is sampled once: the two halo planes carry over into the next slab.
 Only those planes and float sums cross slab boundaries, so memory is
 O(n^2 * _SLAB), not O(n^3).
-
-The grid is node-centered with an even point count, so the coordinate origin
-(where z/r is undefined) is never sampled.
 
 The radial profile is put on the cube by cubic Hermite interpolation on the
 stored values and derivatives (F, F', G, G' at every node), anchored at the
@@ -43,8 +56,7 @@ from .errors import GridError
 
 __all__ = ["GridSpec", "LadderReport", "ladder_residuals", "sz_grid_integral"]
 
-# x-planes per slab; even like n, so that every slab with its halo spans >= 3
-# planes and the one-sided face stencil (edge_order=2) is the full grid's
+# x-planes per slab, but for a shorter first one
 _SLAB = 4
 
 
@@ -186,12 +198,15 @@ def _radial_interpolant(solution):
 
 def _atoms(planes, core, h, X, Y, Z, atoms):
     """Atoms 4 * kind + field (kind: the field, D1, D2, D3) on the core planes
-    of the fields' window, by one np.gradient per axis that one of them reads."""
+    of the fields' window, less the ghost row and column (index 0 of the y and
+    z axes), by one np.gradient per axis that one of them reads."""
     axes = set("".join(("", "yz", "xz", "xy")[a // 4] for a in atoms))
     c = planes[:, core]
-    dx = np.gradient(planes, h, axis=1, edge_order=2)[:, core] if "x" in axes else None
-    dy = np.gradient(c, h, axis=2, edge_order=2) if "y" in axes else None
-    dz = np.gradient(c, h, axis=3, edge_order=2) if "z" in axes else None
+    dx = (np.gradient(planes[:, :, 1:, 1:], h, axis=1, edge_order=2)[:, core]
+          if "x" in axes else None)
+    dy = np.gradient(c[..., 1:], h, axis=2, edge_order=2)[:, :, 1:] if "y" in axes else None
+    dz = np.gradient(c[:, :, 1:], h, axis=3, edge_order=2)[..., 1:] if "z" in axes else None
+    c = c[:, :, 1:, 1:]
     # D1 = Y dz - Z dy, D2 = Z dx - X dz and D3 = X dy - Y dx, in place
     products = (None, (Y, dz, Z, dy), (Z, dx, X, dz), (X, dy, Y, dx))
     values = np.empty((len(atoms),) + c.shape[1:])
@@ -207,27 +222,30 @@ def _atoms(planes, core, h, X, Y, Z, atoms):
 
 
 def _slabs(solution, spec: GridSpec, atoms):
-    """Yield (values, weights) slab by slab: the requested atoms as
-    (len(atoms), points) and the matching 3-D trapezoid weights as (points,)."""
-    ax = np.linspace(-spec.extent, spec.extent, spec.n)
-    corner = math.sqrt(3.0) * ax[-1]
+    """Yield (values, weights) slab by slab over the octant x, y, z > 0: the
+    requested atoms as (len(atoms), points) and the matching octant trapezoid
+    weights as (points,). An even summand's octant sum is 1/8 of its cube sum."""
+    h, m = spec.spacing, spec.n // 2
+    pos = (np.arange(m) + 0.5) * h  # mirror-exact: the cube's nodes are +-pos
+    corner = math.sqrt(3.0) * pos[-1]
     if corner > solution.profile.x_max:
         # the interpolant covers only the stored grid
         raise GridError(
             f"grid corner radius {corner:.1f} exceeds profile x_max "
             f"{solution.profile.x_max:.1f}")
     fg = _radial_interpolant(solution)
-    h = ax[1] - ax[0]
-    w1 = np.full(spec.n, h)
-    w1[0] = w1[-1] = 0.5 * h  # trapezoid end weights
+    ax = np.concatenate(([-pos[0]], pos))  # the ghost node, then the octant's
+    w1 = np.full(m, h)
+    w1[-1] = 0.5 * h  # trapezoid end weight; the inner face is interior
     pre = 1.0 / math.sqrt(4.0 * math.pi)
     Y, Z = ax[None, :, None], ax[None, None, :]
-    # the four fields on x-planes first, first + 1, ...: each plane is sampled
-    # once, and the two halo planes carry over into the next slab
-    planes, first = np.empty((4, 0, spec.n, spec.n)), 0
-    for i0 in range(0, spec.n, _SLAB):
-        i1 = min(i0 + _SLAB, spec.n)
-        lo, hi = max(i0 - 1, 0), min(i1 + 1, spec.n)  # with the halo planes
+    # the four fields on x-planes first, first + 1, ... of ax: each plane is
+    # sampled once, and the two halo planes carry over into the next slab.
+    # The short slab comes first, where the ghost plane is its lower halo, so
+    # that every window spans >= 3 planes for the one-sided outer stencil.
+    planes, first, i0 = np.empty((4, 0, m + 1, m + 1)), 0, 1
+    for i1 in reversed(range(m + 1, 1, -_SLAB)):
+        lo, hi = i0 - 1, min(i1 + 1, m + 1)  # with the halo planes
         X = ax[first + planes.shape[1]:hi, None, None]
         R = np.sqrt(X * X + Y * Y + Z * Z)
         f, g = fg(R)
@@ -237,26 +255,29 @@ def _slabs(solution, spec: GridSpec, atoms):
             (planes[:, lo - first:], [pre * f, g_over_r * X, g_over_r * Y, g_over_r * Z]),
             axis=1)
         first = lo
-        values = _atoms(planes, slice(i0 - lo, i1 - lo), h, ax[i0:i1, None, None], Y, Z, atoms)
-        w = w1[i0:i1, None, None] * w1[None, :, None] * w1[None, None, :]
+        values = _atoms(planes, slice(i0 - lo, i1 - lo), h, ax[i0:i1, None, None],
+                        Y[:, 1:], Z[:, :, 1:], atoms)
+        w = w1[i0 - 1:i1 - 1, None, None] * w1[None, :, None] * w1[None, None, :]
         yield values.reshape(len(atoms), -1), w.ravel()
+        i0 = i1
 
 
 def ladder_residuals(solution, spec: GridSpec) -> LadderReport:
     """Grid L2 residuals of all six ladder relations.
 
-    The cube is streamed in slabs in real arithmetic. Per slab, the 16 atoms
-    are multiplied by the 16 distinct rows of the ladder table and each
+    The octant is streamed in slabs in real arithmetic. Per slab, the 16
+    atoms are multiplied by the 16 distinct rows of the ladder table and each
     squared, weighted sum is added into the quantities of its rows; the
-    square roots are taken at the end. Peak memory is O(n^2 * _SLAB), about
-    39 MB of arrays at n = 128 (tracemalloc). Raises GridError if a basis
-    norm is not finite and > 0, as when the trapezoid weights or the radii
-    underflow on a tiny cube.
+    square roots of 8 times the sums are taken at the end. Peak memory is
+    O(n^2 * _SLAB), about 10 MB of arrays at n = 128 (tracemalloc). Raises
+    GridError if a basis norm is not finite and > 0, as when the trapezoid
+    weights or the radii underflow on a tiny cube.
     """
     term_sums = np.zeros(len(_TERMS))
     for atoms, w in _slabs(solution, spec, _LADDER_ATOMS):
         r = _TERMS @ atoms
         term_sums += np.square(r, out=r) @ w
+    term_sums *= 8.0  # each summand is even under the three reflections
     sums = np.bincount(_QUANTITY, weights=term_sums[_TERM], minlength=len(_LADDER))
     n_up, n_dn, *res = [math.sqrt(s) for s in sums]
     if not (0.0 < n_up < math.inf and 0.0 < n_dn < math.inf):
@@ -276,6 +297,7 @@ def sz_grid_integral(solution, spec: GridSpec) -> float:
     total = 0.0
     for atoms, w in _slabs(solution, spec, _SZ_ATOMS):
         total += float(np.sum((_SZ_UP @ atoms) * (_SZ_J3UP @ atoms), axis=0) @ w)
+    total *= 8.0  # each summand is even under the three reflections
     if not 0.0 < total < math.inf:
         raise GridError(f"grid S_z integral is {total!r}, not finite and > 0, "
                         f"at extent {spec.extent!r}")

@@ -239,10 +239,13 @@ def spline_interpolant(solution):
 
 
 def _axes_weights(spec: GridSpec):
-    ax = np.linspace(-spec.extent, spec.extent, spec.n)
+    """The package's mirror-exact axis: nodes +-(k + 1/2) h, so that a node's
+    mirror image is its exact negation, and the full-cube trapezoid weights."""
     if spec.n % 2:
         raise GridError("grid point count must be even to exclude the origin")
-    h = ax[1] - ax[0]
+    h = spec.spacing
+    pos = (np.arange(spec.n // 2) + 0.5) * h
+    ax = np.concatenate((-pos[::-1], pos))
     w = np.full(spec.n, h)
     w[0] = w[-1] = 0.5 * h  # trapezoid end weights
     return ax, h, w

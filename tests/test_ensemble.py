@@ -127,6 +127,13 @@ def test_draw_phases_takes_an_integer_count(n):
         draw_phases(1, 0, n)
 
 
+@pytest.mark.parametrize("seed, index", [(1.5, 0), (None, 0), (True, 0), (1, 0.5), (1, None)])
+def test_draw_phases_takes_an_integer_seed_and_index(seed, index):
+    # as EnsembleSpec does for its seed
+    with pytest.raises(DomainError):
+        draw_phases(seed, index, 4)
+
+
 def test_stderr_scaling_with_realizations():
     # quick two-octave check; the full four-octave fit runs in acceptance
     errs = []

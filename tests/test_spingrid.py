@@ -34,8 +34,9 @@ def test_gridspec_rejects_odd_point_count():
         GridSpec(n=63, extent=12.0)
 
 
-# 4 is one slab; 6 and 38 end on a short slab (at 6 shorter than the halo)
-@pytest.mark.parametrize("n", [4, 6, 32, 38, 64])
+# the octant's n/2 x-planes: 4, 6 and 8 are one slab; 10, 12, 18 and 38
+# start on a short slab (at 10 and 18 of one plane), 32 and 64 do not
+@pytest.mark.parametrize("n", [4, 6, 8, 10, 12, 18, 32, 38, 64])
 def test_streamed_grid_matches_dense(sol05, n):
     spec = GridSpec(n=n, extent=10.0)
     streamed = ladder_residuals(sol05, spec).as_dict()
@@ -67,18 +68,51 @@ def test_derived_tables_cover_every_term():
     assert np.array_equal(rows[1][:, spingrid._SZ_ATOMS], spingrid._SZ_J3UP)
 
 
+def _atom_parities():
+    """(16, 3): the sign each atom takes under x -> -x, y -> -y and z -> -z,
+    as its field's times its operator's."""
+    field = np.ones((4, 3))
+    field[1:] -= 2.0 * np.eye(3)       # g x_k/r is odd in x_k alone
+    operator = np.ones((4, 3))
+    operator[1:] = 2.0 * np.eye(3) - 1.0  # D1 = y dz - z dy is odd in y and z
+    return (operator[:, None] * field[None]).reshape(16, 3)
+
+
+def test_every_summand_is_even_under_each_reflection():
+    # the octant sum times 8 is the cube's because every term, and every S_z
+    # row pair, reads atoms of one parity, so that its square or product is even
+    parity = _atom_parities()
+    for term in spingrid._TERMS:
+        signs = parity[spingrid._LADDER_ATOMS[term != 0]]
+        assert (signs == signs[0]).all(), term
+    for up, j3up in zip(spingrid._SZ_UP, spingrid._SZ_J3UP):
+        signs = parity[spingrid._SZ_ATOMS[(up != 0) | (j3up != 0)]]
+        assert (signs == signs[0]).all(), (up, j3up)
+
+
+def test_atom_parities_hold_on_the_dense_cube(sol05):
+    # the derived parities against the sampled atoms' mirror images; the faces'
+    # one-sided stencils are mirror images only up to rounding
+    atoms = oracles.atoms_dense(sol05, GridSpec(n=8, extent=10.0))
+    for axis, signs in enumerate(_atom_parities().T):
+        mirrored = np.flip(atoms, axis=axis + 1) * signs[:, None, None, None]
+        assert np.allclose(mirrored, atoms, rtol=0.0, atol=1e-14 * np.abs(atoms).max()), axis
+
+
 @pytest.mark.parametrize("atoms", [spingrid._LADDER_ATOMS, spingrid._SZ_ATOMS],
                          ids=["ladder", "sz"])
-@pytest.mark.parametrize("n", [4, 6, 38])  # one slab, a short last slab, faces
+# one slab of 2 and of 3 planes, a first slab of one plane, five slabs
+@pytest.mark.parametrize("n", [4, 6, 10, 38])
 def test_slab_atoms_are_the_dense_atoms(sol05, n, atoms):
-    spec = GridSpec(n=n, extent=10.0)
-    dense = oracles.atoms_dense(sol05, spec)[atoms]
+    # each slab is the dense atoms' octant x, y, z > 0 on the same nodes
+    spec, m = GridSpec(n=n, extent=10.0), n // 2
+    octant = oracles.atoms_dense(sol05, spec)[atoms][:, m:, m:, m:]
     i0 = 0
     for values, _w in spingrid._slabs(sol05, spec, atoms):
-        i1 = i0 + values.shape[1] // (n * n)
-        assert np.array_equal(values, dense[:, i0:i1].reshape(len(atoms), -1)), i0
+        i1 = i0 + values.shape[1] // (m * m)
+        assert np.array_equal(values, octant[:, i0:i1].reshape(len(atoms), -1)), i0
         i0 = i1
-    assert i0 == n
+    assert i0 == m
 
 
 def test_interpolant_hits_nodes_and_origin_anchors(sol05):
@@ -118,26 +152,27 @@ def test_hermite_grid_matches_cubic_spline_grid(sol05, n):
 
 @pytest.mark.parametrize("check", [ladder_residuals, sz_grid_integral])
 def test_streamed_grid_memory_bounded(sol05, check):
-    # the dense 64^3 path peaked at 188 MB (ladder) and 140 MB (spin)
+    # the dense 64^3 path peaked at 188 MB (ladder) and 140 MB (spin); the
+    # whole cube streamed at 10.1 and 4.9 MB, its octant at 2.9 and 1.5 MB
     tracemalloc.start()
     try:
         check(sol05, GridSpec(n=64, extent=10.0))
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak <= 32e6, peak
+    assert peak <= 4e6, peak
 
 
 def test_ladder_check_squares_each_term_once(sol05):
-    # squaring all 40 nonzero table rows per slab peaked at 12.5 MB; the 16
-    # distinct terms at about 10 MB
+    # over the octant, squaring all 40 nonzero table rows per slab peaks at
+    # 3.9 MB; the 16 distinct terms at 2.9 MB (whole cube: 12.5 and 10.1 MB)
     tracemalloc.start()
     try:
         ladder_residuals(sol05, GridSpec(n=64, extent=10.0))
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak <= 11e6, peak
+    assert peak <= 3.3e6, peak
 
 
 # the h^3 trapezoid weights underflow to 0 at 1e-160; at 1e-200 and 1e-300 the
