@@ -134,15 +134,13 @@ def read_json(path: str) -> dict:
         return json.load(fh)
 
 
-def cache_key(Omega: float, opts: SolverOptions, version: str, params: PhysicalParams) -> str:
-    """Digest of the frequency, every tolerance, the code version and the
-    calibration inputs (hbar, c, ell0) that the cached document depends on."""
+def cache_key(Omega: float, opts: SolverOptions, version: str) -> str:
+    """Digest of what a solve reads: the frequency, every tolerance and the
+    code version. The constants enter only the report derived from it."""
     payload = json.dumps({"Omega": repr(float(Omega)), "options": asdict(opts),
-                          "version": version, "hbar": params.hbar, "c": params.c,
-                          "ell0": params.ell0}, sort_keys=True)
+                          "version": version}, sort_keys=True)
     return hashlib.sha256(payload.encode()).hexdigest()[:16]
 
 
-def cache_path(cache_dir: str, Omega: float, opts: SolverOptions, version: str,
-               params: PhysicalParams) -> str:
-    return os.path.join(cache_dir, f"solve_{cache_key(Omega, opts, version, params)}.json")
+def cache_path(cache_dir: str, Omega: float, opts: SolverOptions, version: str) -> str:
+    return os.path.join(cache_dir, f"solve_{cache_key(Omega, opts, version)}.json")

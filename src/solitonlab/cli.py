@@ -222,25 +222,24 @@ def _emit(cfg: RunConfig, doc: dict, summary: str) -> None:
 
 
 def _solve_document(omega: float, cfg: RunConfig) -> dict:
-    """Solve (through the cache if enabled) and return the archive document."""
+    """Archive document of a solve at omega for the requested constants. A cache
+    hit is an entry that loads as a solve of this Omega and these options."""
     params = PhysicalParams(hbar=cfg.hbar, c=cfg.c, ell0=cfg.ell0, omega=omega)
     cache_dir = _cache_dir(cfg)
-    path = None
+    path = cached = None
     if cache_dir:
-        path = archive.cache_path(cache_dir, params.Omega, cfg.solver, __version__,
-                                  params)
+        path = archive.cache_path(cache_dir, params.Omega, cfg.solver, __version__)
         try:
-            doc = archive.read_json(path)
-            solution, _obs, _ids, cached = archive.solution_from_document(doc)
+            loaded = archive.solution_from_document(archive.read_json(path))[0]
             # an entry for other inputs, say copied over this key, is a miss too
-            if (replace(cached, lam=None) == params
-                    and solution.provenance["options"] == asdict(cfg.solver)):
-                return doc
+            if (loaded.Omega == params.Omega
+                    and loaded.provenance["options"] == asdict(cfg.solver)):
+                cached = loaded
         except (FileNotFoundError,) + _UNLOADABLE:
             pass  # absent, unreadable or inconsistent: a miss, overwritten below
-    solution = solve_ground(params.Omega, cfg.solver)
+    solution = cached or solve_ground(params.Omega, cfg.solver)
     doc = archive.archive_document(solution, *archive.derive_report(solution, params))
-    if path:
+    if path and not cached:
         archive.write_json_atomic(path, doc)
     return doc
 

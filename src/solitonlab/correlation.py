@@ -42,9 +42,22 @@ class SpinVector:
 
 @dataclass(frozen=True)
 class EntangledPair:
-    """Two-particle state over the product basis (uu, ud, du, dd)."""
+    """Two-particle state over the product basis (uu, ud, du, dd).
+
+    Construction raises DomainError unless there are four finite amplitudes
+    and the radial norm is finite and > 0.
+    """
     amplitudes: tuple
     radial_norm_per_particle: float
+
+    def __post_init__(self):
+        # NaN-safe: each test is written so that NaN fails it
+        amps = np.asarray(self.amplitudes, dtype=complex)
+        if not (amps.shape == (4,) and np.isfinite(amps).all()):
+            raise DomainError(f"a pair needs four finite amplitudes, got {self.amplitudes!r}")
+        if not 0.0 < self.radial_norm_per_particle < math.inf:
+            raise DomainError(f"radial_norm_per_particle must be finite and > 0, "
+                              f"got {self.radial_norm_per_particle!r}")
 
     @property
     def two_particle_norm(self) -> float:
@@ -77,8 +90,6 @@ def unit_vector(a) -> np.ndarray:
 
 def build_singlet(radial_norm: float) -> EntangledPair:
     """Antisymmetric zero-spin combination of the two basis solitons."""
-    if not math.isfinite(radial_norm) or radial_norm <= 0:
-        raise DomainError(f"radial_norm must be positive, got {radial_norm!r}")
     s = 1.0 / math.sqrt(2.0)
     return EntangledPair(amplitudes=(0.0 + 0.0j, s + 0.0j, -s + 0.0j, 0.0 + 0.0j),
                          radial_norm_per_particle=radial_norm)
@@ -120,7 +131,7 @@ def epr_correlation(pair: EntangledPair, a, b, hbar: float = 1.0) -> Correlation
     amps = np.asarray(pair.amplitudes, dtype=complex).reshape(2, 2)
     op_amps = pauli_dot(av) @ amps @ pauli_dot(bv).T
     val = complex(np.sum(amps.conj() * op_amps))
-    if abs(val.imag) > 1e-12 * max(1.0, abs(val.real)):
+    if not abs(val.imag) <= 1e-12 * max(1.0, abs(val.real)):
         raise DomainError(f"correlation has spurious imaginary part {val.imag:.3e}")
     scale = (pair.radial_norm_per_particle / hbar) ** 2
     return CorrelationReport(a=tuple(av), b=tuple(bv), P_exact=val.real * scale)

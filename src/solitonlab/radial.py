@@ -132,6 +132,11 @@ class SolitonSolution:
 
 # most coarse-scan grid points, scan_max / scan_step (the default scan has 50)
 _MAX_SCAN_POINTS = 10_000
+# largest series-start offset. Over a log scan of x0 at Omega in {0.05, 0.5,
+# 0.9, 0.98}, every x0 up to 1e-3 solves (F0 within 3e-8 and Q within 2e-11
+# of the default x0's) or raises ConvergenceError; x0 = 1 solves to another
+# profile (Q -98% at Omega = 0.5), and x0 = 45 leaves the trials no mesh
+_MAX_X0 = 1e-3
 # most radial mesh nodes (the default mesh has 4,001 at Omega = 0.5); the
 # default x_max = max(40, 25/nu) reaches it at Omega ~ 1 - 3.1e-8
 _MAX_MESH_NODES = 10_000_000
@@ -141,12 +146,13 @@ _MAX_MESH_NODES = 10_000_000
 class SolverOptions:
     """Tolerances and guards of the shooting pipeline.
 
-    Construction raises DomainError unless x0, mesh_dx, scan_step, shoot_tol,
-    decay_floor and residual_tol are finite and > 0; x_max is None or finite
-    and > x0; scan_max is finite and >= scan_step, and scan_max / scan_step
-    is at most 10^4 (the scan's grid points); scan_rtol and final_rtol
-    lie in [1e-14, 1e-6]; blowup_factor is finite and > 1; glue_frac lies in
-    (0, 1); max_iterations is an int >= 1 and max_x_extensions an int >= 0.
+    Construction raises DomainError unless x0 lies in (0, 1e-3] (_MAX_X0);
+    mesh_dx, scan_step, shoot_tol, decay_floor and residual_tol are finite
+    and > 0; x_max is None or finite and > x0; scan_max is finite and
+    >= scan_step, and scan_max / scan_step is at most 10^4 (the scan's grid
+    points); scan_rtol and final_rtol lie in [1e-14, 1e-6]; blowup_factor is
+    finite and > 1; glue_frac lies in (0, 1); max_iterations is an int >= 1
+    and max_x_extensions an int >= 0.
     """
     x0: float = 1e-4
     x_max: Optional[float] = None          # default max(40, 25/nu)
@@ -165,8 +171,9 @@ class SolverOptions:
 
     def __post_init__(self):
         # NaN-safe: each test is written so that NaN fails it
-        for name in ("x0", "mesh_dx", "scan_step", "shoot_tol", "decay_floor",
-                     "residual_tol"):
+        if not 0.0 < self.x0 <= _MAX_X0:
+            raise DomainError(f"x0 must lie in (0, {_MAX_X0}], got {self.x0}")
+        for name in ("mesh_dx", "scan_step", "shoot_tol", "decay_floor", "residual_tol"):
             value = getattr(self, name)
             if not 0.0 < value < math.inf:
                 raise DomainError(f"{name} must be finite and > 0, got {value}")
@@ -237,6 +244,10 @@ def _build_mesh(x0: float, x_end: float, dx: float) -> np.ndarray:
 
 
 def _initial_x_max(Omega: float, opts: SolverOptions) -> float:
+    """The trials' first x_max. Omega enters the solver here, through every
+    _Shooter and ratchet_nodes: DomainError unless it lies in (0, 1)."""
+    if not 0.0 < Omega < 1.0:
+        raise DomainError(f"Omega must lie in (0, 1), got {Omega}")
     if opts.x_max is not None:
         return opts.x_max
     return max(40.0, 25.0 / math.sqrt(1.0 - Omega * Omega))
@@ -377,9 +388,9 @@ class _Shooter:
 
     def __init__(self, Omega: float, opts: SolverOptions):
         self.Omega = Omega
-        self.nu = math.sqrt(1.0 - Omega * Omega)
         self.opts = opts
         self._set_mesh(_build_mesh(opts.x0, _initial_x_max(Omega, opts), opts.mesh_dx))
+        self.nu = math.sqrt(1.0 - Omega * Omega)
 
     def _set_mesh(self, mesh: np.ndarray) -> None:
         self.mesh = mesh
@@ -651,8 +662,6 @@ def shoot(Omega: float, bracket0: tuple, shoot_tol: float = 1e-12,
     that raised) the mesh is restored to its state before the estimate and
     every midpoint runs a trial.
     """
-    if not 0.0 < Omega < 1.0:
-        raise DomainError(f"Omega must lie in (0, 1), got {Omega}")
     opts = opts or SolverOptions(shoot_tol=shoot_tol)
     sh = shooter or _Shooter(Omega, opts)
     rtol = opts.final_rtol
@@ -820,8 +829,6 @@ def solution_from_shooting(Omega: float, shooting: ShootingResult, opts: SolverO
 def solve_ground(Omega: float, opts: Optional[SolverOptions] = None) -> SolitonSolution:
     """End-to-end ground-state solve: scan, bisect, solution_from_shooting.
     Nothing is retried: trials already lengthen x_max on indeterminate runs."""
-    if not 0.0 < Omega < 1.0:
-        raise DomainError(f"Omega must lie in (0, 1), got {Omega}")
     opts = opts or SolverOptions()
     sh = _Shooter(Omega, opts)
     shooting = shoot(Omega, coarse_scan(Omega, opts, shooter=sh), opts=opts, shooter=sh)

@@ -1,4 +1,5 @@
 import csv
+import inspect
 import json
 import math
 import os
@@ -59,12 +60,17 @@ def test_archive_serialization_deterministic(sol05, obs05, ids05, params05, tmp_
 
 
 def test_cache_key_depends_on_tolerances():
-    params = PhysicalParams(omega=0.5)
-    k1 = archive.cache_key(0.5, SolverOptions(), "1.0", params)
-    k2 = archive.cache_key(0.5, SolverOptions(mesh_dx=0.02), "1.0", params)
-    k3 = archive.cache_key(0.6, SolverOptions(), "1.0", params)
-    k4 = archive.cache_key(0.5, SolverOptions(), "1.0", PhysicalParams(hbar=2.0, omega=0.5))
+    k1 = archive.cache_key(0.5, SolverOptions(), "1.0")
+    k2 = archive.cache_key(0.5, SolverOptions(mesh_dx=0.02), "1.0")
+    k3 = archive.cache_key(0.6, SolverOptions(), "1.0")
+    k4 = archive.cache_key(0.5, SolverOptions(), "1.1")
     assert len({k1, k2, k3, k4}) == 4
+    # the key ignores the constants: a solve reads only Omega = omega*ell0/c
+    for name in ("cache_key", "cache_path"):
+        assert not {"hbar", "c", "ell0", "params"} & set(
+            inspect.signature(getattr(archive, name)).parameters)
+    other = PhysicalParams(hbar=2.0, c=4.0, ell0=2.0, omega=1.0)
+    assert archive.cache_key(other.Omega, SolverOptions(), "1.0") == k1
 
 
 # --- solve -------------------------------------------------------------------
@@ -135,7 +141,9 @@ def test_solve_treats_bad_cache_entry_as_miss(tmp_path):
                          ids=["Omega=0.3", "hbar=2", "mesh-dx=0.02"])
 def test_solve_treats_entry_for_other_inputs_as_miss(tmp_path, other):
     # an entry that loads but was solved for other inputs, copied over the
-    # key of solve --omega 0.5, was returned as the Omega = 0.5 artifact
+    # key of solve --omega 0.5, was returned as the Omega = 0.5 artifact; an
+    # entry calibrated for other constants is a solve of the same inputs, so
+    # it is a hit and is kept, and the artifact is derived for the request's
     cache = tmp_path / "cache"
     solve = ["solve", "--cache-dir", str(cache)]
     fresh, wrong = tmp_path / "fresh.json", tmp_path / "other.json"
@@ -146,7 +154,30 @@ def test_solve_treats_entry_for_other_inputs_as_miss(tmp_path, other):
     again = tmp_path / "again.json"
     assert main(solve + ["--omega", "0.5", "--out", str(again)]) == 0
     assert again.read_bytes() == fresh.read_bytes()
-    assert entry.read_bytes() == fresh.read_bytes()
+    kept = "--hbar" in other
+    assert entry.read_bytes() == (wrong if kept else fresh).read_bytes()
+
+
+def test_solve_cache_hit_for_other_constants(tmp_path, monkeypatch):
+    # the radial solve reads only Omega and the options: a solve at hbar = 2
+    # after one at hbar = 1 re-solved; it is now a hit that writes nothing and
+    # derives the report for hbar = 2
+    cache = tmp_path / "cache"
+    solve = ["solve", "--omega", "0.5", "--hbar", "2"]
+    assert main(["solve", "--omega", "0.5", "--cache-dir", str(cache),
+                 "--out", str(tmp_path / "hbar1.json")]) == 0
+    (entry,) = cache.iterdir()
+    before = entry.read_bytes(), entry.stat().st_mtime_ns
+    calls = []
+    monkeypatch.setattr(cli, "solve_ground", lambda *args: calls.append(args))
+    hit = tmp_path / "hit.json"
+    assert main(solve + ["--cache-dir", str(cache), "--out", str(hit)]) == 0
+    assert calls == [] and list(cache.iterdir()) == [entry]
+    assert (entry.read_bytes(), entry.stat().st_mtime_ns) == before
+    monkeypatch.undo()
+    fresh = tmp_path / "fresh.json"
+    assert main(solve + ["--no-cache", "--out", str(fresh)]) == 0
+    assert hit.read_bytes() == fresh.read_bytes()
 
 
 def test_extended_mesh_round_trips(tmp_path):
@@ -409,9 +440,11 @@ def test_bad_solver_option_is_invalid_input(tmp_path, capsys, flags):
 
 
 # NaN is written as the bare token JSON readers accept; these exited 0 with
-# the option in the archive (blowup_factor, decay_floor) or exit 2 (residual_tol)
+# the option in the archive (blowup_factor, decay_floor) or exit 2 (residual_tol);
+# x0 = 45 exited 1 with an IndexError traceback, and x0 = 1 exited 0 with
+# another profile (Q -97.6%)
 @pytest.mark.parametrize("entry", ['{"blowup_factor": NaN}', '{"decay_floor": -1.0}',
-                                   '{"residual_tol": NaN}'])
+                                   '{"residual_tol": NaN}', '{"x0": 45}', '{"x0": 1.0}'])
 def test_bad_solver_option_in_config_is_invalid_input(tmp_path, capsys, entry):
     cfg = tmp_path / "cfg.json"
     cfg.write_text(entry)

@@ -6,8 +6,8 @@ from hypothesis import given, settings, strategies as st
 
 import oracles
 from solitonlab import DomainError, GridError
-from solitonlab.correlation import (SpinVector, apply_2J, build_singlet, chsh,
-                                    chsh_local_strategies, chsh_optimize,
+from solitonlab.correlation import (EntangledPair, SpinVector, apply_2J, build_singlet,
+                                    chsh, chsh_local_strategies, chsh_optimize,
                                     coplanar_direction, epr_correlation,
                                     ladder_check_grid, pair_correlation_fn,
                                     pauli_dot, unit_vector)
@@ -51,6 +51,26 @@ def test_singlet_antisymmetric_under_exchange():
 def test_singlet_rejects_bad_norm(bad):
     with pytest.raises(DomainError):
         build_singlet(bad)
+
+
+_S = math.sqrt(0.5)
+
+
+@pytest.mark.parametrize("amplitudes, norm", [
+    pytest.param((0.0, _S, -_S, math.nan), 1.0, id="amplitude-nan"),
+    pytest.param((0.0, complex(_S, math.nan), -_S, 0.0), 1.0, id="amplitude-imag-nan"),
+    pytest.param((0.0, _S, -_S, math.inf), 1.0, id="amplitude-inf"),
+    pytest.param((_S, -_S, 0.0), 1.0, id="three-amplitudes"),
+    pytest.param((0.0, _S, -_S, 0.0, 0.0), 1.0, id="five-amplitudes"),
+    pytest.param((0.0, _S, -_S, 0.0), math.nan, id="norm-nan"),
+    pytest.param((0.0, _S, -_S, 0.0), math.inf, id="norm-inf"),
+    pytest.param((0.0, _S, -_S, 0.0), 0.0, id="norm-0"),
+    pytest.param((0.0, _S, -_S, 0.0), -1.0, id="norm-negative")])
+def test_entangled_pair_rejects_non_finite_state(amplitudes, norm):
+    # a hand-built pair gave epr_correlation nan (NaN amplitude or norm) or
+    # -inf (infinite norm)
+    with pytest.raises(DomainError):
+        EntangledPair(amplitudes=amplitudes, radial_norm_per_particle=norm)
 
 
 # --- analyzer validation ------------------------------------------------------

@@ -234,7 +234,8 @@ def test_march_nan_start_raises_like_generic_stepper():
     dict(glue_frac=0.0), dict(glue_frac=1.0), dict(max_iterations=0),
     dict(max_iterations=10.0), dict(max_x_extensions=-1), dict(max_x_extensions=True),
     dict(scan_step=1e-300), dict(scan_step=5e-324), dict(scan_step=1e-4),
-    dict(scan_step=0.5, scan_max=5000.5)])
+    dict(scan_step=0.5, scan_max=5000.5),
+    dict(x0=45), dict(x0=1.0), dict(x0=math.nextafter(1e-3, 1.0))])
 def test_solver_options_reject_invalid_values(kwargs):
     with pytest.raises(DomainError):
         SolverOptions(**kwargs)
@@ -243,6 +244,12 @@ def test_solver_options_reject_invalid_values(kwargs):
 def test_solver_options_scan_point_bound_is_inclusive():
     assert _MAX_SCAN_POINTS == 10_000
     SolverOptions(scan_step=0.5, scan_max=5000.0)
+
+
+def test_solver_options_x0_bound_is_inclusive():
+    # the bound on the series-start offset admits 1e-3 itself
+    assert radial._MAX_X0 == 1e-3
+    SolverOptions(x0=1e-3)
 
 
 def test_mesh_node_bound(monkeypatch):
@@ -269,8 +276,8 @@ def _is_count(value, least):
 
 
 def _in_documented_range(o):
-    positive = (o.x0, o.mesh_dx, o.scan_step, o.shoot_tol, o.decay_floor, o.residual_tol)
-    return (all(math.isfinite(v) and v > 0 for v in positive)
+    positive = (o.mesh_dx, o.scan_step, o.shoot_tol, o.decay_floor, o.residual_tol)
+    return (0 < o.x0 <= 1e-3 and all(math.isfinite(v) and v > 0 for v in positive)
             and (o.x_max is None or (math.isfinite(o.x_max) and o.x_max > o.x0))
             and math.isfinite(o.scan_max) and o.scan_max >= o.scan_step
             and o.scan_max / o.scan_step <= _MAX_SCAN_POINTS
@@ -619,6 +626,31 @@ def test_tail_failure_raises_tail_error():
 
 def test_solve_ground_provenance_has_no_retry_counter(sol05):
     assert set(sol05.provenance) == {"code_version", "options", "x_max_used"}
+
+
+_SHOOTING = radial.ShootingResult(F0=1.0, bracket=(1.0, math.nextafter(1.0, 2.0)),
+                                n_iterations=1, classification_history=())
+_OMEGA_ENTRIES = {
+    "coarse_scan": lambda Omega: coarse_scan(Omega, SolverOptions()),
+    "ratchet_nodes": lambda Omega: radial.ratchet_nodes(Omega, SolverOptions(), 40.0),
+    "ratchet_nodes-x_max": lambda Omega: radial.ratchet_nodes(
+        Omega, SolverOptions(x_max=3.0), 3.0),
+    "solution_from_shooting": lambda Omega: solution_from_shooting(
+        Omega, _SHOOTING, SolverOptions(), 40.0),
+    "shoot": lambda Omega: shoot(Omega, (1.0, 1.5)),
+    "solve_ground": solve_ground,
+}
+
+
+@pytest.mark.parametrize("Omega", [0.0, -0.5, 1.0, 1.5, math.nan])
+@pytest.mark.parametrize("entry", sorted(_OMEGA_ENTRIES))
+def test_solver_entry_points_refuse_omega_outside_unit_interval(entry, Omega):
+    # these reached the solver's arithmetic: coarse_scan raised ZeroDivisionError
+    # at 1, a math domain ValueError at 1.5, BracketError at -0.5 and a mesh
+    # bound's DomainError at 0; ratchet_nodes a ValueError at 1.5;
+    # solution_from_shooting ZeroDivisionError at 1 and IntegrationError at -0.5
+    with pytest.raises(DomainError, match=r"Omega must lie in \(0, 1\)"):
+        _OMEGA_ENTRIES[entry](Omega)
 
 
 @pytest.mark.parametrize("bad", [0.0, 1.0, -0.3, 1.7])
