@@ -120,12 +120,21 @@ def apply_2J(direction, v: SpinVector) -> SpinVector:
     return SpinVector(c_up=complex(c[0]), c_down=complex(c[1]))
 
 
+def _scale(pair: EntangledPair, hbar: float) -> float:
+    """(radial norm / hbar)^2; DomainError unless hbar is finite and > 0."""
+    if not 0.0 < hbar < math.inf:
+        raise DomainError(f"hbar must be finite and > 0, got {hbar}")
+    return (pair.radial_norm_per_particle / hbar) ** 2
+
+
 def epr_correlation(pair: EntangledPair, a, b, hbar: float = 1.0) -> CorrelationReport:
     """Exact spin correlation <2(J1.a) x 2(J2.b)> for the two-particle state.
 
     The spin-space expectation is multiplied by (radial norm / hbar)^2; with
-    the calibrated norm the singlet gives exactly -(a.b).
+    the calibrated norm the singlet gives exactly -(a.b). DomainError unless
+    hbar is finite and > 0.
     """
+    scale = _scale(pair, hbar)
     av = unit_vector(a)
     bv = unit_vector(b)
     amps = np.asarray(pair.amplitudes, dtype=complex).reshape(2, 2)
@@ -133,7 +142,6 @@ def epr_correlation(pair: EntangledPair, a, b, hbar: float = 1.0) -> Correlation
     val = complex(np.sum(amps.conj() * op_amps))
     if not abs(val.imag) <= 1e-12 * max(1.0, abs(val.real)):
         raise DomainError(f"correlation has spurious imaginary part {val.imag:.3e}")
-    scale = (pair.radial_norm_per_particle / hbar) ** 2
     return CorrelationReport(a=tuple(av), b=tuple(bv), P_exact=val.real * scale)
 
 
@@ -141,10 +149,10 @@ def pair_correlation_fn(pair: EntangledPair, hbar: float = 1.0) -> Callable:
     """Vectorized correlation closure fn(a, b) for batched unit directions.
 
     Accepts (3,) or (n, 3) arrays, assumed unit length (no validation, so
-    large batches stay cheap).
+    large batches stay cheap). DomainError unless hbar is finite and > 0.
     """
     amps = np.asarray(pair.amplitudes, dtype=complex).reshape(2, 2)
-    scale = (pair.radial_norm_per_particle / hbar) ** 2
+    scale = _scale(pair, hbar)
 
     def fn(a, b):
         sa = pauli_dot(np.atleast_2d(a))

@@ -117,7 +117,9 @@ def realization_estimate(phases, pair: EntangledPair, a, b, hbar: float = 1.0) -
 
 def ensemble_estimate(spec: EnsembleSpec, pair: EntangledPair,
                       hbar: float = 1.0) -> EnsembleEstimate:
-    """Phase average over R independent realizations, with standard error."""
+    """Phase average over R independent realizations, with standard error.
+
+    DomainError unless hbar is finite and > 0 (epr_correlation's check)."""
     p_exact = epr_correlation(pair, spec.a, spec.b, hbar=hbar).P_exact
     fill = _phase_stream(spec.seed)
     block = np.empty((max(1, _BLOCK // spec.n_trials), spec.n_trials))

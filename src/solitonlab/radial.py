@@ -33,6 +33,7 @@ tests keep as its oracle.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass, asdict
 from enum import Enum
 from itertools import chain
@@ -137,6 +138,9 @@ _MAX_SCAN_POINTS = 10_000
 # of the default x0's) or raises ConvergenceError; x0 = 1 solves to another
 # profile (Q -98% at Omega = 0.5), and x0 = 45 leaves the trials no mesh
 _MAX_X0 = 1e-3
+# smallest: at a subnormal x0 the first step underflows (IntegrationError), while
+# the smallest normal float solves at Omega in {0.05, 0.5, 0.98}
+_MIN_X0 = sys.float_info.min
 # most radial mesh nodes (the default mesh has 4,001 at Omega = 0.5); the
 # default x_max = max(40, 25/nu) reaches it at Omega ~ 1 - 3.1e-8
 _MAX_MESH_NODES = 10_000_000
@@ -146,13 +150,14 @@ _MAX_MESH_NODES = 10_000_000
 class SolverOptions:
     """Tolerances and guards of the shooting pipeline.
 
-    Construction raises DomainError unless x0 lies in (0, 1e-3] (_MAX_X0);
-    mesh_dx, scan_step, shoot_tol, decay_floor and residual_tol are finite
-    and > 0; x_max is None or finite and > x0; scan_max is finite and
-    >= scan_step, and scan_max / scan_step is at most 10^4 (the scan's grid
-    points); scan_rtol and final_rtol lie in [1e-14, 1e-6]; blowup_factor is
-    finite and > 1; glue_frac lies in (0, 1); max_iterations is an int >= 1
-    and max_x_extensions an int >= 0.
+    Construction raises DomainError unless x0 lies in [2.2e-308, 1e-3]
+    (_MIN_X0, the smallest normal float, to _MAX_X0); mesh_dx, scan_step,
+    shoot_tol, decay_floor and residual_tol are finite and > 0; x_max is
+    None or finite and > x0; scan_max is finite and >= scan_step, and
+    scan_max / scan_step is at most 10^4 (the scan's grid points);
+    scan_rtol and final_rtol lie in [1e-14, 1e-6]; blowup_factor is finite
+    and > 1; glue_frac lies in (0, 1); max_iterations is an int >= 1 and
+    max_x_extensions an int >= 0.
     """
     x0: float = 1e-4
     x_max: Optional[float] = None          # default max(40, 25/nu)
@@ -171,8 +176,8 @@ class SolverOptions:
 
     def __post_init__(self):
         # NaN-safe: each test is written so that NaN fails it
-        if not 0.0 < self.x0 <= _MAX_X0:
-            raise DomainError(f"x0 must lie in (0, {_MAX_X0}], got {self.x0}")
+        if not _MIN_X0 <= self.x0 <= _MAX_X0:
+            raise DomainError(f"x0 must lie in [{_MIN_X0}, {_MAX_X0}], got {self.x0}")
         for name in ("mesh_dx", "scan_step", "shoot_tol", "decay_floor", "residual_tol"):
             value = getattr(self, name)
             if not 0.0 < value < math.inf:

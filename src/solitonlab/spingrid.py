@@ -30,15 +30,20 @@ of one parity, so every summand is even. The checks therefore sample,
 differentiate and sum only the octant x, y, z > 0 and multiply each sum by 8.
 A ghost plane at -h/2 before each inner face is sampled like any other (R is
 bit-equal there and g x/r changes sign exactly), so the central difference
-at +h/2 reads the full cube's neighbour; the ghosts' own derivatives are
-dropped. The octant's trapezoid weight is h up to the outer face and h/2 on
-it.
+at +h/2 reads the full cube's neighbour; no derivative is taken on a ghost.
+The octant's trapezoid weight is h up to the outer face and h/2 on it.
 
-The octant is streamed in slabs of x-planes, each differentiated with a
-one-plane halo on either side so that every stencil is the full cube's. Each
-x-plane is sampled once: the two halo planes carry over into the next slab.
-Only those planes and float sums cross slab boundaries, so memory is
-O(n^2 * _SLAB), not O(n^3).
+Every node, ghosts included, is (2i + 1, 2j + 1, 2k + 1) h/2 up to sign, so
+its radius is (h/2) sqrt(s) with s = 8 t + 3 an integer: t, a sum of three
+per-axis integers, indexes the O(n^2) distinct radii. The radial profile is
+evaluated once per check on that table, and each node gathers its fields
+from it.
+
+The octant is streamed in slabs of x-planes, each gathered with a one-plane
+halo on either side so that every stencil is the full cube's; derivatives
+are taken only on the planes, rows and columns that are kept. Only the
+table and float sums cross slab boundaries, so memory is O(n^2 * _SLAB), not
+O(n^3).
 
 The radial profile is put on the cube by cubic Hermite interpolation on the
 stored values and derivatives (F, F', G, G' at every node), anchored at the
@@ -166,8 +171,7 @@ def _radial_interpolant(solution):
     stored right-hand side, so nothing is solved, and the first interval
     starts at the series anchor at the origin. The Horner coefficients in
     s = r - x_k are built once; an evaluation shares one interval search
-    between F and G and runs Horner's rule in place (fresh temporaries per
-    step cost page faults and time on the 128^3 grid).
+    between F and G.
     """
     p, F0, Omega = solution.profile, solution.shooting.F0, solution.Omega
     x = np.concatenate([[0.0], p.grid])
@@ -184,28 +188,52 @@ def _radial_interpolant(solution):
         k = np.searchsorted(x, r, side="right") - 1
         np.clip(k, 0, len(h) - 1, out=k)
         s = r - x[k]
-        values = []
-        for coefs in horner:
-            v = coefs[0][k]
-            for c in coefs[1:]:
-                v *= s
-                v += c[k]
-            values.append(v)
-        return values
+        return [((a[k] * s + b[k]) * s + c[k]) * s + d[k] for a, b, c, d in horner]
 
     return fg
 
 
-def _atoms(planes, core, h, X, Y, Z, atoms):
+def _radius_table(h: float, m: int):
+    """The distinct radii of the octant's nodes, ghost nodes included, and
+    each axis node's share of the index into them.
+
+    A node is +-(2i + 1) h/2 on each axis, and an odd square is 8 T + 1 with
+    T = i (i + 1) / 2, so its radius is (h/2) sqrt(8 t + 3) with t the sum of
+    its three axis T. Returns (T of each node of the axis, ghost first; the
+    radii r_t for t = 0 .. 3 T of the outer node).
+    """
+    odd = np.concatenate(([1], 2 * np.arange(m) + 1))
+    tri = odd * odd >> 3
+    return tri, 0.5 * h * np.sqrt(8.0 * np.arange(3 * tri[-1] + 1) + 3.0)
+
+
+def _diff(c, h, axis, face):
+    """d/d(axis) of c at indices 1 .. len - 2, and at len - 1 too if face, by
+    np.gradient's uniform edge_order=2 stencils operation for operation:
+    central differences, and the one-sided one on the face."""
+    shape = list(c.shape)
+    shape[axis] += face - 2
+    d = np.empty(shape)  # in c's layout, written through views along the axis
+    c, along = np.moveaxis(c, axis, 0), np.moveaxis(d, axis, 0)
+    inner = along[:len(c) - 2]
+    np.subtract(c[2:], c[:-2], out=inner)
+    inner /= 2.0 * h
+    if face:
+        along[-1] = 0.5 / h * c[-3] + -2.0 / h * c[-2] + 1.5 / h * c[-1]
+    return d
+
+
+def _atoms(planes, face, h, X, Y, Z, atoms):
     """Atoms 4 * kind + field (kind: the field, D1, D2, D3) on the core planes
-    of the fields' window, less the ghost row and column (index 0 of the y and
-    z axes), by one np.gradient per axis that one of them reads."""
+    of the fields' window (all but the first, and but the last unless it is
+    the outer face), less the ghost row and column (index 0 of the y and z
+    axes). Only the derivatives kept are taken, along the axes that one of
+    the atoms reads."""
     axes = set("".join(("", "yz", "xz", "xy")[a // 4] for a in atoms))
-    c = planes[:, core]
-    dx = (np.gradient(planes[:, :, 1:, 1:], h, axis=1, edge_order=2)[:, core]
-          if "x" in axes else None)
-    dy = np.gradient(c[..., 1:], h, axis=2, edge_order=2)[:, :, 1:] if "y" in axes else None
-    dz = np.gradient(c[:, :, 1:], h, axis=3, edge_order=2)[..., 1:] if "z" in axes else None
+    c = planes[:, 1:planes.shape[1] - 1 + face]
+    dx = _diff(planes[:, :, 1:, 1:], h, 1, face) if "x" in axes else None
+    dy = _diff(c[..., 1:], h, 2, True) if "y" in axes else None
+    dz = _diff(c[:, :, 1:], h, 3, True) if "z" in axes else None
     c = c[:, :, 1:, 1:]
     # D1 = Y dz - Z dy, D2 = Z dx - X dz and D3 = X dy - Y dx, in place
     products = (None, (Y, dz, Z, dy), (Z, dx, X, dz), (X, dy, Y, dx))
@@ -224,7 +252,10 @@ def _atoms(planes, core, h, X, Y, Z, atoms):
 def _slabs(solution, spec: GridSpec, atoms):
     """Yield (values, weights) slab by slab over the octant x, y, z > 0: the
     requested atoms as (len(atoms), points) and the matching octant trapezoid
-    weights as (points,). An even summand's octant sum is 1/8 of its cube sum."""
+    weights as (points,). An even summand's octant sum is 1/8 of its cube sum.
+
+    The interpolant runs once, on the table of distinct radii, and each slab
+    gathers its fields from that table."""
     h, m = spec.spacing, spec.n // 2
     pos = (np.arange(m) + 0.5) * h  # mirror-exact: the cube's nodes are +-pos
     corner = math.sqrt(3.0) * pos[-1]
@@ -233,29 +264,32 @@ def _slabs(solution, spec: GridSpec, atoms):
         raise GridError(
             f"grid corner radius {corner:.1f} exceeds profile x_max "
             f"{solution.profile.x_max:.1f}")
-    fg = _radial_interpolant(solution)
+    # f and g/r at every distinct radius, gathered node by node below
+    tri, r = _radius_table(h, m)
+    F, G = _radial_interpolant(solution)(r)
+    pre = 1.0 / math.sqrt(4.0 * math.pi)
+    f = pre * F
+    with np.errstate(invalid="ignore"):  # 0/0 if h/2 underflows to 0: checked below
+        g_over_r = pre * G / r
+    tri_yz = tri[:, None] + tri[None, :]
     ax = np.concatenate(([-pos[0]], pos))  # the ghost node, then the octant's
     w1 = np.full(m, h)
     w1[-1] = 0.5 * h  # trapezoid end weight; the inner face is interior
-    pre = 1.0 / math.sqrt(4.0 * math.pi)
     Y, Z = ax[None, :, None], ax[None, None, :]
-    # the four fields on x-planes first, first + 1, ... of ax: each plane is
-    # sampled once, and the two halo planes carry over into the next slab.
-    # The short slab comes first, where the ghost plane is its lower halo, so
-    # that every window spans >= 3 planes for the one-sided outer stencil.
-    planes, first, i0 = np.empty((4, 0, m + 1, m + 1)), 0, 1
+    # slab by slab, the four fields on the core x-planes and a halo plane on
+    # either side. The short slab comes first, where the ghost plane is its
+    # lower halo, so that the last window spans >= 3 planes for the one-sided
+    # outer stencil.
+    i0 = 1
     for i1 in reversed(range(m + 1, 1, -_SLAB)):
         lo, hi = i0 - 1, min(i1 + 1, m + 1)  # with the halo planes
-        X = ax[first + planes.shape[1]:hi, None, None]
-        R = np.sqrt(X * X + Y * Y + Z * Z)
-        f, g = fg(R)
-        with np.errstate(invalid="ignore"):  # 0/0 where R underflows: checked below
-            g_over_r = pre * g / R
-        planes = np.concatenate(
-            (planes[:, lo - first:], [pre * f, g_over_r * X, g_over_r * Y, g_over_r * Z]),
-            axis=1)
-        first = lo
-        values = _atoms(planes, slice(i0 - lo, i1 - lo), h, ax[i0:i1, None, None],
+        t = tri[lo:hi, None, None] + tri_yz
+        planes = np.empty((4,) + t.shape)
+        np.take(f, t, out=planes[0])
+        g = g_over_r[t]
+        for field, x in zip(planes[1:], (ax[lo:hi, None, None], Y, Z)):
+            np.multiply(g, x, out=field)
+        values = _atoms(planes, i1 == hi, h, ax[i0:i1, None, None],
                         Y[:, 1:], Z[:, :, 1:], atoms)
         w = w1[i0 - 1:i1 - 1, None, None] * w1[None, :, None] * w1[None, None, :]
         yield values.reshape(len(atoms), -1), w.ravel()
@@ -271,7 +305,7 @@ def ladder_residuals(solution, spec: GridSpec) -> LadderReport:
     square roots of 8 times the sums are taken at the end. Peak memory is
     O(n^2 * _SLAB), about 10 MB of arrays at n = 128 (tracemalloc). Raises
     GridError if a basis norm is not finite and > 0, as when the trapezoid
-    weights or the radii underflow on a tiny cube.
+    weights underflow on a tiny cube.
     """
     term_sums = np.zeros(len(_TERMS))
     for atoms, w in _slabs(solution, spec, _LADDER_ATOMS):

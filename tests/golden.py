@@ -27,3 +27,12 @@ LAMBDA_CALIBRATED = 384.4755692823126
 ENERGY_RATIO = 1.3266871686743582
 
 NU_EXACT = math.sqrt(1.0 - OMEGA * OMEGA)
+
+# grid checks (spingrid), recorded with each node's radius summed from its
+# coordinates; the radius table moves them by < 1e-14 relative. Ladder
+# residuals (J+ phi_up, J3 phi_up, J- phi_up) at half-width 10; J- phi_dn,
+# J3 phi_dn and J+ phi_dn equal them by symmetry
+LADDER_64 = (0.013625946283155556, 0.010176277502668064, 0.015118203700631706)
+LADDER_128 = (0.0034082338624366187, 0.0025426360606572605, 0.0037741137352707036)
+# sz_grid_integral at 64^3, half-width 12
+SZ_GRID_64 = 15.208856789193888

@@ -282,11 +282,15 @@ def atoms_dense(solution, spec: GridSpec) -> np.ndarray:
     (16, n, n, n): the fields f, g x/r, g y/r and g z/r, then D1, D2 and D3
     of each, by one np.gradient call per field over all three axes. The
     bit-for-bit reference of spingrid._slabs, which builds only the atoms a
-    check reads, slab by slab."""
+    check reads, slab by slab, and takes the same radius: a node is
+    +-(2i + 1) h/2 on each axis, so R = (h/2) sqrt(s) with s the integer sum
+    of its three odd squares."""
     fg = _radial_interpolant(solution)
     ax, h, _w = _axes_weights(spec)
     X, Y, Z = np.meshgrid(ax, ax, ax, indexing="ij")
-    R = np.sqrt(X * X + Y * Y + Z * Z)
+    odd = np.abs(2 * np.arange(spec.n) - (spec.n - 1))
+    sq = odd * odd
+    R = 0.5 * h * np.sqrt(sq[:, None, None] + sq[None, :, None] + sq[None, None, :])
     pre = 1.0 / math.sqrt(4.0 * math.pi)
     F, G = fg(R)
     g_over_r = pre * G / R

@@ -441,10 +441,11 @@ def test_bad_solver_option_is_invalid_input(tmp_path, capsys, flags):
 
 # NaN is written as the bare token JSON readers accept; these exited 0 with
 # the option in the archive (blowup_factor, decay_floor) or exit 2 (residual_tol);
-# x0 = 45 exited 1 with an IndexError traceback, and x0 = 1 exited 0 with
-# another profile (Q -97.6%)
+# x0 = 45 exited 1 with an IndexError traceback, x0 = 1 exited 0 with
+# another profile (Q -97.6%), and the subnormal x0 exited 2 (step size underflow)
 @pytest.mark.parametrize("entry", ['{"blowup_factor": NaN}', '{"decay_floor": -1.0}',
-                                   '{"residual_tol": NaN}', '{"x0": 45}', '{"x0": 1.0}'])
+                                   '{"residual_tol": NaN}', '{"x0": 45}', '{"x0": 1.0}',
+                                   '{"x0": 5e-324}'])
 def test_bad_solver_option_in_config_is_invalid_input(tmp_path, capsys, entry):
     cfg = tmp_path / "cfg.json"
     cfg.write_text(entry)

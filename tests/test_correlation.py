@@ -192,6 +192,17 @@ def test_correlation_scales_with_radial_norm():
     assert epr_correlation(pair, (0, 0, 1), (0, 0, 1), hbar=2.0).P_exact == pytest.approx(-1.0, rel=1e-12)
 
 
+# these returned nan, -0.0 and -1.0 as if valid, or ended in a ZeroDivisionError
+@pytest.mark.parametrize("hbar", [math.nan, math.inf, -1.0, 0.0])
+@pytest.mark.parametrize("call", [
+    lambda pair, hbar: epr_correlation(pair, (0, 0, 1), (0, 0, 1), hbar=hbar),
+    lambda pair, hbar: pair_correlation_fn(pair, hbar=hbar)],
+    ids=["epr_correlation", "pair_correlation_fn"])
+def test_correlation_rejects_bad_hbar(call, hbar):
+    with pytest.raises(DomainError, match="hbar"):
+        call(build_singlet(1.0), hbar)
+
+
 def test_calibrated_singlet_from_solution(singlet05):
     # two-particle norm equals hbar^2 and P(a,b) = -(a.b) for the real pipeline
     assert singlet05.two_particle_norm == pytest.approx(1.0, abs=1e-10)

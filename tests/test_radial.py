@@ -1,4 +1,5 @@
 import math
+import sys
 from dataclasses import replace
 
 import numpy as np
@@ -235,7 +236,8 @@ def test_march_nan_start_raises_like_generic_stepper():
     dict(max_iterations=10.0), dict(max_x_extensions=-1), dict(max_x_extensions=True),
     dict(scan_step=1e-300), dict(scan_step=5e-324), dict(scan_step=1e-4),
     dict(scan_step=0.5, scan_max=5000.5),
-    dict(x0=45), dict(x0=1.0), dict(x0=math.nextafter(1e-3, 1.0))])
+    dict(x0=45), dict(x0=1.0), dict(x0=math.nextafter(1e-3, 1.0)),
+    dict(x0=5e-324), dict(x0=math.nextafter(sys.float_info.min, 0.0))])
 def test_solver_options_reject_invalid_values(kwargs):
     with pytest.raises(DomainError):
         SolverOptions(**kwargs)
@@ -247,9 +249,10 @@ def test_solver_options_scan_point_bound_is_inclusive():
 
 
 def test_solver_options_x0_bound_is_inclusive():
-    # the bound on the series-start offset admits 1e-3 itself
-    assert radial._MAX_X0 == 1e-3
+    # the bounds on the series-start offset admit 1e-3 and the smallest normal float
+    assert radial._MAX_X0 == 1e-3 and radial._MIN_X0 == sys.float_info.min
     SolverOptions(x0=1e-3)
+    SolverOptions(x0=sys.float_info.min)
 
 
 def test_mesh_node_bound(monkeypatch):

@@ -6,6 +6,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
+import golden
 import oracles
 from solitonlab import GridError, correlation, spingrid
 from solitonlab.spingrid import (GridSpec, LadderReport, _radial_interpolant,
@@ -46,6 +47,38 @@ def test_streamed_grid_matches_dense(sol05, n):
     spec = GridSpec(n=n, extent=12.0)
     assert sz_grid_integral(sol05, spec) == pytest.approx(
         oracles.sz_grid_integral_dense(sol05, spec), rel=1e-12, abs=0.0)
+
+
+@pytest.mark.parametrize("n, residuals", [(64, golden.LADDER_64), (128, golden.LADDER_128)])
+def test_ladder_check_holds_its_golden_values(sol05, n, residuals):
+    report = ladder_residuals(sol05, GridSpec(n=n, extent=10.0))
+    up = (report.jplus_up, report.j3_up, report.jminus_up)
+    dn = (report.jminus_dn, report.j3_dn, report.jplus_dn)
+    assert up == pytest.approx(residuals, rel=1e-12, abs=0.0)
+    assert dn == pytest.approx(residuals, rel=1e-12, abs=0.0)
+
+
+def test_sz_check_holds_its_golden_value(sol05):
+    assert sz_grid_integral(sol05, GridSpec(n=64, extent=12.0)) == pytest.approx(
+        golden.SZ_GRID_64, rel=1e-12, abs=0.0)
+
+
+@pytest.mark.parametrize("extent", [10.0, 12.0])
+@pytest.mark.parametrize("n", [4, 10, 38, 128])
+def test_radius_table_gives_each_nodes_radius(n, extent):
+    # the radius gathered for every octant and ghost node, (h/2) sqrt(s), against
+    # the one summed from its coordinates: up to 2 ulps apart at these sizes
+    spec = GridSpec(n=n, extent=extent)
+    h, m = spec.spacing, n // 2
+    tri, r = spingrid._radius_table(h, m)
+    assert len(r) == (3 * (n - 1) ** 2 - 3) // 8 + 1  # 6,049 at n = 128
+    pos = (np.arange(m) + 0.5) * h
+    ax = np.concatenate(([-pos[0]], pos))
+    Y, Z = ax[:, None], ax[None, :]
+    for x, t in zip(ax, tri):
+        summed = np.sqrt(x * x + Y * Y + Z * Z)
+        gathered = r[t + tri[:, None] + tri[None, :]]
+        assert np.all(np.abs(gathered - summed) <= 2.0 * np.spacing(summed)), x
 
 
 def test_derived_tables_cover_every_term():
@@ -153,7 +186,8 @@ def test_hermite_grid_matches_cubic_spline_grid(sol05, n):
 @pytest.mark.parametrize("check", [ladder_residuals, sz_grid_integral])
 def test_streamed_grid_memory_bounded(sol05, check):
     # the dense 64^3 path peaked at 188 MB (ladder) and 140 MB (spin); the
-    # whole cube streamed at 10.1 and 4.9 MB, its octant at 2.9 and 1.5 MB
+    # whole cube streamed at 10.1 and 4.9 MB, its octant at 2.9 and 1.5 MB,
+    # and at 2.5 and 1.1 MB from the radius table
     tracemalloc.start()
     try:
         check(sol05, GridSpec(n=64, extent=10.0))
@@ -175,8 +209,8 @@ def test_ladder_check_squares_each_term_once(sol05):
     assert peak <= 3.3e6, peak
 
 
-# the h^3 trapezoid weights underflow to 0 at 1e-160; at 1e-200 and 1e-300 the
-# radius underflows too, and g/r is 0/0
+# the h^3 trapezoid weights underflow to 0 at 1e-160, 1e-200 and 1e-300; the
+# radius (h/2) sqrt(s) does not underflow, so only the weights do
 @pytest.mark.parametrize("extent", [1e-160, 1e-200, 1e-300])
 @pytest.mark.parametrize("check", [ladder_residuals, sz_grid_integral])
 def test_underflowing_grid_raises_grid_error(sol05, check, extent):
