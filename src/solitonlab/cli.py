@@ -1,5 +1,10 @@
 """Command-line front end: solve, sweep, observables, correlate, chsh, ensemble.
 
+A flag is its option's RunConfig or SolverOptions field name with dashes,
+typed by the field's annotation; a --config JSON file takes the same names
+and checks its values against the same annotations. _COMMANDS lists each
+command's options.
+
 Exit codes: 0 success, 2 solver non-convergence, 3 invalid input, 4 I/O
 failure. All floats in emitted JSON/CSV use the shortest round-trip decimal
 representation, so artifacts parse back bit-exactly. Solutions are cached by
@@ -83,72 +88,51 @@ def _parse_vector(text: str):
     return tuple(parts)
 
 
+# the solver, config, output and cache options that solve and sweep share
+_SOLVE_OPTIONS = ("x_max mesh_dx shoot_tol scan_step scan_max scan_rtol final_rtol "
+                 "config out cache_dir no_cache")
+# each command's help line and its options in --help order; "!" marks a
+# required one
+_COMMANDS = {
+    "solve": ("solve one ground state and archive it", f"omega! hbar c ell0 {_SOLVE_OPTIONS}"),
+    "sweep": ("solve a frequency sweep, emit CSV",
+              f"omega_min! omega_max! steps! jobs {_SOLVE_OPTIONS}"),
+    "observables": ("recompute integrals from an archive", "solution! config out"),
+    "correlate": ("exact EPR correlation for two analyzers", "solution! a! b! config out"),
+    "chsh": ("CHSH statistic (four analyzers or --optimize)",
+             "solution! a a_prime b b_prime optimize config out"),
+    "ensemble": ("Monte-Carlo phase-averaged correlation",
+                 "solution! a! b! n_trials realizations seed config out"),
+}
+_HELP = {"omega": "frequency (physical units)", "config": "JSON file with option defaults",
+         "out": "output artifact path"}
+
+
+def _option_types() -> dict:
+    """Each option's type: its RunConfig or SolverOptions field's annotation
+    without Optional, and str for --config, the file that is read."""
+    hints = {**get_type_hints(RunConfig), **get_type_hints(SolverOptions), "config": str}
+    return {name: next(t for t in get_args(hint) or (hint,) if t is not type(None))
+            for name, hint in hints.items()}
+
+
 def _build_parser() -> argparse.ArgumentParser:
+    """Each command's flags, from _COMMANDS and _option_types(); a bool option
+    is a switch. No flag has a default, so _merge_config sees which were given."""
     parser = argparse.ArgumentParser(
         prog="solitonlab",
         description="Nonlinear spinor-field soliton laboratory")
     parser.add_argument("--version", action="version", version=__version__)
     sub = parser.add_subparsers(dest="command", required=True)
-
-    def common(p, cache=False):
-        p.add_argument("--config", default=None, help="JSON file with option defaults")
-        p.add_argument("--out", default=None, help="output artifact path")
-        if cache:
-            p.add_argument("--cache-dir", default=None)
-            p.add_argument("--no-cache", action="store_true", default=None)
-
-    def solver_opts(p):
-        p.add_argument("--x-max", type=float, default=None, dest="x_max")
-        p.add_argument("--mesh-dx", type=float, default=None, dest="mesh_dx")
-        p.add_argument("--shoot-tol", type=float, default=None, dest="shoot_tol")
-        p.add_argument("--scan-step", type=float, default=None, dest="scan_step")
-        p.add_argument("--scan-max", type=float, default=None, dest="scan_max")
-        p.add_argument("--scan-rtol", type=float, default=None, dest="scan_rtol")
-        p.add_argument("--final-rtol", type=float, default=None, dest="final_rtol")
-
-    p = sub.add_parser("solve", help="solve one ground state and archive it")
-    p.add_argument("--omega", type=float, required=True, help="frequency (physical units)")
-    p.add_argument("--hbar", type=float, default=None)
-    p.add_argument("--c", type=float, default=None)
-    p.add_argument("--ell0", type=float, default=None)
-    solver_opts(p)
-    common(p, cache=True)
-
-    p = sub.add_parser("sweep", help="solve a frequency sweep, emit CSV")
-    p.add_argument("--omega-min", type=float, required=True, dest="omega_min")
-    p.add_argument("--omega-max", type=float, required=True, dest="omega_max")
-    p.add_argument("--steps", type=int, required=True)
-    p.add_argument("--jobs", type=int, default=None)
-    solver_opts(p)
-    common(p, cache=True)
-
-    p = sub.add_parser("observables", help="recompute integrals from an archive")
-    p.add_argument("--solution", required=True)
-    common(p)
-
-    p = sub.add_parser("correlate", help="exact EPR correlation for two analyzers")
-    p.add_argument("--solution", required=True)
-    p.add_argument("--a", required=True)
-    p.add_argument("--b", required=True)
-    common(p)
-
-    p = sub.add_parser("chsh", help="CHSH statistic (four analyzers or --optimize)")
-    p.add_argument("--solution", required=True)
-    p.add_argument("--a", default=None)
-    p.add_argument("--a-prime", default=None, dest="a_prime")
-    p.add_argument("--b", default=None)
-    p.add_argument("--b-prime", default=None, dest="b_prime")
-    p.add_argument("--optimize", action="store_true", default=None)
-    common(p)
-
-    p = sub.add_parser("ensemble", help="Monte-Carlo phase-averaged correlation")
-    p.add_argument("--solution", required=True)
-    p.add_argument("--a", required=True)
-    p.add_argument("--b", required=True)
-    p.add_argument("--n-trials", type=int, default=None, dest="n_trials")
-    p.add_argument("--realizations", type=int, default=None)
-    p.add_argument("--seed", type=int, default=None)
-    common(p)
+    types = _option_types()
+    for command, (help_line, options) in _COMMANDS.items():
+        p = sub.add_parser(command, help=help_line)
+        for option in options.split():
+            name = option.rstrip("!")
+            kind = ({"action": "store_true"} if types[name] is bool
+                    else {"type": types[name]})
+            p.add_argument("--" + name.replace("_", "-"), default=None,
+                           required=option.endswith("!"), help=_HELP.get(name), **kind)
     return parser
 
 
@@ -162,15 +146,13 @@ def _read_config(path: str) -> dict:
         raise DomainError(f"cannot parse config file {path}: {err}")
     if not isinstance(file_cfg, dict):
         raise DomainError("config file must hold a JSON object")
-    hints = {**get_type_hints(RunConfig), **get_type_hints(SolverOptions)}
+    option_types = _option_types()
     for key, value in file_cfg.items():
-        hint = hints.get(key.replace("-", "_"))
-        if value is None or hint is None:
+        kind = option_types.get(key.replace("-", "_"))
+        if value is None or kind is None:
             continue  # unset, or an unknown key that the merge reports
-        types = tuple(t for t in get_args(hint) if t is not type(None)) or (hint,)
-        if float in types:
-            types += (int,)
-        if not isinstance(value, types) or (isinstance(value, bool) and bool not in types):
+        types = (float, int) if kind is float else (kind,)
+        if not isinstance(value, types) or (isinstance(value, bool) and kind is not bool):
             raise DomainError(f"config key {key!r} must be of type "
                               f"{' or '.join(t.__name__ for t in types)}, got {value!r}")
     return file_cfg

@@ -35,10 +35,6 @@ class SpinVector:
     c_up: complex
     c_down: complex
 
-    @property
-    def norm2(self) -> float:
-        return abs(self.c_up) ** 2 + abs(self.c_down) ** 2
-
 
 @dataclass(frozen=True)
 class EntangledPair:

@@ -475,7 +475,6 @@ def coarse_scan(Omega: float, opts: SolverOptions, shooter: Optional[_Shooter] =
     sh = shooter or _Shooter(Omega, opts)
     rtol = opts.scan_rtol
     values = np.arange(opts.scan_step, opts.scan_max + opts.scan_step / 2, opts.scan_step)
-    prev = None
     first = _scan_label(*sh.trial(float(values[0]), rtol))
     if first != "below":
         # critical amplitude below the first grid point: extend downward
@@ -737,6 +736,11 @@ def _final_profile(Omega: float, F0: float, sh: _Shooter, opts: SolverOptions):
             f"final integration halted by '{reason}' before reaching the glue "
             f"threshold (x = {x:.2f}); x_max may be too small")
     k_glue = len(Fs) - 1
+    if k_glue < 10:
+        # the tail fit below takes at least 11 integrated nodes
+        raise TailError(
+            f"final integration reached the glue threshold at node {k_glue} "
+            f"(x = {x:.2f}); the tail fit needs 11 nodes, mesh_dx may be too coarse")
     F = np.empty(n)
     G = np.empty(n)
     F[:k_glue + 1] = Fs

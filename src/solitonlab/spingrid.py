@@ -77,6 +77,9 @@ class GridSpec:
             raise GridError("grid point count must be even to exclude the origin")
         if not (self.extent > 0.0 and math.isfinite(self.extent)):
             raise GridError(f"grid extent must be finite and > 0, got {self.extent!r}")
+        if not self.spacing > 0.0:
+            raise GridError(f"grid spacing 2*extent/(n-1) underflows to 0 "
+                            f"(n = {self.n}, extent = {self.extent!r})")
 
     @property
     def spacing(self) -> float:

@@ -5,6 +5,7 @@ import math
 import os
 import subprocess
 import sys
+from dataclasses import fields
 
 import numpy as np
 import pytest
@@ -238,6 +239,16 @@ def _x_max_used_extended(extensions):
     return edit
 
 
+def _coarse_mesh(doc):
+    # mesh_dx = 5 at the first end of its ratchet (9 nodes) and a history
+    # that replays: the final pass glues before the tail fit's 11 nodes
+    doc["provenance"]["options"].update(mesh_dx=5.0)
+    sh = radial._Shooter(doc["Omega"], SolverOptions(**doc["provenance"]["options"]))
+    doc["provenance"].update(x_max_used=sh.x_max)
+    doc["grid"]["x"] = doc["grid"]["x"][:sh.mesh.size]
+    _history_at(doc["shooting"]["F0"])(doc)
+
+
 # edits of the shooting, tail, residuals, provenance and grid blocks, each of
 # which loaded (and observables exited 0) before the loader re-ran the final
 # pass; F0 = 1e200 on a history that replays overflows in series_start, and
@@ -269,6 +280,8 @@ _TAMPERS = [
     pytest.param(lambda doc: doc["provenance"]["options"].update(glue_frac=1e-13),
                  id="final-pass-raises"),
     pytest.param(_x_max_used_extended(12), id="x_max_used-12-extensions"),
+    # exited 1: an IndexError from the tail fit's window in the final pass
+    pytest.param(_coarse_mesh, id="mesh_dx=5"),
 ]
 
 
@@ -414,6 +427,51 @@ def test_config_accepts_int_for_float(sol_path, tmp_path):
     cfg.write_text(json.dumps({"hbar": 1, "n-trials": 8, "realizations": 16}))
     assert main(["ensemble", "--solution", str(sol_path), "--a", "0,0,1", "--b", "0,0,1",
                  "--config", str(cfg), "--out", str(tmp_path / "e.json")]) == 0
+
+
+def _command_options(command):
+    return cli._COMMANDS[command][1].split()
+
+
+def _argv(name, value):
+    flag = "--" + name.replace("_", "-")
+    return [flag] if value is True else [flag, str(value)]
+
+
+@pytest.mark.parametrize("command, name", [
+    pytest.param(command, option, id=f"{command}-{option}")
+    for command in cli._COMMANDS for option in _command_options(command)
+    if not option.endswith("!")])
+def test_flag_and_config_key_merge_alike(tmp_path, command, name):
+    # a value of the option's annotated type that SolverOptions admits (the
+    # rtols lie in [1e-14, 1e-6]); a str is a config file holding {}, so
+    # that --config reads it too
+    empty = tmp_path / "empty.json"
+    empty.write_text("{}")
+    values = {bool: True, int: 7, float: 0.25, str: str(empty)}
+    types = cli._option_types()
+    value = 1e-7 if name.endswith("_rtol") else values[types[name]]
+    required = [arg for option in _command_options(command) if option.endswith("!")
+                for arg in _argv(option[:-1], values[types[option[:-1]]])]
+    parser = cli._build_parser()
+    by_flag = cli._merge_config(parser.parse_args([command, *required, *_argv(name, value)]))
+    if name != "config":
+        solver = name in {f.name for f in fields(SolverOptions)}
+        got = getattr(by_flag.solver if solver else by_flag, name)
+        assert got == value and type(got) is type(value)
+    for key in (name, name.replace("_", "-")):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({key: value}))
+        args = parser.parse_args([command, *required, "--config", str(cfg)])
+        assert cli._merge_config(args) == by_flag, key
+
+
+def test_every_run_config_field_is_an_option():
+    options = {option.rstrip("!") for command in cli._COMMANDS
+               for option in _command_options(command)}
+    solver = {f.name for f in fields(SolverOptions)}
+    assert {f.name for f in fields(cli.RunConfig)} - {"command", "solver"} == (
+        options - solver - {"config"})
 
 
 @pytest.mark.parametrize("flags", [["--mesh-dx", "0"], ["--mesh-dx", "-0.01"],
@@ -767,6 +825,22 @@ def test_sweep_parallel_matches_serial(workdir):
     assert main(base + ["--out", str(serial)]) == 0
     assert main(base + ["--jobs", "2", "--out", str(parallel)]) == 0
     assert serial.read_bytes() == parallel.read_bytes()
+
+
+def test_coarse_mesh_is_a_solver_failure(workdir, capsys):
+    # the final pass glued before node 10, and the tail fit's window began at
+    # a negative node: an IndexError traceback (exit 1) for the solve, and
+    # the sweep died whole instead of writing its rows
+    code = main(["solve", "--omega", "0.5", "--mesh-dx", "5", "--no-cache",
+                 "--out", str(workdir / "coarse.json")])
+    assert code == 2
+    assert capsys.readouterr().err.startswith("error: TailError: ")
+    out = workdir / "sweep_coarse.csv"
+    assert main(["sweep", "--omega-min", "0.3", "--omega-max", "0.7", "--steps", "2",
+                 "--mesh-dx", "5", "--no-cache", "--out", str(out)]) == 2
+    with open(out, newline="") as fh:
+        rows = list(csv.DictReader(fh))
+    assert [r["status"] for r in rows] == ["error:TailError"] * 2
 
 
 def test_solver_failure_exit_code(workdir):

@@ -13,8 +13,10 @@ from solitonlab.spingrid import (GridSpec, LadderReport, _radial_interpolant,
                                  ladder_residuals, sz_grid_integral)
 
 
+# (8, 5e-324): 2*extent/7 rounds to a spacing of 0, which ended both grid
+# checks in a ZeroDivisionError
 @pytest.mark.parametrize("n, extent", [(0, 12.0), (2, 12.0), (64, 0.0),
-                                       (64, math.nan), (64, -5.0)])
+                                       (64, math.nan), (64, -5.0), (8, 5e-324)])
 def test_gridspec_rejects_degenerate_grid(n, extent):
     with pytest.raises(GridError):
         GridSpec(n=n, extent=extent)
