@@ -20,7 +20,6 @@ import json
 import math
 import os
 import sys
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import asdict, dataclass, field, fields, replace
 from typing import Optional, get_args, get_type_hints
 
@@ -273,6 +272,8 @@ def _cmd_sweep(cfg: RunConfig) -> int:
     omegas = [cfg.omega_min + k * (cfg.omega_max - cfg.omega_min) / (cfg.steps - 1)
               for k in range(cfg.steps)]
     if cfg.jobs > 1:
+        # imported here: the pool costs every other CLI process ~10 ms to import
+        from concurrent.futures import ProcessPoolExecutor
         # no more workers than there are rows
         with ProcessPoolExecutor(max_workers=min(cfg.jobs, len(omegas))) as pool:
             rows = list(pool.map(_sweep_row, omegas, [cfg] * len(omegas)))
@@ -360,7 +361,8 @@ def _cmd_ensemble(cfg: RunConfig) -> int:
     exact = epr_correlation(pair, spec.a, spec.b, hbar=params.hbar).P_exact
     doc = {"spec": {"n_trials": spec.n_trials, "realizations": spec.realizations,
                     "seed": spec.seed, "a": list(spec.a), "b": list(spec.b)},
-           "mean": est.mean, "stderr": est.stderr, "exact": exact,
+           "mean": est.mean, "stderr": est.stderr, "stderr_exact": est.stderr_exact,
+           "exact": exact,
            "seed_used": est.seed_used}
     _emit(cfg, doc, f"ensemble: mean = {est.mean:.6f} +- {est.stderr:.6f} "
                     f"(exact {exact:.6f}, seed {est.seed_used})")

@@ -3,14 +3,18 @@
 Each trial carries one overall random U(1) phase on the whole two-soliton
 configuration (a per-particle relative phase would break the singlet). The
 N-trial superposition Psi_N = (hbar^2 N)^{-1/2} sum_j e^{i theta_j} phi_12
-gives a correlation (1/N)|sum_j e^{i theta_j}|^2 * P_exact whose expectation
-over phases is P_exact, but whose fluctuations do not self-average in N: the
-phase average is therefore estimated over R independent realizations.
+gives a correlation C * P_exact, with coherence factor
+C = (1/N)|sum_j e^{i theta_j}|^2. Over N independent uniform phases
+E|sum|^4 = 2N^2 - N, so E C = 1 and Var C = 1 - 1/N exactly: the phase
+average is P_exact, but its fluctuations do not self-average in N, so it is
+estimated over R independent realizations, whose exact standard error is
+|P_exact| sqrt((1 - 1/N)/R).
 
-Realization r draws from the Philox stream keyed (seed, r). Philox is
-counter-based (Salmon et al., SC'11), so one generator re-keyed for each
-realization reproduces every stream bit for bit; realizations are drawn in
-blocks of at most 2^13 phases, whose coherence factors are taken at once.
+Each seed in [0, 2^64) owns one Philox stream, key (seed, 0) (Salmon et al.,
+SC'11), and realization r reads its draws r*N ... r*N + N - 1, so a
+realization's phases depend on N. ensemble_estimate reads the stream in
+order, in blocks of at most 2^13 phases whose coherence factors are taken at
+once; Philox is counter-based, so draw_phases jumps to any realization.
 """
 from __future__ import annotations
 
@@ -25,7 +29,8 @@ from .errors import DomainError, is_count
 __all__ = ["EnsembleSpec", "EnsembleEstimate", "draw_phases",
            "realization_estimate", "ensemble_estimate"]
 
-_MASK64 = (1 << 64) - 1
+# seeds and realization indices are 64-bit words: no two alias
+_WORDS = 1 << 64
 # most trials per realization, and most realizations (a float64 array each)
 _MAX_DRAWS = 10_000_000
 # most phases per block (one realization if n_trials is larger), which keeps
@@ -42,9 +47,10 @@ class EnsembleSpec:
     b: tuple = (0.0, 0.0, 1.0)
 
     def __post_init__(self):
-        for name in ("n_trials", "realizations", "seed"):
+        for name in ("n_trials", "realizations"):
             if not is_count(getattr(self, name)):
                 raise DomainError(f"{name} must be an integer, got {getattr(self, name)!r}")
+        _check_word("seed", self.seed)
         if not 1 <= self.n_trials <= _MAX_DRAWS:
             raise DomainError(f"n_trials must lie in [1, {_MAX_DRAWS}], got {self.n_trials}")
         if not 2 <= self.realizations <= _MAX_DRAWS:
@@ -57,43 +63,44 @@ class EnsembleSpec:
 class EnsembleEstimate:
     mean: float
     stderr: float
+    # the law's standard error |P_exact| sqrt((1 - 1/N)/R): 0 at N = 1 or P = 0
+    stderr_exact: float
     per_realization: tuple
     seed_used: int
 
 
-def _phase_stream(seed: int):
-    """fill(r0, rows): row i <- realization r0 + i's phases, from one Philox
-    generator re-keyed through its state: key (seed, r), counter 0, empty buffer."""
-    bits = np.random.Philox(key=np.array([seed & _MASK64, 0], dtype=np.uint64))
+def _check_word(name: str, value) -> None:
+    if not is_count(value):
+        raise DomainError(f"{name} must be an integer, got {value!r}")
+    if not 0 <= value < _WORDS:
+        raise DomainError(f"{name} must lie in [0, 2^64), got {value}")
+
+
+def _stream(seed: int, start: int) -> np.random.Generator:
+    """seed's Philox stream, key (seed, 0), at draw start: the counter jumps
+    start // 4 blocks of four draws, and the rest are drawn and discarded."""
+    bits = np.random.Philox(key=np.array([seed, 0], dtype=np.uint64))
+    bits.advance(start // 4)
     gen = np.random.Generator(bits)
-    state = bits.state
-    key = state["state"]["key"]
-
-    def fill(r0: int, rows: np.ndarray) -> None:
-        for r, row in enumerate(rows, r0):
-            key[1] = r & _MASK64
-            bits.state = state
-            gen.random(out=row)
-        rows *= 2.0 * math.pi
-
-    return fill
+    gen.random(start % 4)
+    return gen
 
 
 def draw_phases(seed: int, realization_index: int, n: int) -> np.ndarray:
-    """n uniform phases in [0, 2*pi) from a counter-based stream.
+    """Realization realization_index's n uniform phases in [0, 2*pi).
 
-    The Philox generator is keyed by (seed, realization_index), so every
-    realization owns an independent stream and identical inputs reproduce
-    identical phases on any platform.
+    They are draws r*n ... r*n + n - 1 of seed's Philox stream, so they
+    depend on n, and identical inputs reproduce identical phases on any
+    platform. DomainError unless seed and realization_index lie in [0, 2^64).
     """
-    for name, value in (("seed", seed), ("realization_index", realization_index)):
-        if not is_count(value):
-            raise DomainError(f"{name} must be an integer, got {value!r}")
+    _check_word("seed", seed)
+    _check_word("realization_index", realization_index)
     if not (is_count(n) and n >= 1):
         raise DomainError(f"need n >= 1 phases, got {n!r}")
-    phases = np.empty((1, n))
-    _phase_stream(seed)(realization_index, phases)
-    return phases[0]
+    # Python ints, so that numpy integers cannot overflow the product
+    phases = _stream(seed, int(realization_index) * int(n)).random(n)
+    phases *= 2.0 * math.pi
+    return phases
 
 
 def _coherence(phases: np.ndarray):
@@ -117,19 +124,22 @@ def realization_estimate(phases, pair: EntangledPair, a, b, hbar: float = 1.0) -
 
 def ensemble_estimate(spec: EnsembleSpec, pair: EntangledPair,
                       hbar: float = 1.0) -> EnsembleEstimate:
-    """Phase average over R independent realizations, with standard error.
+    """Phase average over R independent realizations, with the sample
+    standard error and the law's.
 
     DomainError unless hbar is finite and > 0 (epr_correlation's check)."""
     p_exact = epr_correlation(pair, spec.a, spec.b, hbar=hbar).P_exact
-    fill = _phase_stream(spec.seed)
+    gen = _stream(spec.seed, 0)
     block = np.empty((max(1, _BLOCK // spec.n_trials), spec.n_trials))
     values = np.empty(spec.realizations)
     for r0 in range(0, spec.realizations, len(block)):
         rows = block[:spec.realizations - r0]
-        fill(r0, rows)
+        gen.random(out=rows)
+        rows *= 2.0 * math.pi
         values[r0:r0 + len(rows)] = _coherence(rows) * p_exact
     mean = float(values.mean())
     stderr = float(values.std(ddof=1) / math.sqrt(spec.realizations))
-    return EnsembleEstimate(mean=mean, stderr=stderr,
+    stderr_exact = abs(p_exact) * math.sqrt((1.0 - 1.0 / spec.n_trials) / spec.realizations)
+    return EnsembleEstimate(mean=mean, stderr=stderr, stderr_exact=stderr_exact,
                             per_realization=tuple(float(v) for v in values),
                             seed_used=spec.seed)

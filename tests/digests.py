@@ -18,8 +18,10 @@ Keys:
 - "observables", "chsh --optimize", "ensemble": each command's `--out` on
   the Omega = 0.5 archive (observables re-emits its input).
 
-The cache-file names moved when hbar, c and ell0 left the cache key
-(CHANGES.md); every other digest is the one recorded before that change.
+The cache-file names moved when hbar, c and ell0 left the cache key, and
+"ensemble" when each seed's realizations came to read one Philox stream in
+order and the artifact gained "stderr_exact" (CHANGES.md); every other
+digest is the one recorded before the first of those changes.
 """
 
 HOST = "numpy 2.4.6 on x86_64 Linux"
@@ -37,5 +39,5 @@ DIGESTS = {
     "sweep cache bytes": "e8e7bc00569137778c1e8b3922dd8518585d5f1490240ebe419c2b0bba35e424",
     "observables": "b3102b86ca6b8306b8ce4535e61a8615f6355ba449e2d7abbdcfcec7f3323167",
     "chsh --optimize": "59edeb1a4583743c4b9fa8f35a94d523e885db4f3e9961a590a870a316e42d3d",
-    "ensemble": "934a50bd7e5e9f2f4f30f2fdb00140f1ea19caeff1e45dd3a27bd863eeab0e70",
+    "ensemble": "b263511afd3b7fc1dc143771548c78e27003bc97f89488c6b502f32c552bdf99",
 }

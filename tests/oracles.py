@@ -21,9 +21,10 @@ reference of radial.shoot, which infers the midpoints' outcomes outside a
 verified window around the critical amplitude.
 
 draw_phases and ensemble_estimate build a fresh Philox generator for every
-realization and take its coherence alone: the bit-for-bit reference of
-ensemble.ensemble_estimate, which re-keys one generator and takes a block
-of realizations' coherence factors at once.
+realization, set through the constructor's counter to the realization's
+first draw, and take its coherence alone: the bit-for-bit reference of
+ensemble.ensemble_estimate, which reads one generator in order and takes a
+block of realizations' coherence factors at once.
 """
 import math
 from typing import Optional
@@ -436,20 +437,19 @@ def shoot(Omega: float, bracket0: tuple, shoot_tol: float = 1e-12,
 
 # --- phase ensemble ---------------------------------------------------------------
 
-_MASK64 = (1 << 64) - 1
-
-
 def draw_phases(seed: int, realization_index: int, n: int) -> np.ndarray:
-    """n uniform phases in [0, 2*pi) from a counter-based stream.
+    """n uniform phases in [0, 2*pi): draws r*n ... r*n + n - 1 of the
+    Philox stream keyed (seed, 0).
 
-    The Philox generator is keyed by (seed, realization_index), so every
-    realization owns an independent stream and identical inputs reproduce
-    identical phases on any platform.
+    The constructor's counter counts blocks of four draws, so the generator
+    starts at block r*n // 4 and discards the r*n % 4 draws before the first.
     """
     if n < 1:
         raise DomainError(f"need n >= 1 phases, got {n}")
-    key = np.array([seed & _MASK64, realization_index & _MASK64], dtype=np.uint64)
-    gen = np.random.Generator(np.random.Philox(key=key))
+    start = realization_index * n
+    key = np.array([seed, 0], dtype=np.uint64)
+    gen = np.random.Generator(np.random.Philox(key=key, counter=start // 4))
+    gen.random(start % 4)
     return gen.random(n) * (2.0 * math.pi)
 
 
@@ -468,6 +468,8 @@ def ensemble_estimate(spec: EnsembleSpec, pair: EntangledPair,
         values[r] = _coherence(draw_phases(spec.seed, r, spec.n_trials)) * p_exact
     mean = float(values.mean())
     stderr = float(values.std(ddof=1) / math.sqrt(spec.realizations))
-    return EnsembleEstimate(mean=mean, stderr=stderr,
+    # Var C = 1 - 1/N for N uniform phases
+    stderr_exact = abs(p_exact) * math.sqrt((1.0 - 1.0 / spec.n_trials) / spec.realizations)
+    return EnsembleEstimate(mean=mean, stderr=stderr, stderr_exact=stderr_exact,
                             per_realization=tuple(float(v) for v in values),
                             seed_used=spec.seed)

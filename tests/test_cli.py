@@ -1,3 +1,4 @@
+import concurrent.futures
 import csv
 import inspect
 import json
@@ -540,6 +541,14 @@ def test_archive_commands_load_no_scipy(tmp_path):
     assert json.loads(out.splitlines()[-1]) == []
 
 
+def test_cli_import_leaves_out_the_process_pool():
+    # only sweep --jobs > 1 needs it, and it costs every CLI process to import
+    out = _run_fresh("import sys\n"
+                     "import solitonlab.cli\n"
+                     "print('concurrent.futures.process' in sys.modules)\n")
+    assert out.splitlines()[-1] == "False"
+
+
 def test_package_runs_without_scipy(tmp_path):
     # a fresh interpreter in which every scipy import fails: the solve, the
     # archive commands and both 3-D grid checks still run
@@ -636,6 +645,18 @@ def test_ensemble_reproducible_artifacts(sol_path, workdir):
     doc = json.loads(out1.read_text())
     assert doc["seed_used"] == 99
     assert abs(doc["mean"] - doc["exact"]) <= 6.0 * doc["stderr"]
+    assert doc["stderr_exact"] == abs(doc["exact"]) * math.sqrt((1 - 1 / 16) / 128)
+
+
+@pytest.mark.parametrize("seed", [-1, 2 ** 64, 2 ** 64 + 42])
+def test_ensemble_seed_outside_64_bits_is_invalid_input(sol_path, capsys, seed):
+    # these aliased 2^64 - 1, 0 and 42 modulo 2^64
+    code = main(["ensemble", "--solution", str(sol_path), "--a", "0,0,1",
+                 "--b", "0,0,1", "--n-trials", "4", "--realizations", "8",
+                 f"--seed={seed}"])
+    assert code == 3
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
 
 
 def test_ensemble_single_realization_is_invalid_input(sol_path, capsys):
@@ -738,7 +759,8 @@ class _RecordingPool:
 
 
 def test_sweep_pool_sized_by_rows(workdir, monkeypatch):
-    monkeypatch.setattr(cli, "ProcessPoolExecutor", _RecordingPool)
+    # the CLI imports the pool from here, and only for --jobs > 1
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", _RecordingPool)
     monkeypatch.setattr(_RecordingPool, "sizes", [])
     base = ["sweep", "--omega-min", "0.3", "--omega-max", "0.7", "--steps", "3"]
     serial, pooled = workdir / "sweep_serial.csv", workdir / "sweep_pool.csv"
@@ -750,7 +772,7 @@ def test_sweep_pool_sized_by_rows(workdir, monkeypatch):
 
 @pytest.mark.parametrize("jobs", ["0", "-2"])
 def test_sweep_rejects_jobs_below_one(workdir, monkeypatch, capsys, jobs):
-    monkeypatch.setattr(cli, "ProcessPoolExecutor", _RecordingPool)
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", _RecordingPool)
     monkeypatch.setattr(_RecordingPool, "sizes", [])
     out = workdir / "sweep_jobs.csv"
     assert main(["sweep", "--omega-min", "0.3", "--omega-max", "0.7", "--steps", "3",
@@ -763,7 +785,7 @@ def test_sweep_rejects_jobs_below_one(workdir, monkeypatch, capsys, jobs):
 @pytest.mark.parametrize("jobs", [cli._MAX_JOBS + 1, 100_000])
 def test_sweep_rejects_jobs_above_bound(workdir, monkeypatch, capsys, jobs):
     # the pool forks its workers up front; no pool may be built at all
-    monkeypatch.setattr(cli, "ProcessPoolExecutor", _RecordingPool)
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", _RecordingPool)
     monkeypatch.setattr(_RecordingPool, "sizes", [])
     out = workdir / "sweep_jobs.csv"
     assert main(["sweep", "--omega-min", "0.3", "--omega-max", "0.7", "--steps", "3",
