@@ -16,10 +16,9 @@ from .radial import (Outcome, RadialState, RadialProfile, ShootingResult,
                      shoot, solve_ground)
 from .observables import (ObservableSet, IdentityReport, SpinReport,
                           compute_integrals, identity_report, spin_z, energy)
-from .correlation import (SpinVector, EntangledPair, CorrelationReport,
-                          build_singlet, apply_2J, epr_correlation,
-                          pair_correlation_fn, chsh, chsh_optimize,
-                          chsh_local_strategies, ladder_check_grid)
+from .correlation import (EntangledPair, CorrelationReport, build_singlet,
+                          epr_correlation, pair_correlation_fn, chsh,
+                          chsh_optimize, chsh_local_strategies, ladder_check_grid)
 from .ensemble import (EnsembleSpec, EnsembleEstimate, draw_phases,
                        realization_estimate, ensemble_estimate)
 from .spingrid import GridSpec, LadderReport

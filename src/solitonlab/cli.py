@@ -3,7 +3,7 @@
 A flag is its option's RunConfig or SolverOptions field name with dashes,
 typed by the field's annotation; a --config JSON file takes the same names
 and checks its values against the same annotations. _COMMANDS lists each
-command's options.
+command's handler and options.
 
 Exit codes: 0 success, 2 solver non-convergence, 3 invalid input, 4 I/O
 failure. All floats in emitted JSON/CSV use the shortest round-trip decimal
@@ -87,26 +87,6 @@ def _parse_vector(text: str):
     return tuple(parts)
 
 
-# the solver, config, output and cache options that solve and sweep share
-_SOLVE_OPTIONS = ("x_max mesh_dx shoot_tol scan_step scan_max scan_rtol final_rtol "
-                 "config out cache_dir no_cache")
-# each command's help line and its options in --help order; "!" marks a
-# required one
-_COMMANDS = {
-    "solve": ("solve one ground state and archive it", f"omega! hbar c ell0 {_SOLVE_OPTIONS}"),
-    "sweep": ("solve a frequency sweep, emit CSV",
-              f"omega_min! omega_max! steps! jobs {_SOLVE_OPTIONS}"),
-    "observables": ("recompute integrals from an archive", "solution! config out"),
-    "correlate": ("exact EPR correlation for two analyzers", "solution! a! b! config out"),
-    "chsh": ("CHSH statistic (four analyzers or --optimize)",
-             "solution! a a_prime b b_prime optimize config out"),
-    "ensemble": ("Monte-Carlo phase-averaged correlation",
-                 "solution! a! b! n_trials realizations seed config out"),
-}
-_HELP = {"omega": "frequency (physical units)", "config": "JSON file with option defaults",
-         "out": "output artifact path"}
-
-
 def _option_types() -> dict:
     """Each option's type: its RunConfig or SolverOptions field's annotation
     without Optional, and str for --config, the file that is read."""
@@ -124,7 +104,7 @@ def _build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--version", action="version", version=__version__)
     sub = parser.add_subparsers(dest="command", required=True)
     types = _option_types()
-    for command, (help_line, options) in _COMMANDS.items():
+    for command, (help_line, options, _handler) in _COMMANDS.items():
         p = sub.add_parser(command, help=help_line)
         for option in options.split():
             name = option.rstrip("!")
@@ -244,16 +224,10 @@ def _sweep_row(omega: float, cfg: RunConfig) -> dict:
         row["status"] = f"error:{type(err).__name__}"
         row["message"] = str(err)
         return row
-    o, i = doc["observables"], doc["identities"]
-    values = {
-        "F0": doc["shooting"]["F0"], "Q": o["Q"], "Qs": o["Qs"], "I4": o["I4"],
-        "J4": o["J4"], "T": o["T"], "nu_fit": doc["tail"]["nu_fit"],
-        "d1_residual": i["d1_residual"], "d2_residual": i["d2_residual"],
-        "v13": i["v13"], "v15": i["v15"], "v16": i["v16"],
-        "energy_ratio": i["energy_ratio"],
-        "lambda_calibrated": doc["calibration"]["lambda"],
-    }
-    row.update({k: repr(float(v)) for k, v in values.items()})
+    values = {**doc["observables"], **doc["identities"], "F0": doc["shooting"]["F0"],
+              "nu_fit": doc["tail"]["nu_fit"], "lambda_calibrated": doc["calibration"]["lambda"]}
+    # every column between Omega and status is a number of the document
+    row.update({c: repr(float(values[c])) for c in SWEEP_COLUMNS[1:-2]})
     row["status"] = "ok"
     return row
 
@@ -369,19 +343,27 @@ def _cmd_ensemble(cfg: RunConfig) -> int:
     return 0
 
 
-_HANDLERS = {
-    "solve": _cmd_solve,
-    "sweep": _cmd_sweep,
-    "observables": _cmd_observables,
-    "correlate": _cmd_correlate,
-    "chsh": _cmd_chsh,
-    "ensemble": _cmd_ensemble,
+# the solver, config, output and cache options that solve and sweep share
+_SOLVE_OPTIONS = ("x_max mesh_dx shoot_tol scan_step scan_max scan_rtol final_rtol "
+                 "config out cache_dir no_cache")
+# each command's help line, its options in --help order ("!" marks a
+# required one) and its handler
+_COMMANDS = {
+    "solve": ("solve one ground state and archive it", f"omega! hbar c ell0 {_SOLVE_OPTIONS}",
+              _cmd_solve),
+    "sweep": ("solve a frequency sweep, emit CSV",
+              f"omega_min! omega_max! steps! jobs {_SOLVE_OPTIONS}", _cmd_sweep),
+    "observables": ("recompute integrals from an archive", "solution! config out",
+                    _cmd_observables),
+    "correlate": ("exact EPR correlation for two analyzers", "solution! a! b! config out",
+                  _cmd_correlate),
+    "chsh": ("CHSH statistic (four analyzers or --optimize)",
+             "solution! a a_prime b b_prime optimize config out", _cmd_chsh),
+    "ensemble": ("Monte-Carlo phase-averaged correlation",
+                 "solution! a! b! n_trials realizations seed config out", _cmd_ensemble),
 }
-
-
-def run(config: RunConfig) -> int:
-    """Dispatch a validated configuration to its command handler."""
-    return _HANDLERS[config.command](config)
+_HELP = {"omega": "frequency (physical units)", "config": "JSON file with option defaults",
+         "out": "output artifact path"}
 
 
 def main(argv=None) -> int:
@@ -393,7 +375,7 @@ def main(argv=None) -> int:
         return 3 if exc.code not in (0, None) else 0
     try:
         cfg = _merge_config(args)
-        return run(cfg)
+        return _COMMANDS[cfg.command][2](cfg)
     except DomainError as err:
         print(f"error: {err}", file=sys.stderr)
         return 3

@@ -20,20 +20,12 @@ from .errors import DomainError, GridError
 from .spingrid import GridSpec, LadderReport, ladder_residuals
 
 __all__ = [
-    "SpinVector", "EntangledPair", "CorrelationReport",
-    "build_singlet", "apply_2J", "epr_correlation", "pair_correlation_fn",
-    "chsh", "chsh_optimize", "chsh_local_strategies", "ladder_check_grid",
-    "unit_vector", "coplanar_direction",
+    "EntangledPair", "CorrelationReport", "build_singlet", "pauli_dot",
+    "epr_correlation", "pair_correlation_fn", "chsh", "chsh_optimize",
+    "chsh_local_strategies", "ladder_check_grid", "unit_vector",
 ]
 
 UNIT_TOL = 1e-6
-
-
-@dataclass(frozen=True)
-class SpinVector:
-    """Amplitudes over the two spin-basis solitons."""
-    c_up: complex
-    c_down: complex
 
 
 @dataclass(frozen=True)
@@ -78,7 +70,7 @@ def unit_vector(a) -> np.ndarray:
     if not np.all(np.isfinite(v)):
         raise DomainError(f"analyzer direction must be finite, got {a!r}")
     norm = float(np.linalg.norm(v))
-    if abs(norm - 1.0) > UNIT_TOL:
+    if not abs(norm - 1.0) <= UNIT_TOL:
         raise DomainError(
             f"analyzer direction has length {norm:.8f}, more than {UNIT_TOL:g} from 1")
     return v / norm
@@ -93,7 +85,9 @@ def build_singlet(radial_norm: float) -> EntangledPair:
 
 def pauli_dot(a) -> np.ndarray:
     """sigma . a as a 2x2 complex matrix, one for each direction of a (3,) or
-    (..., 3) array; equals the action of 2(J.a)."""
+    (..., 3) array: the action of 2(J.a) on the coefficients over the two
+    basis solitons, phi_up -> a3 phi_up + (a1+ia2) phi_dn and
+    phi_dn -> (a1-ia2) phi_up - a3 phi_dn."""
     a = np.asarray(a, dtype=float)
     out = np.empty(a.shape[:-1] + (2, 2), dtype=complex)
     out[..., 0, 0] = a[..., 2]
@@ -101,19 +95,6 @@ def pauli_dot(a) -> np.ndarray:
     out[..., 1, 0] = a[..., 0] + 1j * a[..., 1]
     out[..., 1, 1] = -a[..., 2]
     return out
-
-
-def apply_2J(direction, v: SpinVector) -> SpinVector:
-    """Apply twice the spin projection along a unit direction.
-
-    The basis action is phi_up -> a3 phi_up + (a1+ia2) phi_dn and
-    phi_dn -> (a1-ia2) phi_up - a3 phi_dn, i.e. sigma.a on the coefficients.
-    Applying it twice with the same direction is the identity.
-    """
-    a = unit_vector(direction)
-    m = pauli_dot(a)
-    c = m @ np.array([v.c_up, v.c_down], dtype=complex)
-    return SpinVector(c_up=complex(c[0]), c_down=complex(c[1]))
 
 
 def _scale(pair: EntangledPair, hbar: float) -> float:
@@ -163,12 +144,6 @@ def chsh(a, a_prime, b, b_prime, correlation_fn: Callable) -> float:
     """S = |P(a,b) - P(a,b')| + |P(a',b) + P(a',b')|."""
     return (abs(correlation_fn(a, b) - correlation_fn(a, b_prime))
             + abs(correlation_fn(a_prime, b) + correlation_fn(a_prime, b_prime)))
-
-
-def coplanar_direction(theta):
-    """Unit vector(s) in the x-z plane at angle theta from the z axis."""
-    theta = np.asarray(theta, dtype=float)
-    return np.stack([np.sin(theta), np.zeros_like(theta), np.cos(theta)], axis=-1)
 
 
 # non-axis pairs, neither parallel nor orthogonal, on which a bilinear

@@ -213,7 +213,7 @@ def _rhs(x, F, G, Omega: float) -> tuple:
 
 def rhs(state: RadialState, Omega: float) -> tuple:
     """Right-hand side (dF, dG) of the radial system at a state."""
-    if state.x <= 0:
+    if not state.x > 0:
         raise DomainError(f"rhs requires x > 0, got {state.x}")
     return _rhs(state.x, state.F, state.G, Omega)
 
@@ -225,15 +225,15 @@ def series_start(F0: float, Omega: float, x0: float = 1e-4) -> RadialState:
     1/x term of the G equation at the origin; F starts flat with curvature
     -(Omega+1)c1.
     """
-    if x0 <= 0:
+    if not x0 > 0:
         raise DomainError(f"series_start requires x0 > 0, got {x0}")
     c1 = ((Omega - 1.0) * F0 + F0 ** 3) / 3.0
     return RadialState(x=x0, F=F0 - (Omega + 1.0) * c1 * x0 * x0 / 2.0, G=c1 * x0)
 
 
 def _mesh_nodes(x0: float, x_end: float, dx: float) -> int:
-    """Node count of _build_mesh(x0, x_end, dx); DomainError for more than
-    _MAX_MESH_NODES."""
+    """Node count of the mesh x0 + dx*k that covers [x0, x_end]; DomainError
+    for more than _MAX_MESH_NODES."""
     intervals = (x_end - x0) / dx
     if not intervals <= _MAX_MESH_NODES - 1:
         raise DomainError(f"the mesh [{x0}, {x_end}] at spacing {dx} would exceed "
@@ -241,11 +241,11 @@ def _mesh_nodes(x0: float, x_end: float, dx: float) -> int:
     return int(math.ceil(intervals)) + 1
 
 
-def _build_mesh(x0: float, x_end: float, dx: float) -> np.ndarray:
-    """Uniform mesh x0 + dx*k covering [x0, x_end]; growing x_end only appends
-    nodes, so the node sequence over any prefix is extension-stable. Raises
-    DomainError, before allocating, for more than _MAX_MESH_NODES nodes."""
-    return x0 + dx * np.arange(_mesh_nodes(x0, x_end, dx))
+def _build_mesh(x0: float, dx: float, nodes: int) -> np.ndarray:
+    """Uniform mesh x0 + dx*k, k < nodes, for a count from _mesh_nodes, which
+    bounds it; more nodes only append, so the node sequence over any prefix
+    is extension-stable."""
+    return x0 + dx * np.arange(nodes)
 
 
 def _initial_x_max(Omega: float, opts: SolverOptions) -> float:
@@ -394,19 +394,19 @@ class _Shooter:
     def __init__(self, Omega: float, opts: SolverOptions):
         self.Omega = Omega
         self.opts = opts
-        self._set_mesh(_build_mesh(opts.x0, _initial_x_max(Omega, opts), opts.mesh_dx))
+        self._extend(_initial_x_max(Omega, opts))
         self.nu = math.sqrt(1.0 - Omega * Omega)
-
-    def _set_mesh(self, mesh: np.ndarray) -> None:
-        self.mesh = mesh
-        self.nodes = mesh.tolist()  # the float nodes that _march clamps to
 
     @property
     def x_max(self) -> float:
-        return float(self.mesh[-1])
+        return self.nodes[-1]
 
-    def _extend(self) -> None:
-        self._set_mesh(_build_mesh(self.opts.x0, 1.5 * self.x_max, self.opts.mesh_dx))
+    def _extend(self, x_end: Optional[float] = None) -> None:
+        """Set nodes, the float nodes that _march clamps to, to the mesh over
+        [x0, x_end], by default [x0, 1.5 * x_max]."""
+        x0, dx = self.opts.x0, self.opts.mesh_dx
+        nodes = _mesh_nodes(x0, x_end or 1.5 * self.x_max, dx)
+        self.nodes = _build_mesh(x0, dx, nodes).tolist()
 
     def trial(self, F0: float, rtol: float, clamped: bool = False) -> tuple:
         """Classify one trial; returns (Outcome, halt_reason).
@@ -589,7 +589,7 @@ def _verified_window(sh: _Shooter, lo: float, hi: float, x_hi: float, opts: Solv
     extension, a decayed trial or more than _MAX_ESTIMATE_STEPS trials give
     None.
     """
-    mesh = sh.mesh
+    nodes = sh.nodes
     ends = ((lo, Outcome.DIVERGED_UP), (hi, Outcome.DIVERGED_DOWN))
     memo = {}
     overs = [(hi, x_hi)]  # f_cross overshoots, best (smallest F0) last
@@ -629,7 +629,7 @@ def _verified_window(sh: _Shooter, lo: float, hi: float, x_hi: float, opts: Solv
             if not lo < F0 < b:
                 F0 = 0.5 * (lo + b)
         out = run(F0)
-        if out is Outcome.DECAYED or sh.mesh is not mesh:
+        if out is Outcome.DECAYED or sh.nodes is not nodes:
             return None
         if out is Outcome.DIVERGED_UP:
             lo, q = F0, min(10.0 * q, 0.5)
@@ -679,14 +679,14 @@ def shoot(Omega: float, bracket0: tuple, shoot_tol: float = 1e-12,
     ends = ((lo, out_lo), (hi, out_hi))
     if out_lo is Outcome.DIVERGED_DOWN:
         lo, hi = hi, lo  # the estimate takes the undershoot end first
-    mesh = sh.mesh
+    nodes = sh.nodes
     try:
         # x_cross is the overshoot end's: the undershoot end's trial leaves it
         window = _verified_window(sh, lo, hi, sh.x_cross, opts) if lo < hi else None
     except (ConvergenceError, IntegrationError, DomainError):
         window = None
     if window is None:
-        sh._set_mesh(mesh)  # x_max stays bisection's: undo the estimate's extensions
+        sh.nodes = nodes  # x_max stays bisection's: undo the estimate's extensions
     a, c, memo = window or (-math.inf, math.inf, {})
 
     def classify(mid):
@@ -710,15 +710,15 @@ def replay_bisection(history, opts: SolverOptions) -> ShootingResult:
     return _bisect(history, opts, refuse)
 
 
-def _final_profile(Omega: float, F0: float, sh: _Shooter, opts: SolverOptions):
-    """Mesh-clamped final integration plus analytic tail continuation."""
-    nu, B = sh.nu, 1.0 + Omega
-    mesh = sh.mesh
+def _final_profile(Omega: float, F0: float, mesh: np.ndarray, opts: SolverOptions):
+    """Final integration clamped to the mesh plus analytic tail continuation."""
+    nu, B = math.sqrt(1.0 - Omega * Omega), 1.0 + Omega
     n = mesh.size
+    nodes = mesh.tolist()
     thresh = opts.glue_frac * F0
     start = series_start(F0, Omega, opts.x0)
-    states = chain(((sh.nodes[0], start.F, start.G),),
-                   _march(Omega, sh.nodes, start.F, start.G, opts.final_rtol))
+    states = chain(((nodes[0], start.F, start.G),),
+                   _march(Omega, nodes, start.F, start.G, opts.final_rtol))
     Fs, Gs = [], []
     reason = "end"
     for x, Fx, Gx in states:
@@ -813,24 +813,22 @@ def _midpoint_residual(profile: RadialProfile, Omega: float):
 def solution_from_shooting(Omega: float, shooting: ShootingResult, opts: SolverOptions,
                            x_max_used: float) -> SolitonSolution:
     """The one way a SolitonSolution is built: the final pass at shooting.F0
-    on the trials' mesh, its x_max ratcheted by 1.5x up to x_max_used, which
-    must be one of the ratchet's ends (ValueError otherwise). A final pass
+    on the trials' mesh that ends at x_max_used, which must be one of the
+    x_max ratchet's ends (ValueError otherwise). A final pass
     that misses the glue threshold, or a fitted tail exponent more than 5%
     from sqrt(1 - Omega^2), raises TailError; a midpoint residual above
     residual_tol raises ConvergenceError. Both guards reject NaN.
     """
-    nodes = ratchet_nodes(Omega, opts, x_max_used)
-    sh = _Shooter(Omega, opts)
-    while sh.mesh.size < nodes:
-        sh._extend()
-    profile, report = _final_profile(Omega, shooting.F0, sh, opts)
+    mesh = _build_mesh(opts.x0, opts.mesh_dx, ratchet_nodes(Omega, opts, x_max_used))
+    profile, report = _final_profile(Omega, shooting.F0, mesh, opts)
     if not report.nu_rel_dev <= 0.05:
         raise TailError(f"nu_fit = {profile.tail.nu_fit:.6f} deviates "
                         f"{report.nu_rel_dev:.1%} from sqrt(1 - Omega^2)")
     if not report.max_midpoint_residual <= opts.residual_tol:
         raise ConvergenceError(f"midpoint residual {report.max_midpoint_residual:.3e} "
                                f"exceeds {opts.residual_tol:.1e}")
-    provenance = {"code_version": __version__, "options": asdict(opts), "x_max_used": sh.x_max}
+    provenance = {"code_version": __version__, "options": asdict(opts),
+                  "x_max_used": float(mesh[-1])}
     return SolitonSolution(Omega=Omega, profile=profile, shooting=shooting,
                            residuals=report, provenance=provenance)
 

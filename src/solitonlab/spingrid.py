@@ -52,12 +52,11 @@ origin by the regular series: F = F0, F' = 0, G = 0, G' = c1.
 from __future__ import annotations
 
 import math
-import numbers
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import GridError
+from .errors import GridError, is_count
 
 __all__ = ["GridSpec", "LadderReport", "ladder_residuals", "sz_grid_integral"]
 
@@ -71,7 +70,7 @@ class GridSpec:
     extent: float = 12.0  # half-width of the cube in units of ell0
 
     def __post_init__(self):
-        if not (isinstance(self.n, numbers.Integral) and self.n >= 4):
+        if not (is_count(self.n) and self.n >= 4):
             raise GridError(f"grid point count must be an integer >= 4, got {self.n!r}")
         if self.n % 2:
             raise GridError("grid point count must be even to exclude the origin")
@@ -262,7 +261,7 @@ def _slabs(solution, spec: GridSpec, atoms):
     h, m = spec.spacing, spec.n // 2
     pos = (np.arange(m) + 0.5) * h  # mirror-exact: the cube's nodes are +-pos
     corner = math.sqrt(3.0) * pos[-1]
-    if corner > solution.profile.x_max:
+    if not corner <= solution.profile.x_max:
         # the interpolant covers only the stored grid
         raise GridError(
             f"grid corner radius {corner:.1f} exceeds profile x_max "

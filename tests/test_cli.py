@@ -182,14 +182,25 @@ def test_solve_cache_hit_for_other_constants(tmp_path, monkeypatch):
     assert hit.read_bytes() == fresh.read_bytes()
 
 
-def test_extended_mesh_round_trips(tmp_path):
+def test_extended_mesh_round_trips(monkeypatch, tmp_path):
     # x_max 3 is extended six times by the trials; the loader rebuilds the
-    # same mesh from the options and x_max_used
+    # same mesh from the options and x_max_used, and builds no other
     sol, obs = tmp_path / "sol.json", tmp_path / "obs.json"
     assert main(["solve", "--omega", "0.5", "--x-max", "3", "--no-cache",
                  "--out", str(sol)]) == 0
-    assert json.loads(sol.read_text())["provenance"]["x_max_used"] == 34.3301
+    doc = json.loads(sol.read_text())
+    assert doc["provenance"]["x_max_used"] == 34.3301
+    sizes = []
+    build_mesh = radial._build_mesh
+
+    def spy(*args):
+        mesh = build_mesh(*args)
+        sizes.append(mesh.size)
+        return mesh
+
+    monkeypatch.setattr(radial, "_build_mesh", spy)
     assert main(["observables", "--solution", str(sol), "--out", str(obs)]) == 0
+    assert sizes == [len(doc["grid"]["x"])]
     assert obs.read_bytes() == sol.read_bytes()
 
 
@@ -246,7 +257,7 @@ def _coarse_mesh(doc):
     doc["provenance"]["options"].update(mesh_dx=5.0)
     sh = radial._Shooter(doc["Omega"], SolverOptions(**doc["provenance"]["options"]))
     doc["provenance"].update(x_max_used=sh.x_max)
-    doc["grid"]["x"] = doc["grid"]["x"][:sh.mesh.size]
+    doc["grid"]["x"] = doc["grid"]["x"][:len(sh.nodes)]
     _history_at(doc["shooting"]["F0"])(doc)
 
 
@@ -323,7 +334,7 @@ def test_ratchet_nodes_is_the_trials_mesh():
                         (0.9, SolverOptions(mesh_dx=0.03))):
         sh = radial._Shooter(Omega, opts)
         for _ in range(8):
-            assert radial.ratchet_nodes(Omega, opts, sh.x_max) == sh.mesh.size
+            assert radial.ratchet_nodes(Omega, opts, sh.x_max) == len(sh.nodes)
             for off_end in (math.nextafter(sh.x_max, 0.0), math.nextafter(sh.x_max, math.inf)):
                 with pytest.raises(ValueError):
                     radial.ratchet_nodes(Omega, opts, off_end)

@@ -6,11 +6,10 @@ from hypothesis import given, settings, strategies as st
 
 import oracles
 from solitonlab import DomainError, GridError
-from solitonlab.correlation import (EntangledPair, SpinVector, apply_2J, build_singlet,
-                                    chsh, chsh_local_strategies, chsh_optimize,
-                                    coplanar_direction, epr_correlation,
-                                    ladder_check_grid, pair_correlation_fn,
-                                    pauli_dot, unit_vector)
+from solitonlab.correlation import (EntangledPair, build_singlet, chsh,
+                                    chsh_local_strategies, chsh_optimize,
+                                    epr_correlation, ladder_check_grid,
+                                    pair_correlation_fn, pauli_dot, unit_vector)
 from solitonlab.spingrid import GridSpec
 
 ROOT2 = math.sqrt(2.0)
@@ -89,32 +88,25 @@ def test_unit_vector_rejects_non_unit():
 
 # --- doubled angular momentum --------------------------------------------------
 
-def test_apply_2J_z_eigenvectors():
-    up = SpinVector(1.0, 0.0)
-    out = apply_2J((0, 0, 1), up)
-    assert (out.c_up, out.c_down) == (1.0 + 0.0j, 0.0 + 0.0j)
-    dn = SpinVector(0.0, 1.0)
-    out = apply_2J((0, 0, 1), dn)
-    assert (out.c_up, out.c_down) == (0.0 + 0.0j, -1.0 + 0.0j)
+def test_pauli_dot_z_eigenvectors():
+    # 2(J3) keeps phi_up and negates phi_dn
+    m = pauli_dot((0, 0, 1))
+    assert (m @ np.array([1.0, 0.0])).tolist() == [1.0 + 0.0j, 0.0 + 0.0j]
+    assert (m @ np.array([0.0, 1.0])).tolist() == [0.0 + 0.0j, -1.0 + 0.0j]
 
 
-def test_apply_2J_x_flips_spin():
-    out = apply_2J((1, 0, 0), SpinVector(1.0, 0.0))
-    assert (out.c_up, out.c_down) == (0.0 + 0.0j, 1.0 + 0.0j)
+def test_pauli_dot_x_flips_spin():
+    out = pauli_dot((1, 0, 0)) @ np.array([1.0, 0.0])
+    assert out.tolist() == [0.0 + 0.0j, 1.0 + 0.0j]
 
 
-def test_apply_2J_involution():
+def test_pauli_dot_squares_to_one():
+    # (sigma.a)^2 = 1: applying 2(J.a) twice along a unit direction is the identity
     rng = np.random.default_rng(5)
     for a in _random_units(rng, 50):
-        v = SpinVector(complex(*rng.normal(size=2)), complex(*rng.normal(size=2)))
-        w = apply_2J(a, apply_2J(a, v))
-        assert abs(w.c_up - v.c_up) < 1e-12
-        assert abs(w.c_down - v.c_down) < 1e-12
-
-
-def test_apply_2J_rejects_non_unit():
-    with pytest.raises(DomainError):
-        apply_2J((0.5, 0, 0), SpinVector(1.0, 0.0))
+        v = np.array([complex(*rng.normal(size=2)), complex(*rng.normal(size=2))])
+        m = pauli_dot(a)
+        assert np.abs(m @ (m @ v) - v).max() < 1e-12
 
 
 # --- EPR correlation -----------------------------------------------------------
@@ -216,7 +208,7 @@ def test_calibrated_singlet_from_solution(singlet05):
 def test_chsh_canonical_angles():
     pair = build_singlet(1.0)
     fn = pair_correlation_fn(pair)
-    a, ap, b, bp = (coplanar_direction(t) for t in
+    a, ap, b, bp = (oracles._xz(t) for t in
                     np.deg2rad([0.0, 90.0, 45.0, 135.0]))
     assert chsh(a, ap, b, bp, fn) == pytest.approx(2.0 * ROOT2, abs=1e-12)
 
@@ -224,8 +216,8 @@ def test_chsh_canonical_angles():
 def test_chsh_degenerate_settings():
     pair = build_singlet(1.0)
     fn = pair_correlation_fn(pair)
-    a = coplanar_direction(0.3)
-    b = coplanar_direction(1.1)
+    a = oracles._xz(0.3)
+    b = oracles._xz(1.1)
     s = chsh(a, a, b, b, fn)
     assert s == pytest.approx(2.0 * abs(fn(a, b)), abs=1e-12)
     assert s <= 2.0 + 1e-12

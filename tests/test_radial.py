@@ -55,8 +55,10 @@ def test_rhs_against_symbolic_oracle():
 
 
 def test_rhs_rejects_nonpositive_x():
-    with pytest.raises(DomainError):
-        rhs(RadialState(0.0, 1.0, 0.0), 0.5)
+    # a NaN x passed the x <= 0 guard and gave (-0.051, nan)
+    for x in (0.0, -1.0, math.nan):
+        with pytest.raises(DomainError):
+            rhs(RadialState(x, 1.0, 0.1), 0.5)
 
 
 # --- series start ----------------------------------------------------------
@@ -79,8 +81,10 @@ def test_series_slope_algebra_at_unit_omega():
 
 
 def test_series_rejects_bad_offset():
-    with pytest.raises(DomainError):
-        series_start(1.0, 0.5, 0.0)
+    # a NaN x0 passed the x0 <= 0 guard and gave an all-NaN state
+    for x0 in (0.0, -1e-4, math.nan):
+        with pytest.raises(DomainError):
+            series_start(1.0, 0.5, x0)
 
 
 # --- shooting trial ----------------------------------------------------------
@@ -259,9 +263,9 @@ def test_mesh_node_bound(monkeypatch):
     # the bound is inclusive, and the x_max extension ratchet meets it too
     assert radial._MAX_MESH_NODES == 10_000_000
     monkeypatch.setattr(radial, "_MAX_MESH_NODES", 5000)
-    assert radial._build_mesh(0.0, 4999.0, 1.0).size == 5000
+    assert radial._mesh_nodes(0.0, 4999.0, 1.0) == 5000
     with pytest.raises(DomainError):
-        radial._build_mesh(0.0, 4999.5, 1.0)
+        radial._mesh_nodes(0.0, 4999.5, 1.0)
     sh = _Shooter(0.5, SolverOptions())  # 4,001 nodes
     with pytest.raises(DomainError):
         sh._extend()  # 6,001 nodes
@@ -399,13 +403,10 @@ class _Threshold:
     decayed at t itself if decays is set. It has no mesh to extend, and an
     overshoot crosses zero where 2*nu*x_cross + ln(F0 - t) = 0, the law
     shoot's estimate assumes, so the estimate finds a window."""
-    mesh, nu, x_cross = None, 1.0, 0.0
+    nodes, nu, x_cross = None, 1.0, 0.0
 
     def __init__(self, t, decays=False):
         self.t, self.decays = t, decays
-
-    def _set_mesh(self, mesh):
-        pass
 
     def trial(self, F0, rtol, clamped=False):
         if F0 == self.t and self.decays:

@@ -1,6 +1,8 @@
 """The streamed spin grid against the dense oracle, its radial interpolant,
 its memory bound and GridSpec."""
+import importlib
 import math
+import pkgutil
 import tracemalloc
 
 import numpy as np
@@ -16,7 +18,8 @@ from solitonlab.spingrid import (GridSpec, LadderReport, _radial_interpolant,
 # (8, 5e-324): 2*extent/7 rounds to a spacing of 0, which ended both grid
 # checks in a ZeroDivisionError
 @pytest.mark.parametrize("n, extent", [(0, 12.0), (2, 12.0), (64, 0.0),
-                                       (64, math.nan), (64, -5.0), (8, 5e-324)])
+                                       (64, math.nan), (64, -5.0), (8, 5e-324),
+                                       (True, 12.0), (4.0, 12.0)])
 def test_gridspec_rejects_degenerate_grid(n, extent):
     with pytest.raises(GridError):
         GridSpec(n=n, extent=extent)
@@ -30,6 +33,16 @@ def test_package_exports_grid_types():
     exec("from solitonlab import *", names)
     assert names["GridSpec"] is GridSpec
     assert names["LadderReport"] is solitonlab.spingrid.LadderReport
+
+
+def test_every_export_list_names_defined_objects():
+    # a name deleted from a module but left in its __all__ breaks "import *"
+    import solitonlab
+    modules = [solitonlab] + [importlib.import_module(f"solitonlab.{m.name}")
+                              for m in pkgutil.iter_modules(solitonlab.__path__)]
+    for module in modules:
+        missing = [n for n in getattr(module, "__all__", ()) if not hasattr(module, n)]
+        assert not missing, (module.__name__, missing)
 
 
 def test_gridspec_rejects_odd_point_count():
