@@ -23,7 +23,7 @@ from .params import PhysicalParams, calibrate_lambda
 from .radial import (SolitonSolution, SolverOptions, ratchet_nodes, replay_bisection,
                      solution_from_shooting)
 
-SCHEMA_VERSION = 3
+SCHEMA_VERSION = 4
 
 
 def derive_report(solution: SolitonSolution, params: PhysicalParams):

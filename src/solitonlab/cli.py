@@ -46,7 +46,7 @@ _MAX_JOBS = 64
 _ROW_FAILURES = (BracketError, ConvergenceError, TailError, IntegrationError,
                  QuadratureError, GridError, DomainError)
 # what reading and archive.solution_from_document raise for a bad archive,
-# including the final pass it re-runs (say, OverflowError for a forged F0)
+# including the final pass it re-runs (say, TailError for a forged glue_frac)
 _UNLOADABLE = (ValueError, KeyError, TypeError, ArithmeticError, SolitonLabError)
 
 
@@ -336,10 +336,9 @@ def _cmd_ensemble(cfg: RunConfig) -> int:
     doc = {"spec": {"n_trials": spec.n_trials, "realizations": spec.realizations,
                     "seed": spec.seed, "a": list(spec.a), "b": list(spec.b)},
            "mean": est.mean, "stderr": est.stderr, "stderr_exact": est.stderr_exact,
-           "exact": exact,
-           "seed_used": est.seed_used}
+           "exact": exact}
     _emit(cfg, doc, f"ensemble: mean = {est.mean:.6f} +- {est.stderr:.6f} "
-                    f"(exact {exact:.6f}, seed {est.seed_used})")
+                    f"(exact {exact:.6f}, seed {spec.seed})")
     return 0
 
 

@@ -66,7 +66,6 @@ class EnsembleEstimate:
     # the law's standard error |P_exact| sqrt((1 - 1/N)/R): 0 at N = 1 or P = 0
     stderr_exact: float
     per_realization: tuple
-    seed_used: int
 
 
 def _check_word(name: str, value) -> None:
@@ -91,12 +90,13 @@ def draw_phases(seed: int, realization_index: int, n: int) -> np.ndarray:
 
     They are draws r*n ... r*n + n - 1 of seed's Philox stream, so they
     depend on n, and identical inputs reproduce identical phases on any
-    platform. DomainError unless seed and realization_index lie in [0, 2^64).
+    platform. DomainError unless seed and realization_index lie in [0, 2^64)
+    and n in [1, 10^7] (_MAX_DRAWS), checked before any draw.
     """
     _check_word("seed", seed)
     _check_word("realization_index", realization_index)
-    if not (is_count(n) and n >= 1):
-        raise DomainError(f"need n >= 1 phases, got {n!r}")
+    if not (is_count(n) and 1 <= n <= _MAX_DRAWS):
+        raise DomainError(f"need 1 <= n <= {_MAX_DRAWS} phases, got {n!r}")
     # Python ints, so that numpy integers cannot overflow the product
     phases = _stream(seed, int(realization_index) * int(n)).random(n)
     phases *= 2.0 * math.pi
@@ -141,5 +141,4 @@ def ensemble_estimate(spec: EnsembleSpec, pair: EntangledPair,
     stderr = float(values.std(ddof=1) / math.sqrt(spec.realizations))
     stderr_exact = abs(p_exact) * math.sqrt((1.0 - 1.0 / spec.n_trials) / spec.realizations)
     return EnsembleEstimate(mean=mean, stderr=stderr, stderr_exact=stderr_exact,
-                            per_realization=tuple(float(v) for v in values),
-                            seed_used=spec.seed)
+                            per_realization=tuple(float(v) for v in values))

@@ -70,18 +70,15 @@ class RadialState:
 class TailFit:
     """Exponential tail parameters fitted from the integrated trajectory.
 
-    F is fitted as (A/x)exp(-nu_fit*x) over the last decade of decay of x*F
-    ending at the glue radius x_glue; beyond x_glue the stored profile is the
-    analytic tail continuation with amplitudes A_glue_F / A_glue_G matched
-    for exact continuity.
+    F is fitted as (A/x)exp(-nu_fit*x) over [fit_x_lo, x_glue], the last
+    decade of decay of x*F ending at the glue radius x_glue; beyond x_glue the
+    stored profile is the analytic tail continuation, matched to F and G at
+    x_glue for exact continuity.
     """
     A: float
     nu_fit: float
     x_glue: float
     fit_x_lo: float
-    fit_x_hi: float
-    A_glue_F: float
-    A_glue_G: float
 
 
 @dataclass
@@ -116,9 +113,6 @@ class ResidualReport:
     """
     max_midpoint_residual: float
     residual_scale: float
-    min_F: float
-    g_sign_changes: int
-    tail_ratio_end: float
     nu_rel_dev: float
 
 
@@ -211,10 +205,18 @@ def _rhs(x, F, G, Omega: float) -> tuple:
             -2.0 * G / x + ((Omega - 1.0) + cub) * F)
 
 
+def _check_finite(**values) -> None:
+    for name, value in values.items():
+        if not math.isfinite(value):
+            raise DomainError(f"{name} must be finite, got {value}")
+
+
 def rhs(state: RadialState, Omega: float) -> tuple:
-    """Right-hand side (dF, dG) of the radial system at a state."""
+    """Right-hand side (dF, dG) of the radial system at a state. DomainError
+    unless x > 0 and F, G and Omega are finite."""
     if not state.x > 0:
         raise DomainError(f"rhs requires x > 0, got {state.x}")
+    _check_finite(F=state.F, G=state.G, Omega=Omega)
     return _rhs(state.x, state.F, state.G, Omega)
 
 
@@ -223,11 +225,16 @@ def series_start(F0: float, Omega: float, x0: float = 1e-4) -> RadialState:
 
     G(x0) = c1*x0 with c1 = ((Omega-1)F0 + F0^3)/3, obtained by matching the
     1/x term of the G equation at the origin; F starts flat with curvature
-    -(Omega+1)c1.
+    -(Omega+1)c1. DomainError unless x0 > 0, F0 and Omega are finite and
+    F0^3 is a float (|F0| up to ~5.6e102).
     """
     if not x0 > 0:
         raise DomainError(f"series_start requires x0 > 0, got {x0}")
-    c1 = ((Omega - 1.0) * F0 + F0 ** 3) / 3.0
+    _check_finite(F0=F0, Omega=Omega)
+    try:
+        c1 = ((Omega - 1.0) * F0 + F0 ** 3) / 3.0
+    except OverflowError:
+        raise DomainError(f"F0^3 overflows a float at F0 = {F0}") from None
     return RadialState(x=x0, F=F0 - (Omega + 1.0) * c1 * x0 * x0 / 2.0, G=c1 * x0)
 
 
@@ -768,25 +775,11 @@ def _final_profile(Omega: float, F0: float, mesh: np.ndarray, opts: SolverOption
 
     dF, dG = _rhs(mesh, F, G, Omega)
 
-    tail = TailFit(A=A_fit, nu_fit=nu_fit, x_glue=xg,
-                   fit_x_lo=float(xi[i0]), fit_x_hi=xg,
-                   A_glue_F=float(A_gF), A_glue_G=float(A_gG))
+    tail = TailFit(A=A_fit, nu_fit=nu_fit, x_glue=xg, fit_x_lo=float(xi[i0]))
     profile = RadialProfile(grid=mesh, F=F, G=G, dF=dF, dG=dG, tail=tail)
-
-    # diagnostics
     res, scale = _midpoint_residual(profile, Omega)
-    dF_end = dF[k_glue]
-    tail_ratio = float(-G[k_glue] * B / dF_end) if dF_end != 0 else math.nan
-    g_core = G[np.abs(G) > opts.decay_floor]
-    sign_changes = int(np.sum(np.diff(np.sign(g_core)) != 0)) if g_core.size else 0
-    report = ResidualReport(
-        max_midpoint_residual=res,
-        residual_scale=scale,
-        min_F=float(F.min()),
-        g_sign_changes=sign_changes,
-        tail_ratio_end=tail_ratio,
-        nu_rel_dev=abs(nu_fit - nu) / nu,
-    )
+    report = ResidualReport(max_midpoint_residual=res, residual_scale=scale,
+                            nu_rel_dev=abs(nu_fit - nu) / nu)
     return profile, report
 
 

@@ -20,6 +20,9 @@ shoot is plain bisection, a trial at every midpoint: the bit-for-bit
 reference of radial.shoot, which infers the midpoints' outcomes outside a
 verified window around the critical amplitude.
 
+glue_state and decaying_mode_ratio read the tail's continuity point and the
+linearised equations' decaying mode off the stored profile alone.
+
 draw_phases and ensemble_estimate build a fresh Philox generator for every
 realization, set through the constructor's counter to the realization's
 first draw, and take its coherence alone: the bit-for-bit reference of
@@ -175,6 +178,23 @@ def oracle_ground_norm(Om, bracket, h=1e-3, glue_frac=1e-4):
 
     q_tail, _err = quad(tail_integrand, xg, np.inf, epsabs=1e-14, epsrel=1e-12)
     return F0, q_body + q_tail
+
+
+def glue_state(solution):
+    """(x, F, G) at the glue radius x_glue, the last integrated mesh node."""
+    p = solution.profile
+    k = int(np.searchsorted(p.grid, p.tail.x_glue))
+    assert p.grid[k] == p.tail.x_glue
+    return float(p.grid[k]), float(p.F[k]), float(p.G[k])
+
+
+def decaying_mode_ratio(solution) -> float:
+    """G(1 + Omega) / (F (nu + 1/x)) of the integrated data at x_glue: 1 on the
+    decaying mode of the linearised equations, F ~ exp(-nu x)/x with
+    G/F = (nu + 1/x)/(1 + Omega) (Soler, Phys. Rev. D 1, 2766 (1970))."""
+    x, F, G = glue_state(solution)
+    nu = math.sqrt(1.0 - solution.Omega ** 2)
+    return G * (1.0 + solution.Omega) / (F * (nu + 1.0 / x))
 
 
 def _xz(theta):
@@ -471,5 +491,4 @@ def ensemble_estimate(spec: EnsembleSpec, pair: EntangledPair,
     # Var C = 1 - 1/N for N uniform phases
     stderr_exact = abs(p_exact) * math.sqrt((1.0 - 1.0 / spec.n_trials) / spec.realizations)
     return EnsembleEstimate(mean=mean, stderr=stderr, stderr_exact=stderr_exact,
-                            per_realization=tuple(float(v) for v in values),
-                            seed_used=spec.seed)
+                            per_realization=tuple(float(v) for v in values))

@@ -4,9 +4,11 @@ import inspect
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 from dataclasses import fields
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -16,6 +18,7 @@ import solitonlab
 from solitonlab import archive, cli, radial
 from solitonlab.cli import SWEEP_COLUMNS, main
 from solitonlab.errors import TailError
+from solitonlab.observables import IdentityReport, ObservableSet
 from solitonlab.params import PhysicalParams
 from solitonlab.radial import SolverOptions, _rhs
 
@@ -79,7 +82,7 @@ def test_cache_key_depends_on_tolerances():
 
 def test_solve_archive_content(sol_path):
     doc = json.loads(sol_path.read_text())
-    assert doc["schema_version"] == 3
+    assert doc["schema_version"] == 4
     assert "tail_corrections" not in doc["observables"]
     assert "v14" not in doc["identities"]
     assert doc["tail"]["nu_fit"] == pytest.approx(math.sqrt(0.75), rel=1e-3)
@@ -87,6 +90,19 @@ def test_solve_archive_content(sol_path):
     n = len(doc["grid"]["x"])
     assert all(len(doc["grid"][k]) == n for k in ("F", "G"))
     assert doc["calibration"]["lambda"] == pytest.approx(4 * math.pi * doc["observables"]["Q"], rel=1e-12)
+
+
+def test_readme_schema_table_matches_the_code():
+    # the README's archive table names the version and each report field
+    # that archive_document writes, so that it cannot drift from the code
+    readme = (Path(__file__).parents[1] / "README.md").read_text()
+    rows = dict(re.findall(r"^\| `(\w+)` \| (.*) \|$", readme, re.M))
+    version = archive.SCHEMA_VERSION
+    assert f"### Archive JSON schema (`schema_version: {version}`)" in readme
+    assert rows["schema_version"] == f"integer, currently {version}"
+    for key, cls in (("tail", radial.TailFit), ("residuals", radial.ResidualReport),
+                     ("observables", ObservableSet), ("identities", IdentityReport)):
+        assert re.findall(r"`(\w+)`", rows[key]) == [f.name for f in fields(cls)], key
 
 
 def test_solve_cache_hit_byte_identical(sol_path, workdir):
@@ -122,6 +138,8 @@ def test_solve_treats_bad_cache_entry_as_miss(tmp_path):
     x, F, G = (np.asarray(schema2["grid"][k]) for k in ("x", "F", "G"))
     dF, dG = _rhs(x, F, G, schema2["Omega"])
     schema2["grid"].update(dF=dF.tolist(), dG=dG.tolist())
+    schema3 = json.loads(fresh)
+    _as_schema3(schema3)
     miscalibrated = json.loads(fresh)
     miscalibrated["calibration"]["lambda"] *= 2.0
     tampered = []
@@ -130,7 +148,7 @@ def test_solve_treats_bad_cache_entry_as_miss(tmp_path):
         param.values[0](doc)
         tampered.append(json.dumps(doc))
     for bad in ["{not json", json.dumps(old_schema), archive.dumps(schema2),
-                json.dumps(miscalibrated)] + tampered:
+                archive.dumps(schema3), json.dumps(miscalibrated)] + tampered:
         entry.write_text(bad)
         out = tmp_path / "again.json"
         assert main(args + ["--out", str(out)]) == 0
@@ -224,6 +242,21 @@ def test_one_final_pass_builds_every_solution(monkeypatch):
     assert loaded.provenance == solution.provenance
 
 
+def _as_schema3(doc):
+    # the archive as schema 3 wrote it: with the tail and residual fields
+    # that restated the grid (or could not fail), which schema 4 dropped
+    x, F, G = (np.asarray(doc["grid"][k]) for k in ("x", "F", "G"))
+    W, tail = doc["Omega"], doc["tail"]
+    k, nu = int(np.searchsorted(x, tail["x_glue"])), math.sqrt(1.0 - W * W)
+    xg, grow = float(x[k]), math.exp(nu * x[k])
+    tail.update(fit_x_hi=xg, A_glue_F=float(F[k] * xg * grow),
+                A_glue_G=float(G[k] * (1.0 + W) * xg / (nu + 1.0 / xg) * grow))
+    dF = _rhs(xg, F[k], G[k], W)[0]
+    doc["residuals"].update(min_F=float(F.min()), g_sign_changes=0,
+                            tail_ratio_end=float(-G[k] * (1.0 + W) / dF))
+    doc["schema_version"] = 3
+
+
 def _scale_q_and_lambda(doc):
     doc["observables"]["Q"] *= 2.0
     doc["calibration"]["lambda"] *= 2.0
@@ -263,14 +296,13 @@ def _coarse_mesh(doc):
 
 # edits of the shooting, tail, residuals, provenance and grid blocks, each of
 # which loaded (and observables exited 0) before the loader re-ran the final
-# pass; F0 = 1e200 on a history that replays overflows in series_start, and
-# glue_frac = 1e-13 makes the final pass raise TailError
+# pass; F0 = 1e200 on a history that replays is refused by series_start (its
+# cube overflows), and glue_frac = 1e-13 makes the final pass raise TailError
 _TAMPERS = [
     pytest.param(lambda doc: doc["shooting"].update(F0=1.5 * doc["shooting"]["F0"]),
                  id="F0-1.5x"),
     pytest.param(lambda doc: doc["tail"].update(nu_fit=0.1), id="nu_fit=0.1"),
-    pytest.param(lambda doc: doc["tail"].update(A_glue_F=2.0 * doc["tail"]["A_glue_F"]),
-                 id="A_glue_F-2x"),
+    pytest.param(lambda doc: doc["tail"].update(A=2.0 * doc["tail"]["A"]), id="A-2x"),
     pytest.param(lambda doc: doc["residuals"].update(max_midpoint_residual=1e-3),
                  id="residual=1e-3"),
     pytest.param(lambda doc: doc["shooting"].update(classification_history=[]),
@@ -343,6 +375,7 @@ def test_ratchet_nodes_is_the_trials_mesh():
 
 @pytest.mark.parametrize("content", [
     "{not json", '{"schema_version": 1}', "[1, 2]", '{"schema_version": 2}',
+    pytest.param(_as_schema3, id="schema-3"),
     # a valid archive with one inadmissible calibration constant
     pytest.param({"lambda": 0}, id="lambda=0"),
     pytest.param({"hbar": 0}, id="hbar=0"),
@@ -654,7 +687,7 @@ def test_ensemble_reproducible_artifacts(sol_path, workdir):
     assert main(args + ["--out", str(out2)]) == 0
     assert out1.read_bytes() == out2.read_bytes()
     doc = json.loads(out1.read_text())
-    assert doc["seed_used"] == 99
+    assert doc["spec"]["seed"] == 99
     assert abs(doc["mean"] - doc["exact"]) <= 6.0 * doc["stderr"]
     assert doc["stderr_exact"] == abs(doc["exact"]) * math.sqrt((1 - 1 / 16) / 128)
 
@@ -821,6 +854,21 @@ def test_sweep_row_domain_error_is_a_row(workdir):
     assert rows[0]["message"] == ""
     assert rows[1]["message"].startswith("the mesh [0.0001, ")
     assert "would exceed" in rows[1]["message"]
+
+
+def test_overflowing_scan_amplitude_is_invalid_input(workdir, capsys):
+    # the scan's first amplitude, 1e305, has a cube beyond float range: solve
+    # exited 1 with an OverflowError traceback, and the sweep did too
+    scan = ["--no-cache", "--scan-step", "1e305", "--scan-max", "1e308"]
+    out = workdir / "overflow.json"
+    assert main(["solve", "--omega", "0.5", "--out", str(out)] + scan) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1 and not out.exists()
+    out = workdir / "overflow.csv"
+    assert main(["sweep", "--omega-min", "0.4", "--omega-max", "0.5", "--steps", "2",
+                 "--out", str(out)] + scan) == 2
+    with open(out, newline="") as fh:
+        assert {r["status"] for r in csv.DictReader(fh)} == {"error:DomainError"}
 
 
 def test_sweep_failure_message_round_trips(workdir, monkeypatch):

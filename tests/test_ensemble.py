@@ -8,8 +8,8 @@ from scipy import stats
 import oracles
 from solitonlab import DomainError
 from solitonlab.correlation import build_singlet, epr_correlation
-from solitonlab.ensemble import (EnsembleSpec, draw_phases, ensemble_estimate,
-                                 realization_estimate)
+from solitonlab.ensemble import (_MAX_DRAWS, EnsembleSpec, draw_phases,
+                                 ensemble_estimate, realization_estimate)
 
 PAIR = build_singlet(1.0)
 
@@ -57,6 +57,13 @@ def test_draw_phases_rejects_empty():
         draw_phases(1, 0, 0)
 
 
+def test_draw_phases_refuses_more_draws_than_a_spec_may_ask():
+    # EnsembleSpec's bound on n_trials; refused before any draw, where
+    # n = 10^12 asked numpy for 8 TB and raised MemoryError
+    with pytest.raises(DomainError):
+        draw_phases(1, 0, _MAX_DRAWS + 1)
+
+
 # --- single realization --------------------------------------------------------
 
 def test_single_trial_reproduces_exact_value():
@@ -101,7 +108,9 @@ def test_ensemble_reproducible():
     e1 = ensemble_estimate(spec, PAIR)
     e2 = ensemble_estimate(spec, PAIR)
     assert e1 == e2
-    assert e1.seed_used == 5
+    # realization 0 is the first 16 draws of seed 5's stream
+    assert e1.per_realization[0] == realization_estimate(draw_phases(5, 0, 16), PAIR,
+                                                         spec.a, spec.b)
     assert len(e1.per_realization) == 64
 
 

@@ -19,8 +19,7 @@ def _synthetic(F_fn, G_fn, dF_fn, dG_fn, x_max=40.0, dx=0.01, A=0.0, nu=1.0):
     """Profile built from closed-form fields (not a solution of the system)."""
     n = int(math.ceil((x_max - 1e-4) / dx)) + 1
     x = 1e-4 + dx * np.arange(n)
-    tail = TailFit(A=A, nu_fit=nu, x_glue=x[-1], fit_x_lo=x[-2], fit_x_hi=x[-1],
-                   A_glue_F=A, A_glue_G=A)
+    tail = TailFit(A=A, nu_fit=nu, x_glue=x[-1], fit_x_lo=x[-2])
     profile = RadialProfile(grid=x, F=F_fn(x), G=G_fn(x), dF=dF_fn(x),
                             dG=dG_fn(x), tail=tail)
     return SolitonSolution(Omega=0.5, profile=profile, shooting=None,
@@ -80,13 +79,15 @@ def test_calibrated_lambda_golden(obs05):
 def test_tail_beyond_grid_below_rounding(sol05, obs05):
     # the matched tail's norm beyond x_max is far below one ulp of Q, which is
     # why compute_integrals adds no tail term
-    p = sol05.profile
-    nu, B, xm = golden.NU_EXACT, 1.0 + sol05.Omega, p.x_max
-    t = p.tail
+    nu, B, xm = golden.NU_EXACT, 1.0 + sol05.Omega, sol05.profile.x_max
+    # the continuation's amplitudes, matched to F and G at x_glue
+    xg, Fg, Gg = oracles.glue_state(sol05)
+    A_F = Fg * xg * math.exp(nu * xg)
+    A_G = Gg * B * xg / (nu + 1.0 / xg) * math.exp(nu * xg)
 
     def tail_norm(x):
-        f = t.A_glue_F * math.exp(-nu * x) / x
-        g = t.A_glue_G * math.exp(-nu * x) * (nu + 1.0 / x) / (B * x)
+        f = A_F * math.exp(-nu * x) / x
+        g = A_G * math.exp(-nu * x) * (nu + 1.0 / x) / (B * x)
         return x * x * (f * f + g * g)
 
     q_tail, _err = quad(tail_norm, xm, np.inf)

@@ -55,10 +55,16 @@ def test_rhs_against_symbolic_oracle():
 
 
 def test_rhs_rejects_nonpositive_x():
-    # a NaN x passed the x <= 0 guard and gave (-0.051, nan)
+    # a NaN x passed the x <= 0 guard and gave (-0.051, nan); a NaN or
+    # infinite F, G or Omega gave a non-finite result
     for x in (0.0, -1.0, math.nan):
         with pytest.raises(DomainError):
             rhs(RadialState(x, 1.0, 0.1), 0.5)
+    for state, Omega in ((RadialState(1.0, math.nan, 0.1), 0.5),
+                         (RadialState(1.0, 1.0, math.inf), 0.5),
+                         (RadialState(1.0, 1.0, 0.1), math.nan)):
+        with pytest.raises(DomainError):
+            rhs(state, Omega)
 
 
 # --- series start ----------------------------------------------------------
@@ -81,10 +87,15 @@ def test_series_slope_algebra_at_unit_omega():
 
 
 def test_series_rejects_bad_offset():
-    # a NaN x0 passed the x0 <= 0 guard and gave an all-NaN state
+    # a NaN x0 passed the x0 <= 0 guard and gave an all-NaN state, as did a
+    # NaN F0 or Omega; an F0 whose cube overflows raised OverflowError
     for x0 in (0.0, -1e-4, math.nan):
         with pytest.raises(DomainError):
             series_start(1.0, 0.5, x0)
+    for F0, Omega in ((math.nan, 0.5), (math.inf, 0.5), (1.0, math.nan),
+                      (1e103, 0.5), (-1e305, 0.5)):
+        with pytest.raises(DomainError):
+            series_start(F0, Omega)
 
 
 # --- shooting trial ----------------------------------------------------------
@@ -554,7 +565,7 @@ def test_edge_omega_solves_or_raises_documented_error(Omega):
     assert math.isfinite(s.shooting.F0)
     assert s.residuals.max_midpoint_residual <= opts.residual_tol
     assert s.residuals.nu_rel_dev <= 0.05
-    assert s.residuals.min_F > 0.0
+    assert s.profile.F.min() > 0.0
 
 
 def test_amplitude_decreases_toward_weak_binding(sol05):
@@ -578,7 +589,7 @@ def test_solution_profile_invariants(sol05):
     assert np.all(np.diff(p.grid) > 0)
     assert p.x_max >= 25.0 / nu
     assert p.F.min() > 0.0                      # nodeless ground state
-    assert sol05.residuals.g_sign_changes == 0  # single-sign G
+    assert (p.G >= 0.0).all()                   # single-sign G
     assert sol05.residuals.max_midpoint_residual <= 1e-8
     # norm integral finite and positive
     assert np.isfinite(p.F).all() and np.isfinite(p.G).all()
@@ -588,13 +599,13 @@ def test_tail_exponent_and_ratio(sol05):
     nu = math.sqrt(0.75)
     tail = sol05.profile.tail
     assert abs(tail.nu_fit - nu) <= 0.01 * nu
-    assert abs(sol05.residuals.tail_ratio_end - 1.0) <= 0.02
+    assert abs(oracles.decaying_mode_ratio(sol05) - 1.0) <= 0.02
 
 
 def test_tail_fit_window_is_integrated_data(sol05):
     tail = sol05.profile.tail
-    assert tail.fit_x_hi == tail.x_glue
-    assert tail.fit_x_lo < tail.fit_x_hi
+    assert tail.x_glue in sol05.profile.grid
+    assert tail.fit_x_lo < tail.x_glue
     # fitted decade lies inside the grid
     assert tail.fit_x_lo >= sol05.profile.grid[0]
 
