@@ -199,8 +199,11 @@ def ladder_check_grid(solution, tol: float = 0.02,
 
     Central differences converge quadratically, so halving the spacing must
     shrink every residual about fourfold; at the 64^3 default all residuals
-    stay below 2%.
+    stay below 2%. DomainError unless tol is finite and > 0, checked before
+    any grid work.
     """
+    if not 0.0 < tol < math.inf:
+        raise DomainError(f"tol must be finite and > 0, got {tol!r}")
     spec = grid or GridSpec(n=64, extent=10.0)
     report = ladder_residuals(solution, spec)
     if not report.max_residual <= tol:

@@ -138,8 +138,11 @@ def identity_report(obs: ObservableSet, Omega: float) -> IdentityReport:
     d1/d2 are the direct multiply-and-integrate consequences of the radial
     equations; v13, v15 and v16 are the two scale-transformation identities
     and their combinations (the fourth combination is d1 itself);
-    energy_ratio is E/(hbar*omega) in calibrated units.
+    energy_ratio is E/(hbar*omega) in calibrated units. DomainError unless
+    0 < Omega < 1, the range of the bound states.
     """
+    if not 0.0 < Omega < 1.0:
+        raise DomainError(f"Omega must lie in (0, 1), got {Omega!r}")
     if not obs.Q > 0:
         raise DomainError(f"identity residuals need a normalizable profile, Q = {obs.Q}")
     Q, Qs, I4, J4, T = obs.Q, obs.Qs, obs.I4, obs.J4, obs.T

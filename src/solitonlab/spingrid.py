@@ -16,7 +16,10 @@ fields, f, g x/r, g y/r and g z/r, so the grid work is real: -i(r x grad)
 acts through the real operators D1 = y dz - z dy, D2 = z dx - x dz and
 D3 = x dy - y dx. The complex coefficients of every quantity on these sixteen
 real "atoms" are constant tables, and each check builds only the atoms and
-gradients its tables read: all 16 for the ladder relations, 6 for S_z.
+gradients its tables read: all 16 for the ladder relations, 6 for S_z. The
+rows of the tables are built from their nonzeros with ufuncs (25 of the 256
+ladder entries, all +-1 but one 2), and the weighted sums reduced by einsum,
+so no check calls BLAS, whose helper threads would spin on the other cores.
 
 The nodes of each axis are +-(k + 1/2) h, k = 0 .. n/2 - 1, with
 h = 2 extent / (n - 1): the point count is even, so the coordinate origin
@@ -165,6 +168,31 @@ _SZ_ATOMS = np.flatnonzero(_SZ_ROWS.any(axis=(0, 1)))
 _SZ_UP, _SZ_J3UP = _SZ_ROWS[:, :, _SZ_ATOMS]
 
 
+def _nonzeros(table):
+    """Each row of table as the (column, coefficient) of its nonzeros."""
+    return [[(j, row[j]) for j in np.flatnonzero(row)] for row in table]
+
+
+def _rows(nonzeros, atoms, square=False):
+    """table @ atoms, squared if square, from the table's nonzeros and
+    without BLAS: one ufunc per nonzero, each after a row's first +-1. A row
+    that is one atom is squared straight from it."""
+    r = np.empty((len(nonzeros), atoms.shape[1]))
+    for row, ((j, c), *rest) in zip(r, nonzeros):
+        if square and c == 1 and not rest:
+            np.square(atoms[j], out=row)
+            continue
+        np.multiply(atoms[j], c, out=row)
+        for k, sign in rest:
+            (np.add if sign > 0 else np.subtract)(row, atoms[k], out=row)
+        if square:
+            np.square(row, out=row)
+    return r
+
+
+_TERMS_NZ, _SZ_UP_NZ, _SZ_J3UP_NZ = map(_nonzeros, (_TERMS, _SZ_UP, _SZ_J3UP))
+
+
 def _radial_interpolant(solution):
     """Cubic Hermite interpolant r -> (F(r), G(r)) of the stored profile.
 
@@ -302,7 +330,7 @@ def ladder_residuals(solution, spec: GridSpec) -> LadderReport:
     """Grid L2 residuals of all six ladder relations.
 
     The octant is streamed in slabs in real arithmetic. Per slab, the 16
-    atoms are multiplied by the 16 distinct rows of the ladder table and each
+    distinct rows of the ladder table are built from the atoms and each
     squared, weighted sum is added into the quantities of its rows; the
     square roots of 8 times the sums are taken at the end. Peak memory is
     O(n^2 * _SLAB), about 10 MB of arrays at n = 128 (tracemalloc). Raises
@@ -311,8 +339,7 @@ def ladder_residuals(solution, spec: GridSpec) -> LadderReport:
     """
     term_sums = np.zeros(len(_TERMS))
     for atoms, w in _slabs(solution, spec, _LADDER_ATOMS):
-        r = _TERMS @ atoms
-        term_sums += np.square(r, out=r) @ w
+        term_sums += np.einsum("ij,j->i", _rows(_TERMS_NZ, atoms, square=True), w)
     term_sums *= 8.0  # each summand is even under the three reflections
     sums = np.bincount(_QUANTITY, weights=term_sums[_TERM], minlength=len(_LADDER))
     n_up, n_dn, *res = [math.sqrt(s) for s in sums]
@@ -332,7 +359,9 @@ def sz_grid_integral(solution, spec: GridSpec) -> float:
     Raises GridError if the integral is not finite and > 0."""
     total = 0.0
     for atoms, w in _slabs(solution, spec, _SZ_ATOMS):
-        total += float(np.sum((_SZ_UP @ atoms) * (_SZ_J3UP @ atoms), axis=0) @ w)
+        products = _rows(_SZ_UP_NZ, atoms)
+        products *= _rows(_SZ_J3UP_NZ, atoms)
+        total += float(np.einsum("ij,j->", products, w))
     total *= 8.0  # each summand is even under the three reflections
     if not 0.0 < total < math.inf:
         raise GridError(f"grid S_z integral is {total!r}, not finite and > 0, "

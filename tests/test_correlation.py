@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import oracles
-from solitonlab import DomainError, GridError
+from solitonlab import DomainError, GridError, correlation
 from solitonlab.correlation import (EntangledPair, build_singlet, chsh,
                                     chsh_local_strategies, chsh_optimize,
                                     epr_correlation, ladder_check_grid,
@@ -320,3 +320,14 @@ def test_ladder_check_grid_convergence(sol05):
 def test_ladder_check_grid_tolerance_enforced(sol05):
     with pytest.raises(GridError):
         ladder_check_grid(sol05, tol=1e-4)
+
+
+@pytest.mark.parametrize("tol", [math.nan, -1.0, 0.0, math.inf])
+def test_ladder_check_grid_refuses_bad_tol_before_grid_work(sol05, tol, monkeypatch):
+    # nan, -1 and 0 built the 64^3 grid before failing it, and inf passed any grid
+    def no_grid(*args):
+        raise AssertionError("grid built")
+
+    monkeypatch.setattr(correlation, "ladder_residuals", no_grid)
+    with pytest.raises(DomainError, match="tol"):
+        ladder_check_grid(sol05, tol=tol)

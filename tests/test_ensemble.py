@@ -1,4 +1,6 @@
 import math
+import threading
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -6,7 +8,7 @@ from hypothesis import example, given, settings, strategies as st
 from scipy import stats
 
 import oracles
-from solitonlab import DomainError
+from solitonlab import DomainError, ensemble
 from solitonlab.correlation import build_singlet, epr_correlation
 from solitonlab.ensemble import (_MAX_DRAWS, EnsembleSpec, draw_phases,
                                  ensemble_estimate, realization_estimate)
@@ -91,6 +93,17 @@ def test_global_phase_invariance():
 def test_realization_rejects_empty_phases():
     with pytest.raises(DomainError):
         realization_estimate(np.array([]), PAIR, (0, 0, 1), (0, 0, 1))
+
+
+@pytest.mark.parametrize("phases", [[math.nan], [math.inf, 0.0], [[0.1, 0.2], [0.3, 0.4]]])
+def test_realization_rejects_non_finite_or_non_flat_phases(phases):
+    # these returned nan with RuntimeWarnings, and an array for the 2-D input
+    with pytest.raises(DomainError, match="phases"):
+        realization_estimate(phases, PAIR, (0, 0, 1), (0, 0, 1))
+
+
+def test_realization_estimate_is_a_python_float():
+    assert type(realization_estimate([0.1, 0.2], PAIR, (0, 0, 1), (0, 0, 1))) is float
 
 
 def test_phase_mean_is_unbiased():
@@ -198,30 +211,67 @@ def test_coherence_factor_exact_moments(n):
 
 
 # --- against the per-realization oracle ----------------------------------------
-# ensemble_estimate reads one generator in order and takes 2^13-phase blocks
-# of realizations at once; the oracle builds a generator per realization at
-# its first draw and takes each coherence alone. Every output is == the
-# oracle's.
+# ensemble_estimate splits the realizations into runs of whole 2^13-phase
+# blocks, one per core, each read in order from its own jump of the stream
+# and each block's coherence factors taken at once; the oracle builds a
+# generator per realization at its first draw and takes each coherence alone.
+# Every output is == the oracle's, on any core count.
 
 SEEDS = st.one_of(st.sampled_from([0, 1, 2 ** 40 + 7, 2 ** 63, 2 ** 64 - 1]),
                   st.integers(0, 2 ** 64 - 1))
 
 
-@settings(max_examples=60, deadline=None, derandomize=True)
+@settings(max_examples=80, deadline=None, derandomize=True)
 @given(seed=SEEDS, n_trials=st.one_of(st.sampled_from([1, 64, 2 ** 13 + 1]),
-                                      st.integers(1, 300)),
-       realizations=st.integers(2, 300))
-@example(seed=0, n_trials=1, realizations=2)
-@example(seed=3, n_trials=64, realizations=131)                   # 128 rows a block
-@example(seed=2 ** 63, n_trials=2 ** 13 + 1, realizations=3)      # one row a block
-@example(seed=2 ** 64 - 1, n_trials=100, realizations=83)         # 81 rows a block
-def test_ensemble_equals_per_realization_oracle(seed, n_trials, realizations):
+                                      st.integers(1, 3000)),
+       realizations=st.integers(2, 600), cores=st.sampled_from([1, 2, 3, 8]))
+@example(seed=0, n_trials=1, realizations=2, cores=2)
+@example(seed=3, n_trials=64, realizations=131, cores=1)               # 128 rows a block
+@example(seed=2 ** 63, n_trials=2 ** 13 + 1, realizations=3, cores=2)  # one row a block
+@example(seed=2 ** 64 - 1, n_trials=100, realizations=83, cores=8)     # 81 rows a block
+@example(seed=7, n_trials=64, realizations=600, cores=3)     # 5 blocks in 3 runs, the last short
+@example(seed=2 ** 64 - 1, n_trials=2 ** 13 + 1, realizations=9, cores=8)  # 9 one-row blocks
+@example(seed=1, n_trials=3000, realizations=25, cores=8)    # 13 blocks of 2 rows in 8 runs
+def test_ensemble_equals_per_realization_oracle(seed, n_trials, realizations, cores):
     spec = EnsembleSpec(n_trials=n_trials, realizations=realizations, seed=seed,
                         a=(0, 0, 1), b=(0.6, 0.0, 0.8))
-    ours, oracle = ensemble_estimate(spec, PAIR), oracles.ensemble_estimate(spec, PAIR)
+    with mock.patch.object(ensemble, "_cores", return_value=cores):
+        ours = ensemble_estimate(spec, PAIR)
+    oracle = oracles.ensemble_estimate(spec, PAIR)
     assert ours.per_realization == oracle.per_realization
     assert (ours.mean, ours.stderr) == (oracle.mean, oracle.stderr)
     assert ours == oracle
+
+
+@pytest.mark.parametrize("n_trials, realizations", [(1, 2 ** 13), (64, 128), (100, 81)])
+def test_one_block_ensemble_starts_no_thread(n_trials, realizations):
+    spec = EnsembleSpec(n_trials=n_trials, realizations=realizations, seed=4)
+    with mock.patch.object(ensemble, "_cores", return_value=8), \
+            mock.patch("threading.Thread", side_effect=AssertionError):
+        est = ensemble_estimate(spec, PAIR)
+    assert est == oracles.ensemble_estimate(spec, PAIR)
+
+
+@pytest.mark.parametrize("failing_run", [0, 1, 2])
+def test_an_exception_in_any_run_surfaces_and_no_thread_survives(failing_run):
+    # 3 cores, 8 blocks of 128 rows: runs start at realizations 0, 256 and 640
+    spec = EnsembleSpec(n_trials=64, realizations=1000, seed=9)
+    first = (0, 256, 640)[failing_run] * spec.n_trials
+    stream = ensemble._stream
+
+    class Failing:
+        def random(self, out):
+            raise RuntimeError(f"block at draw {first}")
+
+    def failing_stream(seed, start):
+        return Failing() if start == first else stream(seed, start)
+
+    before = threading.active_count()
+    with mock.patch.object(ensemble, "_cores", return_value=3), \
+            mock.patch.object(ensemble, "_stream", failing_stream):
+        with pytest.raises(RuntimeError, match=f"block at draw {first}$"):
+            ensemble_estimate(spec, PAIR)
+    assert threading.active_count() == before
 
 
 @settings(max_examples=60, deadline=None, derandomize=True)

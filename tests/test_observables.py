@@ -160,6 +160,14 @@ def test_identity_report_rejects_zero_norm():
         identity_report(obs, 0.5)
 
 
+@pytest.mark.parametrize("Omega", [math.nan, 0.0, -0.5, 1.0, 2.0, math.inf])
+def test_identity_report_takes_omega_in_the_open_unit_interval(obs05, Omega):
+    # NaN returned a report of NaNs, 0.0 a ZeroDivisionError from energy_ratio,
+    # and -0.5, 2.0 and inf a report
+    with pytest.raises(DomainError, match="Omega"):
+        identity_report(obs05, Omega)
+
+
 def test_energy_positive_and_consistent(obs05, params05, ids05):
     E, hw, ratio = energy(obs05, params05)
     assert E > 0

@@ -116,6 +116,22 @@ def test_derived_tables_cover_every_term():
     assert np.array_equal(rows[1][:, spingrid._SZ_ATOMS], spingrid._SZ_J3UP)
 
 
+@pytest.mark.parametrize("name", ["TERMS", "SZ_UP", "SZ_J3UP"])
+def test_nonzero_tables_rebuild_the_dense_ones(name):
+    # every coefficient after a row's first is +-1, as _rows assumes; on
+    # integer atoms the products and their squares are exact both ways
+    table, nonzeros = getattr(spingrid, f"_{name}"), getattr(spingrid, f"_{name}_NZ")
+    rebuilt = np.zeros_like(table)
+    for i, row in enumerate(nonzeros):
+        for k, (j, c) in enumerate(row):
+            assert k == 0 or c in (1.0, -1.0)
+            rebuilt[i, j] = c
+    assert np.array_equal(rebuilt, table)
+    atoms = np.random.default_rng(5).integers(-99, 99, (table.shape[1], 50)).astype(float)
+    assert np.array_equal(spingrid._rows(nonzeros, atoms), table @ atoms)
+    assert np.array_equal(spingrid._rows(nonzeros, atoms, square=True), (table @ atoms) ** 2)
+
+
 def _atom_parities():
     """(16, 3): the sign each atom takes under x -> -x, y -> -y and z -> -z,
     as its field's times its operator's."""
