@@ -27,8 +27,7 @@ from . import __version__, archive
 from .correlation import (build_singlet, chsh, chsh_optimize, epr_correlation,
                           pair_correlation_fn)
 from .ensemble import EnsembleSpec, ensemble_estimate
-from .errors import (BracketError, ConvergenceError, DomainError, GridError,
-                     IntegrationError, QuadratureError, SolitonLabError, TailError)
+from .errors import DomainError, SolitonLabError
 from .params import PhysicalParams, dimensionful_norm
 from .radial import SolverOptions, solve_ground
 
@@ -40,11 +39,6 @@ _MAX_SWEEP_STEPS = 100_000
 # the pool forks all its workers up front
 _MAX_JOBS = 64
 
-# what one sweep row may raise without ending the sweep: the solver's
-# failures, and DomainError for a row the solver refuses (say, a mesh above
-# 10^7 nodes near Omega = 1)
-_ROW_FAILURES = (BracketError, ConvergenceError, TailError, IntegrationError,
-                 QuadratureError, GridError, DomainError)
 # what reading and archive.solution_from_document raise for a bad archive,
 # including the final pass it re-runs (say, TailError for a forged glue_frac)
 _UNLOADABLE = (ValueError, KeyError, TypeError, ArithmeticError, SolitonLabError)
@@ -218,9 +212,10 @@ def _cmd_solve(cfg: RunConfig) -> int:
 def _sweep_row(omega: float, cfg: RunConfig) -> dict:
     row = {c: "" for c in SWEEP_COLUMNS}
     row["Omega"] = repr(float(omega))
+    # a library error, the solver's or a refusal of the row, ends the row, not the sweep
     try:
         doc = _solve_document(omega, cfg)
-    except _ROW_FAILURES as err:
+    except SolitonLabError as err:
         row["status"] = f"error:{type(err).__name__}"
         row["message"] = str(err)
         return row
@@ -294,6 +289,8 @@ def _singlet_from_archive(cfg: RunConfig):
 
 def _cmd_correlate(cfg: RunConfig) -> int:
     pair, params = _singlet_from_archive(cfg)
+    if not pair.two_particle_norm < math.inf:
+        raise DomainError(f"two_particle_norm must be finite, got {pair.two_particle_norm!r}")
     a = _parse_vector(cfg.a)
     b = _parse_vector(cfg.b)
     report = epr_correlation(pair, a, b, hbar=params.hbar)

@@ -3,9 +3,9 @@
 The two spin-basis solitons span a two-dimensional space on which the doubled
 angular momentum 2(J.a) acts exactly as the Pauli matrix sigma.a (shown by
 the ladder relations, and validated on a 3-D grid by ladder_check_grid). The
-correlation operator for the product state therefore factorizes into a
-4-dimensional spin-space computation times the squared radial norm, which is
-where the engine is exact.
+correlation of the product state therefore factorizes into a real 3x3 tensor
+T of the 4-dimensional spin state times the squared radial norm, where the
+engine is exact, and every correlation is its bilinear form P(a, b) = a^T T b.
 """
 from __future__ import annotations
 
@@ -16,7 +16,7 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .errors import DomainError, GridError
+from .errors import DomainError, GridError, _require_positive
 from .spingrid import GridSpec, LadderReport, ladder_residuals
 
 __all__ = [
@@ -43,14 +43,13 @@ class EntangledPair:
         amps = np.asarray(self.amplitudes, dtype=complex)
         if not (amps.shape == (4,) and np.isfinite(amps).all()):
             raise DomainError(f"a pair needs four finite amplitudes, got {self.amplitudes!r}")
-        if not 0.0 < self.radial_norm_per_particle < math.inf:
-            raise DomainError(f"radial_norm_per_particle must be finite and > 0, "
-                              f"got {self.radial_norm_per_particle!r}")
+        _require_positive("radial_norm_per_particle", self.radial_norm_per_particle)
 
     @property
     def two_particle_norm(self) -> float:
-        amp2 = sum(abs(a) ** 2 for a in self.amplitudes)
-        return amp2 * self.radial_norm_per_particle ** 2
+        # products, not **: an overflow gives inf, not OverflowError
+        amp2 = sum(a.real * a.real + a.imag * a.imag for a in self.amplitudes)
+        return amp2 * (self.radial_norm_per_particle * self.radial_norm_per_particle)
 
 
 @dataclass(frozen=True)
@@ -64,12 +63,14 @@ def unit_vector(a) -> np.ndarray:
     """Validate a Cartesian analyzer direction; normalize within 1e-6 of unit.
 
     Silent normalization of grossly non-unit vectors would mask caller bugs,
-    so anything farther than 1e-6 from unit length is rejected.
+    so anything but three finite numbers within 1e-6 of unit length is rejected.
     """
-    v = np.asarray(a, dtype=float).reshape(3)
-    if not np.all(np.isfinite(v)):
-        raise DomainError(f"analyzer direction must be finite, got {a!r}")
-    norm = float(np.linalg.norm(v))
+    try:
+        v = np.asarray(a, dtype=float).reshape(3)
+    except (TypeError, ValueError):
+        raise DomainError(f"analyzer direction must be three numbers, got {a!r}")
+    with np.errstate(over="ignore"):  # a NaN, inf or overflowing norm fails the test below
+        norm = float(np.linalg.norm(v))
     if not abs(norm - 1.0) <= UNIT_TOL:
         raise DomainError(
             f"analyzer direction has length {norm:.8f}, more than {UNIT_TOL:g} from 1")
@@ -97,44 +98,44 @@ def pauli_dot(a) -> np.ndarray:
     return out
 
 
-def _scale(pair: EntangledPair, hbar: float) -> float:
-    """(radial norm / hbar)^2; DomainError unless hbar is finite and > 0."""
-    if not 0.0 < hbar < math.inf:
-        raise DomainError(f"hbar must be finite and > 0, got {hbar}")
-    return (pair.radial_norm_per_particle / hbar) ** 2
+def _tensor(pair: EntangledPair, hbar: float) -> np.ndarray:
+    """T_kl = Re<psi|sigma_k x sigma_l|psi> r*r, r = radial norm / hbar: the sum
+    over s, t of conj(m[s, t]) (sigma_k m sigma_l^T)[s, t], the amplitudes as
+    the 2x2 matrix m. DomainError unless hbar is finite and > 0 and T finite."""
+    _require_positive("hbar", hbar)
+    m = np.asarray(pair.amplitudes, dtype=complex).reshape(2, 2)
+    sigma = pauli_dot(np.eye(3))
+    r = pair.radial_norm_per_particle / hbar
+    with np.errstate(over="ignore", invalid="ignore"):  # an overflow is refused below
+        T = np.einsum("st,ksa,ab,ltb->kl", m.conj(), sigma, m, sigma).real * (r * r)
+    if not np.isfinite(T).all():
+        raise DomainError(f"correlation tensor of {pair!r} at hbar = {hbar!r} is not finite")
+    return T
 
 
 def epr_correlation(pair: EntangledPair, a, b, hbar: float = 1.0) -> CorrelationReport:
-    """Exact spin correlation <2(J1.a) x 2(J2.b)> for the two-particle state.
+    """Exact spin correlation <2(J1.a) x 2(J2.b)> = a^T T b for the pair.
 
-    The spin-space expectation is multiplied by (radial norm / hbar)^2; with
-    the calibrated norm the singlet gives exactly -(a.b). DomainError unless
-    hbar is finite and > 0.
+    T carries the factor (radial norm / hbar)^2; with the calibrated norm the
+    singlet gives -(a.b) to rounding. DomainError unless hbar is finite and
+    > 0 and T is finite.
     """
-    scale = _scale(pair, hbar)
+    T = _tensor(pair, hbar)
     av = unit_vector(a)
     bv = unit_vector(b)
-    amps = np.asarray(pair.amplitudes, dtype=complex).reshape(2, 2)
-    op_amps = pauli_dot(av) @ amps @ pauli_dot(bv).T
-    val = complex(np.sum(amps.conj() * op_amps))
-    if not abs(val.imag) <= 1e-12 * max(1.0, abs(val.real)):
-        raise DomainError(f"correlation has spurious imaginary part {val.imag:.3e}")
-    return CorrelationReport(a=tuple(av), b=tuple(bv), P_exact=val.real * scale)
+    return CorrelationReport(a=tuple(av), b=tuple(bv), P_exact=float(av @ T @ bv))
 
 
 def pair_correlation_fn(pair: EntangledPair, hbar: float = 1.0) -> Callable:
-    """Vectorized correlation closure fn(a, b) for batched unit directions.
+    """Vectorized correlation closure fn(a, b) = a^T T b for batched unit directions.
 
     Accepts (3,) or (n, 3) arrays, assumed unit length (no validation, so
-    large batches stay cheap). DomainError unless hbar is finite and > 0.
+    large batches stay cheap). DomainError as epr_correlation.
     """
-    amps = np.asarray(pair.amplitudes, dtype=complex).reshape(2, 2)
-    scale = _scale(pair, hbar)
+    T = _tensor(pair, hbar)
 
     def fn(a, b):
-        sa = pauli_dot(np.atleast_2d(a))
-        sb = pauli_dot(np.atleast_2d(b))
-        val = np.einsum("ik,nij,nkl,jl->n", amps.conj(), sa, sb, amps).real * scale
+        val = np.einsum("ni,ij,nj->n", np.atleast_2d(a), T, np.atleast_2d(b))
         return val if val.size > 1 else float(val[0])
 
     return fn
@@ -202,8 +203,7 @@ def ladder_check_grid(solution, tol: float = 0.02,
     stay below 2%. DomainError unless tol is finite and > 0, checked before
     any grid work.
     """
-    if not 0.0 < tol < math.inf:
-        raise DomainError(f"tol must be finite and > 0, got {tol!r}")
+    _require_positive("tol", tol)
     spec = grid or GridSpec(n=64, extent=10.0)
     report = ladder_residuals(solution, spec)
     if not report.max_residual <= tol:

@@ -152,7 +152,7 @@ def ensemble_estimate(spec: EnsembleSpec, pair: EntangledPair,
     ended when this returns or raises, and an exception in any run is raised
     here.
 
-    DomainError unless hbar is finite and > 0 (epr_correlation's check)."""
+    DomainError as epr_correlation."""
     p_exact = epr_correlation(pair, spec.a, spec.b, hbar=hbar).P_exact
     n, total = spec.n_trials, spec.realizations
     rows = max(1, _BLOCK // n)

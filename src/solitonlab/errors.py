@@ -1,11 +1,18 @@
-"""Exception hierarchy for the soliton laboratory, and the count test its
-validators share."""
+"""Exception hierarchy for the soliton laboratory, and the count and
+positivity tests its validators share."""
+import math
 import numbers
 
 
 def is_count(value) -> bool:
     """An integer that is not a bool: the test every count passes before its range."""
     return isinstance(value, numbers.Integral) and not isinstance(value, bool)
+
+
+def _require_positive(name: str, value) -> None:
+    """DomainError unless value is finite and > 0; NaN fails the test."""
+    if not 0.0 < value < math.inf:
+        raise DomainError(f"{name} must be finite and > 0, got {value!r}")
 
 
 class SolitonLabError(Exception):

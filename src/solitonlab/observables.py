@@ -27,7 +27,7 @@ from typing import Optional
 
 import numpy as np
 
-from .errors import DomainError, GridError, QuadratureError
+from .errors import DomainError, GridError, QuadratureError, _require_positive
 from .params import PhysicalParams, dimensionful_norm
 from .radial import SolitonSolution
 from .spingrid import GridSpec, sz_grid_integral
@@ -139,12 +139,11 @@ def identity_report(obs: ObservableSet, Omega: float) -> IdentityReport:
     equations; v13, v15 and v16 are the two scale-transformation identities
     and their combinations (the fourth combination is d1 itself);
     energy_ratio is E/(hbar*omega) in calibrated units. DomainError unless
-    0 < Omega < 1, the range of the bound states.
+    0 < Omega < 1, the range of the bound states, and Q is finite and > 0.
     """
     if not 0.0 < Omega < 1.0:
         raise DomainError(f"Omega must lie in (0, 1), got {Omega!r}")
-    if not obs.Q > 0:
-        raise DomainError(f"identity residuals need a normalizable profile, Q = {obs.Q}")
+    _require_positive("Q", obs.Q)
     Q, Qs, I4, J4, T = obs.Q, obs.Qs, obs.I4, obs.J4, obs.T
     return IdentityReport(
         d1_residual=abs(T - (Omega * Q - Qs + I4)) / Q,
@@ -187,10 +186,12 @@ def energy(obs: ObservableSet, params: PhysicalParams):
     """(E, hbar*omega, ratio) in calibrated units.
 
     E = (c*hbar / (ell0 * Q)) * [T + Qs - I4/2]; the prefactor follows from
-    eliminating the coupling with the calibration condition.
+    eliminating the coupling with the calibration condition. DomainError
+    unless lam is set and Q is finite and > 0.
     """
     if params.lam is None:
         raise DomainError("energy requires calibrated params (lam set)")
+    _require_positive("Q", obs.Q)
     E = (params.c * params.hbar / (params.ell0 * obs.Q)) * (obs.T + obs.Qs - 0.5 * obs.I4)
     hbar_omega = params.hbar * params.omega
     return E, hbar_omega, E / hbar_omega

@@ -13,13 +13,7 @@ import math
 from dataclasses import dataclass
 from typing import Optional
 
-from .errors import DomainError
-
-
-def _require_positive(name: str, value) -> None:
-    # NaN-safe: NaN fails the test
-    if not 0.0 < value < math.inf:
-        raise DomainError(f"{name} must be finite and > 0, got {value!r}")
+from .errors import DomainError, _require_positive
 
 
 @dataclass(frozen=True)
@@ -70,7 +64,9 @@ def dimensionful_norm(params: PhysicalParams, norm_tilde: float) -> float:
 
     Equals hbar exactly when params.lam came from calibrate_lambda with the
     same norm_tilde (the expression below is the float-for-float inverse).
+    DomainError unless lam is set and norm_tilde is finite and > 0.
     """
     if params.lam is None:
         raise DomainError("lam is uncalibrated; call calibrate_lambda first")
+    _require_positive("norm_tilde", norm_tilde)
     return 4.0 * math.pi * params.ell0 * params.ell0 * norm_tilde / params.lam

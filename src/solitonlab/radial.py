@@ -43,7 +43,7 @@ import numpy as np
 
 from . import __version__, ivp
 from .errors import (BracketError, ConvergenceError, DomainError,
-                     IntegrationError, TailError, is_count)
+                     IntegrationError, TailError, _require_positive, is_count)
 
 __all__ = [
     "Outcome", "RadialState", "TailFit", "RadialProfile", "ShootingResult",
@@ -173,9 +173,7 @@ class SolverOptions:
         if not _MIN_X0 <= self.x0 <= _MAX_X0:
             raise DomainError(f"x0 must lie in [{_MIN_X0}, {_MAX_X0}], got {self.x0}")
         for name in ("mesh_dx", "scan_step", "shoot_tol", "decay_floor", "residual_tol"):
-            value = getattr(self, name)
-            if not 0.0 < value < math.inf:
-                raise DomainError(f"{name} must be finite and > 0, got {value}")
+            _require_positive(name, getattr(self, name))
         for name in ("scan_rtol", "final_rtol"):
             tol = getattr(self, name)
             if not 1e-14 <= tol <= 1e-6:

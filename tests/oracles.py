@@ -23,6 +23,10 @@ verified window around the critical amplitude.
 glue_state and decaying_mode_ratio read the tail's continuity point and the
 linearised equations' decaying mode off the stored profile alone.
 
+sandwich_correlation contracts the pair's 2x2 amplitude matrix between
+sigma.a and sigma.b for each analyzer pair: the reference for the package's
+one formula, the bilinear form a^T T b of the pair's correlation tensor.
+
 draw_phases and ensemble_estimate build a fresh Philox generator for every
 realization, set through the constructor's counter to the realization's
 first draw, and take its coherence alone: the bit-for-bit reference of
@@ -37,7 +41,7 @@ from scipy.integrate import quad
 from scipy.interpolate import CubicSpline
 from scipy.optimize import minimize
 
-from solitonlab.correlation import EntangledPair, epr_correlation
+from solitonlab.correlation import EntangledPair, epr_correlation, pauli_dot, unit_vector
 from solitonlab.ensemble import EnsembleEstimate, EnsembleSpec
 from solitonlab.errors import BracketError, ConvergenceError, DomainError, GridError
 from solitonlab.ivp import Check, Rhs, Stepper
@@ -195,6 +199,17 @@ def decaying_mode_ratio(solution) -> float:
     x, F, G = glue_state(solution)
     nu = math.sqrt(1.0 - solution.Omega ** 2)
     return G * (1.0 + solution.Omega) / (F * (nu + 1.0 / x))
+
+
+def sandwich_correlation(pair: EntangledPair, a, b, hbar: float = 1.0) -> float:
+    """<2(J1.a) x 2(J2.b)> as sum(conj(m) * (sigma.a m sigma.b^T)) times
+    (radial norm / hbar)^2, with the amplitudes as the 2x2 matrix m."""
+    av = unit_vector(a)
+    bv = unit_vector(b)
+    amps = np.asarray(pair.amplitudes, dtype=complex).reshape(2, 2)
+    op_amps = pauli_dot(av) @ amps @ pauli_dot(bv).T
+    val = complex(np.sum(amps.conj() * op_amps))
+    return val.real * (pair.radial_norm_per_particle / hbar) ** 2
 
 
 def _xz(theta):

@@ -17,7 +17,7 @@ import golden
 import solitonlab
 from solitonlab import archive, cli, radial
 from solitonlab.cli import SWEEP_COLUMNS, main
-from solitonlab.errors import TailError
+from solitonlab.errors import SolitonLabError, TailError
 from solitonlab.observables import IdentityReport, ObservableSet
 from solitonlab.params import PhysicalParams
 from solitonlab.radial import SolverOptions, _rhs
@@ -628,6 +628,22 @@ def test_correlate_rejects_bad_vector(sol_path):
                  "--b", "0,0,1"]) == 3
 
 
+def test_correlate_refuses_an_infinite_two_particle_norm(tmp_path, capsys):
+    # hbar = 1e200 calibrates a radial norm near 1e200, whose square
+    # overflows: correlate ended in an OverflowError traceback (exit 1)
+    sol = tmp_path / "x.json"
+    assert main(["solve", "--omega", "0.5", "--hbar", "1e200", "--no-cache",
+                 "--out", str(sol)]) == 0
+    ab = ["--a", "0,0,1", "--b", "0,0,1"]
+    out = tmp_path / "out.json"
+    assert main(["correlate", "--solution", str(sol), "--out", str(out)] + ab) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("error: two_particle_norm") and not out.exists()
+    # the other archive commands need no two-particle norm
+    for args in (["chsh", "--optimize"], ["ensemble"] + ab, ["observables"]):
+        assert main(args + ["--solution", str(sol), "--out", str(out)]) == 0
+
+
 def test_chsh_explicit_settings(sol_path, workdir):
     out = workdir / "chsh.json"
     s2 = math.sqrt(0.5)
@@ -884,6 +900,23 @@ def test_sweep_failure_message_round_trips(workdir, monkeypatch):
     with open(out, newline="") as fh:
         rows = list(csv.DictReader(fh))
     assert [(r["status"], r["message"]) for r in rows] == [("error:TailError", message)] * 2
+
+
+def test_sweep_row_catches_every_library_error(workdir, monkeypatch):
+    # an error class missing from the row's list of seven ended the sweep
+    class NewError(SolitonLabError):
+        pass
+
+    def fail(omega, cfg):
+        raise NewError("new")
+
+    monkeypatch.setattr(cli, "_solve_document", fail)
+    out = workdir / "sweep_new_error.csv"
+    assert main(["sweep", "--omega-min", "0.3", "--omega-max", "0.7", "--steps", "2",
+                 "--no-cache", "--out", str(out)]) == 2
+    with open(out, newline="") as fh:
+        rows = list(csv.DictReader(fh))
+    assert [(r["status"], r["message"]) for r in rows] == [("error:NewError", "new")] * 2
 
 
 def test_sweep_nine_steps_all_identities(workdir):

@@ -1,4 +1,6 @@
 import math
+import warnings
+from itertools import product
 
 import numpy as np
 import pytest
@@ -72,6 +74,12 @@ def test_entangled_pair_rejects_non_finite_state(amplitudes, norm):
         EntangledPair(amplitudes=amplitudes, radial_norm_per_particle=norm)
 
 
+def test_two_particle_norm_overflows_to_inf():
+    # both raised OverflowError from a square taken with **
+    assert build_singlet(1e200).two_particle_norm == math.inf
+    assert EntangledPair((1e200,) * 4, 1.0).two_particle_norm == math.inf
+
+
 # --- analyzer validation ------------------------------------------------------
 
 def test_unit_vector_normalizes_near_unit():
@@ -84,6 +92,25 @@ def test_unit_vector_rejects_non_unit():
         unit_vector((0.0, 0.0, 1.1))
     with pytest.raises(DomainError):
         unit_vector((0.0, 0.0, 0.0))
+
+
+@pytest.mark.parametrize("bad", ["abc", None, [0, 1], np.full((2, 3), _S)],
+                         ids=["string", "None", "two-numbers", "2x3-array"])
+def test_unit_vector_rejects_anything_but_three_numbers(bad):
+    # each raised ValueError
+    with pytest.raises(DomainError, match="three numbers"):
+        unit_vector(bad)
+
+
+@pytest.mark.parametrize("bad", [(math.nan, 0.0, 0.0), (0.0, -math.inf, 0.0), (1e200, 0.0, 0.0)],
+                         ids=["nan", "minus-inf", "1e200"])
+def test_unit_vector_refuses_non_finite_lengths_without_a_warning(bad):
+    # the length test alone refuses a coordinate that is not finite; the norm
+    # of (1e200, 0, 0) overflowed with a RuntimeWarning
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(DomainError):
+            unit_vector(bad)
 
 
 # --- doubled angular momentum --------------------------------------------------
@@ -193,6 +220,60 @@ def test_correlation_scales_with_radial_norm():
 def test_correlation_rejects_bad_hbar(call, hbar):
     with pytest.raises(DomainError, match="hbar"):
         call(build_singlet(1.0), hbar)
+
+
+# a unit direction from three coordinates, all but the zero vector
+_DIRECTIONS = st.tuples(*[st.floats(-1.0, 1.0)] * 3).filter(
+    lambda v: np.linalg.norm(v) >= 0.1).map(lambda v: np.array(v) / np.linalg.norm(v))
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(parts=st.lists(st.floats(-1.0, 1.0), min_size=8, max_size=8).filter(
+           lambda p: np.linalg.norm(p) >= 1e-3),
+       hbar=st.floats(1e-100, 1e100), size=st.floats(1e-6, 1.0),
+       a=_DIRECTIONS, b=_DIRECTIONS)
+def test_both_entry_points_equal_the_sandwich(parts, hbar, size, a, b):
+    # the contractions round relative to the state's size
+    # |psi|^2 (norm / hbar)^2, so each state here has size at most 1; the
+    # norm is set from it, and hbar spans 200 decades
+    amplitudes = tuple(complex(x, y) for x, y in zip(parts[:4], parts[4:]))
+    norm = hbar * math.sqrt(size) / float(np.linalg.norm(parts))
+    pair = EntangledPair(amplitudes, norm)
+    want = oracles.sandwich_correlation(pair, a, b, hbar=hbar)
+    for got in (epr_correlation(pair, a, b, hbar=hbar).P_exact,
+                pair_correlation_fn(pair, hbar=hbar)(a, b)):
+        assert abs(got - want) <= 1e-14 * max(1.0, abs(want))
+
+
+def test_singlet_tensor_is_isotropic(singlet05):
+    # at the calibrated norm T = -2 s^2 I with s = 1/sqrt(2) as a float,
+    # -0.9999999999999998: P(a, a) reads 2 ulps above -1
+    assert singlet05.radial_norm_per_particle == 1.0
+    T = correlation._tensor(singlet05, 1.0)
+    s = 1.0 / math.sqrt(2.0)
+    assert T[~np.eye(3, dtype=bool)].tolist() == [0.0] * 6
+    assert np.diag(T).tolist() == [-2.0 * s * s] * 3 == [-0.9999999999999998] * 3
+    fn = pair_correlation_fn(singlet05)
+    axes = np.eye(3)
+    for i, j in product(range(3), repeat=2):
+        assert fn(axes[i], axes[j]) == T[i, j]
+
+
+@pytest.mark.parametrize("pair, hbar", [
+    pytest.param(build_singlet(1e200), 1.0, id="norm-1e200"),
+    pytest.param(build_singlet(1.0), 1e-200, id="hbar-1e-200"),
+    pytest.param(EntangledPair((1e200,) * 4, 1.0), 1.0, id="amplitudes-1e200")])
+@pytest.mark.parametrize("call", [
+    lambda pair, hbar: epr_correlation(pair, (0, 0, 1), (0, 0, 1), hbar=hbar),
+    lambda pair, hbar: pair_correlation_fn(pair, hbar=hbar)],
+    ids=["epr_correlation", "pair_correlation_fn"])
+def test_overflowing_tensor_is_refused(call, pair, hbar):
+    # (norm / hbar) ** 2 raised OverflowError, and the amplitudes' products
+    # overflowed with a RuntimeWarning
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(DomainError, match="not finite"):
+            call(pair, hbar)
 
 
 def test_calibrated_singlet_from_solution(singlet05):

@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -178,6 +179,17 @@ def test_energy_positive_and_consistent(obs05, params05, ids05):
 def test_energy_requires_calibration(obs05):
     with pytest.raises(DomainError):
         energy(obs05, sl.PhysicalParams(omega=0.5))
+
+
+@pytest.mark.parametrize("Q", [0.0, math.nan, math.inf, -1.0])
+def test_energy_and_identities_need_a_finite_positive_norm(obs05, params05, Q):
+    # energy raised ZeroDivisionError at Q = 0 and returned (nan, 0.5, nan) at
+    # NaN; identity_report returned NaN residuals at inf
+    obs = replace(obs05, Q=Q)
+    with pytest.raises(DomainError, match="Q"):
+        energy(obs, params05)
+    with pytest.raises(DomainError, match="Q"):
+        identity_report(obs, 0.5)
 
 
 # --- spin -------------------------------------------------------------------

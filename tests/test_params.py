@@ -90,3 +90,10 @@ def test_calibration_round_trip_exact():
 def test_dimensionful_norm_requires_lambda():
     with pytest.raises(DomainError):
         dimensionful_norm(PhysicalParams(omega=0.5), 1.0)
+
+
+@pytest.mark.parametrize("bad", [0.0, -1.0, math.nan, math.inf])
+def test_dimensionful_norm_rejects_bad_norm(bad):
+    # NaN returned NaN and -1 returned -12.57
+    with pytest.raises(DomainError, match="norm_tilde"):
+        dimensionful_norm(PhysicalParams(omega=0.5, lam=1.0), bad)
