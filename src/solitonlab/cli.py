@@ -283,17 +283,14 @@ def _cmd_observables(cfg: RunConfig) -> int:
 
 def _singlet_from_archive(cfg: RunConfig):
     _solution, obs, _ids, params = _load_solution(cfg)
-    norm = dimensionful_norm(params, obs.Q)
-    return build_singlet(norm), params
+    return build_singlet(dimensionful_norm(params, obs.Q) / params.hbar)
 
 
 def _cmd_correlate(cfg: RunConfig) -> int:
-    pair, params = _singlet_from_archive(cfg)
-    if not pair.two_particle_norm < math.inf:
-        raise DomainError(f"two_particle_norm must be finite, got {pair.two_particle_norm!r}")
+    pair = _singlet_from_archive(cfg)
     a = _parse_vector(cfg.a)
     b = _parse_vector(cfg.b)
-    report = epr_correlation(pair, a, b, hbar=params.hbar)
+    report = epr_correlation(pair, a, b)
     doc = {"a": list(report.a), "b": list(report.b), "P_exact": report.P_exact,
            "radial_norm_per_particle": pair.radial_norm_per_particle,
            "two_particle_norm": pair.two_particle_norm}
@@ -306,16 +303,15 @@ def _cmd_chsh(cfg: RunConfig) -> int:
     if cfg.optimize and any(v is not None for v in vectors):
         raise DomainError("chsh --optimize chooses the analyzers itself; "
                           "it takes no --a, --a-prime, --b or --b-prime")
-    pair, params = _singlet_from_archive(cfg)
+    pair = _singlet_from_archive(cfg)
     if cfg.optimize:
-        settings, s = chsh_optimize(pair_correlation_fn(pair, hbar=params.hbar))
+        settings, s = chsh_optimize(pair_correlation_fn(pair))
         summary = f"chsh: S_max = {s:.9f} (2*sqrt(2) = {2 * math.sqrt(2):.9f})"
     else:
         if any(v is None for v in vectors):
             raise DomainError("chsh needs --a --a-prime --b --b-prime, or --optimize")
         settings = [_parse_vector(v) for v in vectors]
-        s = chsh(*settings, lambda u, v: epr_correlation(pair, u, v,
-                                                         hbar=params.hbar).P_exact)
+        s = chsh(*settings, lambda u, v: epr_correlation(pair, u, v).P_exact)
         summary = f"chsh: S = {s:.9f}"
     doc = {name: [float(x) for x in v]
            for name, v in zip(("a", "a_prime", "b", "b_prime"), settings)}
@@ -325,11 +321,11 @@ def _cmd_chsh(cfg: RunConfig) -> int:
 
 
 def _cmd_ensemble(cfg: RunConfig) -> int:
-    pair, params = _singlet_from_archive(cfg)
+    pair = _singlet_from_archive(cfg)
     spec = EnsembleSpec(n_trials=cfg.n_trials, realizations=cfg.realizations,
                         seed=cfg.seed, a=_parse_vector(cfg.a), b=_parse_vector(cfg.b))
-    est = ensemble_estimate(spec, pair, hbar=params.hbar)
-    exact = epr_correlation(pair, spec.a, spec.b, hbar=params.hbar).P_exact
+    est = ensemble_estimate(spec, pair)
+    exact = epr_correlation(pair, spec.a, spec.b).P_exact
     doc = {"spec": {"n_trials": spec.n_trials, "realizations": spec.realizations,
                     "seed": spec.seed, "a": list(spec.a), "b": list(spec.b)},
            "mean": est.mean, "stderr": est.stderr, "stderr_exact": est.stderr_exact,

@@ -4,7 +4,7 @@ The two spin-basis solitons span a two-dimensional space on which the doubled
 angular momentum 2(J.a) acts exactly as the Pauli matrix sigma.a (shown by
 the ladder relations, and validated on a 3-D grid by ladder_check_grid). The
 correlation of the product state therefore factorizes into a real 3x3 tensor
-T of the 4-dimensional spin state times the squared radial norm, where the
+T of the 4-dimensional spin state times r^2, r = norm / hbar, where the
 engine is exact, and every correlation is its bilinear form P(a, b) = a^T T b.
 """
 from __future__ import annotations
@@ -32,8 +32,9 @@ UNIT_TOL = 1e-6
 class EntangledPair:
     """Two-particle state over the product basis (uu, ud, du, dd).
 
-    Construction raises DomainError unless there are four finite amplitudes
-    and the radial norm is finite and > 0.
+    radial_norm_per_particle is the dimensionless r = norm / hbar, 1 to
+    rounding for a calibrated solution. Construction raises DomainError
+    unless there are four finite amplitudes and r is finite and > 0.
     """
     amplitudes: tuple
     radial_norm_per_particle: float
@@ -98,41 +99,39 @@ def pauli_dot(a) -> np.ndarray:
     return out
 
 
-def _tensor(pair: EntangledPair, hbar: float) -> np.ndarray:
-    """T_kl = Re<psi|sigma_k x sigma_l|psi> r*r, r = radial norm / hbar: the sum
-    over s, t of conj(m[s, t]) (sigma_k m sigma_l^T)[s, t], the amplitudes as
-    the 2x2 matrix m. DomainError unless hbar is finite and > 0 and T finite."""
-    _require_positive("hbar", hbar)
+def _tensor(pair: EntangledPair) -> np.ndarray:
+    """T_kl = Re<psi|sigma_k x sigma_l|psi> r*r, r the pair's radial norm: the
+    sum over s, t of conj(m[s, t]) (sigma_k m sigma_l^T)[s, t], the amplitudes
+    as the 2x2 matrix m. DomainError unless T is finite."""
     m = np.asarray(pair.amplitudes, dtype=complex).reshape(2, 2)
     sigma = pauli_dot(np.eye(3))
-    r = pair.radial_norm_per_particle / hbar
+    r = pair.radial_norm_per_particle
     with np.errstate(over="ignore", invalid="ignore"):  # an overflow is refused below
         T = np.einsum("st,ksa,ab,ltb->kl", m.conj(), sigma, m, sigma).real * (r * r)
     if not np.isfinite(T).all():
-        raise DomainError(f"correlation tensor of {pair!r} at hbar = {hbar!r} is not finite")
+        raise DomainError(f"correlation tensor of {pair!r} is not finite")
     return T
 
 
-def epr_correlation(pair: EntangledPair, a, b, hbar: float = 1.0) -> CorrelationReport:
+def epr_correlation(pair: EntangledPair, a, b) -> CorrelationReport:
     """Exact spin correlation <2(J1.a) x 2(J2.b)> = a^T T b for the pair.
 
-    T carries the factor (radial norm / hbar)^2; with the calibrated norm the
-    singlet gives -(a.b) to rounding. DomainError unless hbar is finite and
-    > 0 and T is finite.
+    T carries the factor r^2; with the calibrated r = 1 the singlet gives
+    -(a.b) to rounding. DomainError unless T is finite.
     """
-    T = _tensor(pair, hbar)
+    T = _tensor(pair)
     av = unit_vector(a)
     bv = unit_vector(b)
     return CorrelationReport(a=tuple(av), b=tuple(bv), P_exact=float(av @ T @ bv))
 
 
-def pair_correlation_fn(pair: EntangledPair, hbar: float = 1.0) -> Callable:
+def pair_correlation_fn(pair: EntangledPair) -> Callable:
     """Vectorized correlation closure fn(a, b) = a^T T b for batched unit directions.
 
     Accepts (3,) or (n, 3) arrays, assumed unit length (no validation, so
     large batches stay cheap). DomainError as epr_correlation.
     """
-    T = _tensor(pair, hbar)
+    T = _tensor(pair)
 
     def fn(a, b):
         val = np.einsum("ni,ij,nj->n", np.atleast_2d(a), T, np.atleast_2d(b))

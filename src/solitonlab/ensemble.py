@@ -2,7 +2,7 @@
 
 Each trial carries one overall random U(1) phase on the whole two-soliton
 configuration (a per-particle relative phase would break the singlet). The
-N-trial superposition Psi_N = (hbar^2 N)^{-1/2} sum_j e^{i theta_j} phi_12
+N-trial superposition Psi_N = N^{-1/2} sum_j e^{i theta_j} phi_12
 gives a correlation C * P_exact, with coherence factor
 C = (1/N)|sum_j e^{i theta_j}|^2. Over N independent uniform phases
 E|sum|^4 = 2N^2 - N, so E C = 1 and Var C = 1 - 1/N exactly: the phase
@@ -119,7 +119,7 @@ def _coherence(phases: np.ndarray):
     return (z.real * z.real + z.imag * z.imag) / phases.shape[-1]
 
 
-def realization_estimate(phases, pair: EntangledPair, a, b, hbar: float = 1.0) -> float:
+def realization_estimate(phases, pair: EntangledPair, a, b) -> float:
     """Correlation of one N-trial stochastic superposition (no phase average).
 
     With identical spatial profiles the double sum over trials reduces to the
@@ -131,7 +131,7 @@ def realization_estimate(phases, pair: EntangledPair, a, b, hbar: float = 1.0) -
     if not (phases.ndim == 1 and phases.size and np.isfinite(phases).all()):
         raise DomainError(f"phases must be a non-empty 1-D array of finite values, "
                           f"got shape {phases.shape}")
-    return float(_coherence(phases) * epr_correlation(pair, a, b, hbar=hbar).P_exact)
+    return float(_coherence(phases) * epr_correlation(pair, a, b).P_exact)
 
 
 def _cores() -> int:
@@ -141,8 +141,7 @@ def _cores() -> int:
     return os.cpu_count() or 1
 
 
-def ensemble_estimate(spec: EnsembleSpec, pair: EntangledPair,
-                      hbar: float = 1.0) -> EnsembleEstimate:
+def ensemble_estimate(spec: EnsembleSpec, pair: EntangledPair) -> EnsembleEstimate:
     """Phase average over R independent realizations, with the sample
     standard error and the law's.
 
@@ -153,7 +152,7 @@ def ensemble_estimate(spec: EnsembleSpec, pair: EntangledPair,
     here.
 
     DomainError as epr_correlation."""
-    p_exact = epr_correlation(pair, spec.a, spec.b, hbar=hbar).P_exact
+    p_exact = epr_correlation(pair, spec.a, spec.b).P_exact
     n, total = spec.n_trials, spec.realizations
     rows = max(1, _BLOCK // n)
     blocks = -(-total // rows)
@@ -188,4 +187,4 @@ def ensemble_estimate(spec: EnsembleSpec, pair: EntangledPair,
     stderr = float(values.std(ddof=1) / math.sqrt(total))
     stderr_exact = abs(p_exact) * math.sqrt((1.0 - 1.0 / n) / total)
     return EnsembleEstimate(mean=mean, stderr=stderr, stderr_exact=stderr_exact,
-                            per_realization=tuple(float(v) for v in values))
+                            per_realization=tuple(values.tolist()))

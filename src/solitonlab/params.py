@@ -62,7 +62,7 @@ def calibrate_lambda(norm_tilde: float, ell0: float = 1.0, hbar: float = 1.0) ->
 def dimensionful_norm(params: PhysicalParams, norm_tilde: float) -> float:
     """Dimensionful norm integral of a profile with dimensionless norm norm_tilde.
 
-    Equals hbar exactly when params.lam came from calibrate_lambda with the
+    Equals hbar to an ulp when params.lam came from calibrate_lambda with the
     same norm_tilde (the expression below is the float-for-float inverse).
     DomainError unless lam is set and norm_tilde is finite and > 0.
     """

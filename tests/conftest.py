@@ -27,4 +27,4 @@ def params05(obs05):
 
 @pytest.fixture(scope="session")
 def singlet05(params05, obs05):
-    return sl.build_singlet(dimensionful_norm(params05, obs05.Q))
+    return sl.build_singlet(dimensionful_norm(params05, obs05.Q) / params05.hbar)

@@ -201,15 +201,15 @@ def decaying_mode_ratio(solution) -> float:
     return G * (1.0 + solution.Omega) / (F * (nu + 1.0 / x))
 
 
-def sandwich_correlation(pair: EntangledPair, a, b, hbar: float = 1.0) -> float:
+def sandwich_correlation(pair: EntangledPair, a, b) -> float:
     """<2(J1.a) x 2(J2.b)> as sum(conj(m) * (sigma.a m sigma.b^T)) times
-    (radial norm / hbar)^2, with the amplitudes as the 2x2 matrix m."""
+    r^2, r the radial norm, with the amplitudes as the 2x2 matrix m."""
     av = unit_vector(a)
     bv = unit_vector(b)
     amps = np.asarray(pair.amplitudes, dtype=complex).reshape(2, 2)
     op_amps = pauli_dot(av) @ amps @ pauli_dot(bv).T
     val = complex(np.sum(amps.conj() * op_amps))
-    return val.real * (pair.radial_norm_per_particle / hbar) ** 2
+    return val.real * pair.radial_norm_per_particle ** 2
 
 
 def _xz(theta):
@@ -494,10 +494,9 @@ def _coherence(phases: np.ndarray) -> float:
     return (z.real * z.real + z.imag * z.imag) / phases.size
 
 
-def ensemble_estimate(spec: EnsembleSpec, pair: EntangledPair,
-                      hbar: float = 1.0) -> EnsembleEstimate:
+def ensemble_estimate(spec: EnsembleSpec, pair: EntangledPair) -> EnsembleEstimate:
     """Phase average over R independent realizations, with standard error."""
-    p_exact = epr_correlation(pair, spec.a, spec.b, hbar=hbar).P_exact
+    p_exact = epr_correlation(pair, spec.a, spec.b).P_exact
     values = np.empty(spec.realizations)
     for r in range(spec.realizations):
         values[r] = _coherence(draw_phases(spec.seed, r, spec.n_trials)) * p_exact

@@ -106,23 +106,23 @@ def test_criterion_4_energy_positivity(solutions, observable_sets, identity_repo
                   f"v16={ids.v16:.1e}")
 
 
-def test_criterion_5_epr_correlation(singlet05, params05):
-    with criterion(5, "P(a,b) = -(a.b) to 1e-12 on 1e4 random pairs; pair norm = hbar^2"):
-        assert abs(singlet05.two_particle_norm - params05.hbar ** 2) <= 1e-10
+def test_criterion_5_epr_correlation(singlet05):
+    with criterion(5, "P(a,b) = -(a.b) to 1e-12 on 1e4 random pairs; pair norm = 1"):
+        assert abs(singlet05.two_particle_norm - 1.0) <= 1e-10
         rng = np.random.default_rng(20240901)
         a = rng.normal(size=(10_000, 3))
         a /= np.linalg.norm(a, axis=1, keepdims=True)
         b = rng.normal(size=(10_000, 3))
         b /= np.linalg.norm(b, axis=1, keepdims=True)
-        p = pair_correlation_fn(singlet05, hbar=params05.hbar)(a, b)
+        p = pair_correlation_fn(singlet05)(a, b)
         worst = float(np.max(np.abs(p + np.sum(a * b, axis=1))))
         assert worst <= 1e-12
         print(f"  worst |P + a.b| over 1e4 pairs: {worst:.2e}")
 
 
-def test_criterion_6_chsh(singlet05, params05):
+def test_criterion_6_chsh(singlet05):
     with criterion(6, "CHSH: S_max = 2*sqrt(2) within 1e-6; local strategies <= 2"):
-        fn = pair_correlation_fn(singlet05, hbar=params05.hbar)
+        fn = pair_correlation_fn(singlet05)
         t0 = time.perf_counter()
         _angles, s_max = chsh_optimize(fn)
         elapsed = time.perf_counter() - t0
@@ -133,7 +133,7 @@ def test_criterion_6_chsh(singlet05, params05):
         print(f"  S_max={s_max:.9f}, local bound {max(locals_)}, {elapsed:.2f}s")
 
 
-def test_criterion_7_monte_carlo(singlet05, params05):
+def test_criterion_7_monte_carlo(singlet05):
     with criterion(7, "M-averaging: mean within 4*stderr for 5 pairs; stderr slope -0.5"):
         t0 = time.perf_counter()
         s2 = math.sqrt(0.5)
@@ -144,7 +144,7 @@ def test_criterion_7_monte_carlo(singlet05, params05):
                  ((0.6, 0.0, 0.8), (0.0, 0.8, -0.6))]
         for a, b in pairs:
             spec = EnsembleSpec(n_trials=64, realizations=4096, seed=42, a=a, b=b)
-            est = ensemble_estimate(spec, singlet05, hbar=params05.hbar)
+            est = ensemble_estimate(spec, singlet05)
             exact = -sum(x * y for x, y in zip(a, b))
             assert abs(est.mean - exact) <= 4.0 * est.stderr, (a, b, est.mean, exact)
             print(f"  a.b={-exact:+.4f}: mean={est.mean:+.5f} stderr={est.stderr:.5f}")
@@ -153,7 +153,7 @@ def test_criterion_7_monte_carlo(singlet05, params05):
         for r in sizes:
             spec = EnsembleSpec(n_trials=64, realizations=r, seed=42,
                                 a=(0.0, 0.0, 1.0), b=(0.0, 0.0, 1.0))
-            errs.append(ensemble_estimate(spec, singlet05, hbar=params05.hbar).stderr)
+            errs.append(ensemble_estimate(spec, singlet05).stderr)
         slope = np.polyfit(np.log(sizes), np.log(errs), 1)[0]
         assert -0.6 <= slope <= -0.4
         elapsed = time.perf_counter() - t0
@@ -190,10 +190,10 @@ def test_criterion_9_reproducibility(sol05, obs05, ids05, params05, singlet05, t
         assert np.array_equal(s_back.profile.F, sol05.profile.F)
         assert o_back.Q == obs05.Q
         spec = EnsembleSpec(n_trials=32, realizations=64, seed=7)
-        e1 = ensemble_estimate(spec, singlet05, hbar=params05.hbar)
-        e2 = ensemble_estimate(spec, singlet05, hbar=params05.hbar)
+        e1 = ensemble_estimate(spec, singlet05)
+        e2 = ensemble_estimate(spec, singlet05)
         assert e1 == e2
         # realization 0 is the first 32 draws of seed 7's stream
         assert e1.per_realization[0] == realization_estimate(
-            draw_phases(7, 0, 32), singlet05, spec.a, spec.b, hbar=params05.hbar)
+            draw_phases(7, 0, 32), singlet05, spec.a, spec.b)
         print("  solve/archive/ensemble all bit-reproducible")

@@ -628,18 +628,21 @@ def test_correlate_rejects_bad_vector(sol_path):
                  "--b", "0,0,1"]) == 3
 
 
-def test_correlate_refuses_an_infinite_two_particle_norm(tmp_path, capsys):
-    # hbar = 1e200 calibrates a radial norm near 1e200, whose square
-    # overflows: correlate ended in an OverflowError traceback (exit 1)
+@pytest.mark.parametrize("hbar", ["1e-200", "1e200"])
+def test_correlate_reports_a_unit_pair_norm_at_any_hbar(tmp_path, hbar):
+    # the pair carries the dimensionless radial norm norm / hbar, 1 to
+    # rounding: with the dimensionful norm, hbar = 1e-200 reported a
+    # two-particle norm of 0.0 (its square underflowed), and hbar = 1e200
+    # was refused as an infinite one (exit 3)
     sol = tmp_path / "x.json"
-    assert main(["solve", "--omega", "0.5", "--hbar", "1e200", "--no-cache",
+    assert main(["solve", "--omega", "0.5", "--hbar", hbar, "--no-cache",
                  "--out", str(sol)]) == 0
     ab = ["--a", "0,0,1", "--b", "0,0,1"]
     out = tmp_path / "out.json"
-    assert main(["correlate", "--solution", str(sol), "--out", str(out)] + ab) == 3
-    err = capsys.readouterr().err
-    assert err.startswith("error: two_particle_norm") and not out.exists()
-    # the other archive commands need no two-particle norm
+    assert main(["correlate", "--solution", str(sol), "--out", str(out)] + ab) == 0
+    doc = json.loads(out.read_text())
+    assert abs(doc["two_particle_norm"] - 1.0) <= 1e-12
+    assert abs(doc["P_exact"] + 1.0) <= 1e-12
     for args in (["chsh", "--optimize"], ["ensemble"] + ab, ["observables"]):
         assert main(args + ["--solution", str(sol), "--out", str(out)]) == 0
 

@@ -205,21 +205,9 @@ def test_correlation_operator_bilinearity():
 
 
 def test_correlation_scales_with_radial_norm():
-    # uncalibrated radial norm rescales the correlation by (norm/hbar)^2
+    # an uncalibrated radial norm r rescales the correlation by r^2
     pair = build_singlet(2.0)
     assert epr_correlation(pair, (0, 0, 1), (0, 0, 1)).P_exact == pytest.approx(-4.0, rel=1e-12)
-    assert epr_correlation(pair, (0, 0, 1), (0, 0, 1), hbar=2.0).P_exact == pytest.approx(-1.0, rel=1e-12)
-
-
-# these returned nan, -0.0 and -1.0 as if valid, or ended in a ZeroDivisionError
-@pytest.mark.parametrize("hbar", [math.nan, math.inf, -1.0, 0.0])
-@pytest.mark.parametrize("call", [
-    lambda pair, hbar: epr_correlation(pair, (0, 0, 1), (0, 0, 1), hbar=hbar),
-    lambda pair, hbar: pair_correlation_fn(pair, hbar=hbar)],
-    ids=["epr_correlation", "pair_correlation_fn"])
-def test_correlation_rejects_bad_hbar(call, hbar):
-    with pytest.raises(DomainError, match="hbar"):
-        call(build_singlet(1.0), hbar)
 
 
 # a unit direction from three coordinates, all but the zero vector
@@ -230,18 +218,16 @@ _DIRECTIONS = st.tuples(*[st.floats(-1.0, 1.0)] * 3).filter(
 @settings(max_examples=200, deadline=None, derandomize=True)
 @given(parts=st.lists(st.floats(-1.0, 1.0), min_size=8, max_size=8).filter(
            lambda p: np.linalg.norm(p) >= 1e-3),
-       hbar=st.floats(1e-100, 1e100), size=st.floats(1e-6, 1.0),
+       r=st.floats(1e-100, 1e100), size=st.floats(1e-6, 1.0),
        a=_DIRECTIONS, b=_DIRECTIONS)
-def test_both_entry_points_equal_the_sandwich(parts, hbar, size, a, b):
-    # the contractions round relative to the state's size
-    # |psi|^2 (norm / hbar)^2, so each state here has size at most 1; the
-    # norm is set from it, and hbar spans 200 decades
-    amplitudes = tuple(complex(x, y) for x, y in zip(parts[:4], parts[4:]))
-    norm = hbar * math.sqrt(size) / float(np.linalg.norm(parts))
-    pair = EntangledPair(amplitudes, norm)
-    want = oracles.sandwich_correlation(pair, a, b, hbar=hbar)
-    for got in (epr_correlation(pair, a, b, hbar=hbar).P_exact,
-                pair_correlation_fn(pair, hbar=hbar)(a, b)):
+def test_both_entry_points_equal_the_sandwich(parts, r, size, a, b):
+    # the contractions round relative to the state's size |psi|^2 r^2, so
+    # each state here has size at most 1; the amplitudes are set from it,
+    # and the radial norm r spans 200 decades
+    k = math.sqrt(size) / (r * float(np.linalg.norm(parts)))
+    pair = EntangledPair(tuple(complex(x, y) * k for x, y in zip(parts[:4], parts[4:])), r)
+    want = oracles.sandwich_correlation(pair, a, b)
+    for got in (epr_correlation(pair, a, b).P_exact, pair_correlation_fn(pair)(a, b)):
         assert abs(got - want) <= 1e-14 * max(1.0, abs(want))
 
 
@@ -249,7 +235,7 @@ def test_singlet_tensor_is_isotropic(singlet05):
     # at the calibrated norm T = -2 s^2 I with s = 1/sqrt(2) as a float,
     # -0.9999999999999998: P(a, a) reads 2 ulps above -1
     assert singlet05.radial_norm_per_particle == 1.0
-    T = correlation._tensor(singlet05, 1.0)
+    T = correlation._tensor(singlet05)
     s = 1.0 / math.sqrt(2.0)
     assert T[~np.eye(3, dtype=bool)].tolist() == [0.0] * 6
     assert np.diag(T).tolist() == [-2.0 * s * s] * 3 == [-0.9999999999999998] * 3
@@ -259,25 +245,27 @@ def test_singlet_tensor_is_isotropic(singlet05):
         assert fn(axes[i], axes[j]) == T[i, j]
 
 
-@pytest.mark.parametrize("pair, hbar", [
-    pytest.param(build_singlet(1e200), 1.0, id="norm-1e200"),
-    pytest.param(build_singlet(1.0), 1e-200, id="hbar-1e-200"),
-    pytest.param(EntangledPair((1e200,) * 4, 1.0), 1.0, id="amplitudes-1e200")])
+@pytest.mark.parametrize("pair", [
+    pytest.param(build_singlet(1e200), id="norm-1e200"),
+    # a unit dimensionful norm over hbar = 1e-200, as a solution built at
+    # that hbar without calibration would carry
+    pytest.param(build_singlet(1.0 / 1e-200), id="hbar-1e-200"),
+    pytest.param(EntangledPair((1e200,) * 4, 1.0), id="amplitudes-1e200")])
 @pytest.mark.parametrize("call", [
-    lambda pair, hbar: epr_correlation(pair, (0, 0, 1), (0, 0, 1), hbar=hbar),
-    lambda pair, hbar: pair_correlation_fn(pair, hbar=hbar)],
+    lambda pair: epr_correlation(pair, (0, 0, 1), (0, 0, 1)),
+    pair_correlation_fn],
     ids=["epr_correlation", "pair_correlation_fn"])
-def test_overflowing_tensor_is_refused(call, pair, hbar):
-    # (norm / hbar) ** 2 raised OverflowError, and the amplitudes' products
-    # overflowed with a RuntimeWarning
+def test_overflowing_tensor_is_refused(call, pair):
+    # a squared radial norm r = norm / hbar of 1e200 raised OverflowError,
+    # and the amplitudes' products overflowed with a RuntimeWarning
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         with pytest.raises(DomainError, match="not finite"):
-            call(pair, hbar)
+            call(pair)
 
 
 def test_calibrated_singlet_from_solution(singlet05):
-    # two-particle norm equals hbar^2 and P(a,b) = -(a.b) for the real pipeline
+    # two-particle norm equals 1 and P(a,b) = -(a.b) for the real pipeline
     assert singlet05.two_particle_norm == pytest.approx(1.0, abs=1e-10)
     b = (math.sin(1.0), 0.0, math.cos(1.0))
     assert epr_correlation(singlet05, (0, 0, 1), b).P_exact == pytest.approx(

@@ -133,13 +133,6 @@ def test_ensemble_orthogonal_analyzers_exact_zero():
     assert est.mean == pytest.approx(0.0, abs=1e-12)
 
 
-@pytest.mark.parametrize("hbar", [math.nan, math.inf, -1.0, 0.0])
-def test_ensemble_rejects_bad_hbar(hbar):
-    spec = EnsembleSpec(n_trials=8, realizations=4, seed=3)
-    with pytest.raises(DomainError, match="hbar"):
-        ensemble_estimate(spec, PAIR, hbar=hbar)
-
-
 def test_ensemble_rejects_single_realization():
     # a standard error needs two samples; one realization is not an estimate
     with pytest.raises(DomainError):
