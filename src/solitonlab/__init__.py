@@ -1,7 +1,7 @@
 """solitonlab: nonlinear spinor-field soliton laboratory.
 
 Solves the stationary radial soliton as a shooting boundary-value problem,
-verifies its integral identities (norm, spin, energy, virial), and reproduces
+verifies its integral identities (norm, spin, energy, scaling), and reproduces
 the singlet EPR spin correlation -(a.b) and the CHSH violation both by exact
 operator algebra and by Monte-Carlo averaging over random soliton phases.
 """

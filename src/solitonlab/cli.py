@@ -32,8 +32,8 @@ from .params import PhysicalParams, dimensionful_norm
 from .radial import SolverOptions, solve_ground
 
 SWEEP_COLUMNS = ["Omega", "F0", "Q", "Qs", "I4", "J4", "T", "nu_fit",
-                 "d1_residual", "d2_residual", "v13", "v15", "v16",
-                 "energy_ratio", "lambda_calibrated", "status", "message"]
+                 "d1_residual", "d2_residual", "pohozaev_residual", "energy_ratio",
+                 "lambda_calibrated", "status", "message"]
 
 _MAX_SWEEP_STEPS = 100_000
 # the pool forks all its workers up front
@@ -111,11 +111,13 @@ def _build_parser() -> argparse.ArgumentParser:
 
 def _read_config(path: str) -> dict:
     """Read a JSON config file of option defaults; each value must have the
-    type its option is annotated with (an int is accepted for a float)."""
+    type its option is annotated with. An int given for a float is converted
+    with float(), as a flag's value is parsed, and refused if it overflows."""
     try:
         with open(path) as fh:
             file_cfg = json.load(fh)
-    except (json.JSONDecodeError, UnicodeDecodeError) as err:
+    # a ValueError too for an integer past the int-to-str digit limit
+    except ValueError as err:
         raise DomainError(f"cannot parse config file {path}: {err}")
     if not isinstance(file_cfg, dict):
         raise DomainError("config file must hold a JSON object")
@@ -128,6 +130,11 @@ def _read_config(path: str) -> dict:
         if not isinstance(value, types) or (isinstance(value, bool) and kind is not bool):
             raise DomainError(f"config key {key!r} must be of type "
                               f"{' or '.join(t.__name__ for t in types)}, got {value!r}")
+        if kind is float and isinstance(value, int):
+            try:
+                file_cfg[key] = float(value)
+            except OverflowError:
+                raise DomainError(f"config key {key!r} is an integer too large for a float")
     return file_cfg
 
 

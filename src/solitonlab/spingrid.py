@@ -65,6 +65,8 @@ __all__ = ["GridSpec", "LadderReport", "ladder_residuals", "sz_grid_integral"]
 
 # x-planes per slab, but for a shorter first one
 _SLAB = 4
+# points per axis: memory is O(n^2 * _SLAB), ~120 MB at 512 (30 MB at 256)
+_MAX_N = 512
 
 
 @dataclass(frozen=True)
@@ -73,8 +75,9 @@ class GridSpec:
     extent: float = 12.0  # half-width of the cube in units of ell0
 
     def __post_init__(self):
-        if not (is_count(self.n) and self.n >= 4):
-            raise GridError(f"grid point count must be an integer >= 4, got {self.n!r}")
+        if not (is_count(self.n) and 4 <= self.n <= _MAX_N):
+            raise GridError(f"grid point count must be an integer in [4, {_MAX_N}], "
+                            f"got {self.n!r}")
         if self.n % 2:
             raise GridError("grid point count must be even to exclude the origin")
         if not (self.extent > 0.0 and math.isfinite(self.extent)):

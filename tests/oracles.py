@@ -23,6 +23,10 @@ verified window around the critical amplitude.
 glue_state and decaying_mode_ratio read the tail's continuity point and the
 linearised equations' decaying mode off the stored profile alone.
 
+kinetic_fd takes F' and G' by finite differences of the stored F and G, not
+from the stored right-hand side that compute_integrals' T integrates, so that
+the direct identity T = Omega Q - Qs + I4 on it is a check that can fail.
+
 sandwich_correlation contracts the pair's 2x2 amplitude matrix between
 sigma.a and sigma.b for each analyzer pair: the reference for the package's
 one formula, the bilinear form a^T T b of the pair's correlation tensor.
@@ -45,6 +49,7 @@ from solitonlab.correlation import EntangledPair, epr_correlation, pauli_dot, un
 from solitonlab.ensemble import EnsembleEstimate, EnsembleSpec
 from solitonlab.errors import BracketError, ConvergenceError, DomainError, GridError
 from solitonlab.ivp import Check, Rhs, Stepper
+from solitonlab.observables import _simpson
 from solitonlab.radial import Outcome, ShootingResult, SolverOptions, _Shooter
 from solitonlab.spingrid import GridSpec, LadderReport, _radial_interpolant
 
@@ -199,6 +204,21 @@ def decaying_mode_ratio(solution) -> float:
     x, F, G = glue_state(solution)
     nu = math.sqrt(1.0 - solution.Omega ** 2)
     return G * (1.0 + solution.Omega) / (F * (nu + 1.0 / x))
+
+
+def kinetic_fd(solution) -> float:
+    """The kinetic integral T from the stored F and G alone: F' and G' by
+    fourth-order central differences on the uniform mesh, np.gradient's
+    second-order one-sided ones at the two nodes at each end, and the
+    package's Simpson rule, the one Q, Qs and I4 are summed with, so that
+    only the derivatives differ from compute_integrals' T."""
+    p = solution.profile
+    x, F, G = p.grid, p.F, p.G
+    h = (x[-1] - x[0]) / (len(x) - 1)
+    dF, dG = (np.gradient(f, x, edge_order=2) for f in (F, G))
+    for f, df in ((F, dF), (G, dG)):
+        df[2:-2] = (f[:-4] - 8.0 * f[1:-3] + 8.0 * f[3:-1] - f[4:]) / (12.0 * h)
+    return _simpson(x * x * (F * dG - G * dF) + 2.0 * x * F * G, x)
 
 
 def sandwich_correlation(pair: EntangledPair, a, b) -> float:

@@ -82,9 +82,9 @@ def test_cache_key_depends_on_tolerances():
 
 def test_solve_archive_content(sol_path):
     doc = json.loads(sol_path.read_text())
-    assert doc["schema_version"] == 4
+    assert doc["schema_version"] == 5
     assert "tail_corrections" not in doc["observables"]
-    assert "v14" not in doc["identities"]
+    assert not {"v13", "v14", "v15", "v16"} & set(doc["identities"])
     assert doc["tail"]["nu_fit"] == pytest.approx(math.sqrt(0.75), rel=1e-3)
     assert set(doc["grid"]) == {"x", "F", "G"}
     n = len(doc["grid"]["x"])
@@ -140,6 +140,8 @@ def test_solve_treats_bad_cache_entry_as_miss(tmp_path):
     schema2["grid"].update(dF=dF.tolist(), dG=dG.tolist())
     schema3 = json.loads(fresh)
     _as_schema3(schema3)
+    schema4 = json.loads(fresh)
+    _as_schema4(schema4)
     miscalibrated = json.loads(fresh)
     miscalibrated["calibration"]["lambda"] *= 2.0
     tampered = []
@@ -148,7 +150,8 @@ def test_solve_treats_bad_cache_entry_as_miss(tmp_path):
         param.values[0](doc)
         tampered.append(json.dumps(doc))
     for bad in ["{not json", json.dumps(old_schema), archive.dumps(schema2),
-                archive.dumps(schema3), json.dumps(miscalibrated)] + tampered:
+                archive.dumps(schema3), archive.dumps(schema4),
+                json.dumps(miscalibrated)] + tampered:
         entry.write_text(bad)
         out = tmp_path / "again.json"
         assert main(args + ["--out", str(out)]) == 0
@@ -242,9 +245,20 @@ def test_one_final_pass_builds_every_solution(monkeypatch):
     assert loaded.provenance == solution.provenance
 
 
+def _as_schema4(doc):
+    # the archive as schema 4 wrote it: pohozaev_residual was v16, beside
+    # v13 and v15, which restated it and which schema 5 dropped
+    obs, W, ids = doc["observables"], doc["Omega"], doc["identities"]
+    Q, Qs, I4, T = obs["Q"], obs["Qs"], obs["I4"], obs["T"]
+    ids.update(v13=abs(-(2.0 / 3.0) * T + W * Q - Qs + 0.5 * I4) / Q,
+               v15=abs(T / 3.0 - 0.5 * I4) / Q, v16=ids.pop("pohozaev_residual"))
+    doc["schema_version"] = 4
+
+
 def _as_schema3(doc):
     # the archive as schema 3 wrote it: with the tail and residual fields
     # that restated the grid (or could not fail), which schema 4 dropped
+    _as_schema4(doc)
     x, F, G = (np.asarray(doc["grid"][k]) for k in ("x", "F", "G"))
     W, tail = doc["Omega"], doc["tail"]
     k, nu = int(np.searchsorted(x, tail["x_glue"])), math.sqrt(1.0 - W * W)
@@ -376,6 +390,7 @@ def test_ratchet_nodes_is_the_trials_mesh():
 @pytest.mark.parametrize("content", [
     "{not json", '{"schema_version": 1}', "[1, 2]", '{"schema_version": 2}',
     pytest.param(_as_schema3, id="schema-3"),
+    pytest.param(_as_schema4, id="schema-4"),
     # a valid archive with one inadmissible calibration constant
     pytest.param({"lambda": 0}, id="lambda=0"),
     pytest.param({"hbar": 0}, id="hbar=0"),
@@ -390,7 +405,8 @@ def test_ratchet_nodes_is_the_trials_mesh():
     pytest.param(lambda doc: doc["grid"]["F"].pop(), id="F-one-node-short"),
     pytest.param(lambda doc: doc.update(Omega=0.6), id="Omega-edited"),
     pytest.param(_scale_q_and_lambda, id="Q-and-lambda-2x"),
-    pytest.param(lambda doc: doc["identities"].update(v13=0.5), id="identity-edited"),
+    pytest.param(lambda doc: doc["identities"].update(pohozaev_residual=0.5),
+                 id="identity-edited"),
     *_TAMPERS,
 ])
 def test_unreadable_solution_is_invalid_input(tmp_path, capsys, sol_path, content):
@@ -447,7 +463,11 @@ def test_config_file_with_flag_override(workdir):
 
 
 
-@pytest.mark.parametrize("content", [b"{bad", b"\xff\xfe{}"])
+# an integer of more than 4300 digits, past int's str-conversion limit,
+# ended solve in a ValueError traceback
+@pytest.mark.parametrize("content", [
+    b"{bad", b"\xff\xfe{}",
+    pytest.param(b'{"x_max": ' + b"1" * 5000 + b"}", id="5000-digit-int")])
 def test_malformed_config_is_invalid_input(tmp_path, capsys, content):
     cfg = tmp_path / "cfg.json"
     cfg.write_bytes(content)
@@ -456,9 +476,12 @@ def test_malformed_config_is_invalid_input(tmp_path, capsys, content):
     assert err.startswith("error: ") and err.count("\n") == 1
 
 
+# an integer too large for a float ended solve in an OverflowError traceback
 @pytest.mark.parametrize("entry", [{"mesh-dx": "abc"}, {"hbar": True}, {"x_max": [40]},
                                    {"max-iterations": 2.0}, {"seed": False},
-                                   {"no-cache": 1}, {"cache-dir": 7}])
+                                   {"no-cache": 1}, {"cache-dir": 7},
+                                   *(pytest.param({key: 10 ** 400}, id=f"{key}=10^400")
+                                     for key in ("x_max", "mesh_dx", "hbar"))])
 def test_config_value_of_wrong_type_is_invalid_input(tmp_path, capsys, entry):
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps(entry))
@@ -472,6 +495,20 @@ def test_config_accepts_int_for_float(sol_path, tmp_path):
     cfg.write_text(json.dumps({"hbar": 1, "n-trials": 8, "realizations": 16}))
     assert main(["ensemble", "--solution", str(sol_path), "--a", "0,0,1", "--b", "0,0,1",
                  "--config", str(cfg), "--out", str(tmp_path / "e.json")]) == 0
+
+
+def test_config_int_for_float_solves_as_the_flag(tmp_path):
+    # {"x_max": 40} stored x_max 40, not 40.0, in provenance.options, so it
+    # wrote another archive and another cache entry than --x-max 40
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"x_max": 40}))
+    cache = tmp_path / "cache"
+    solve = ["solve", "--omega", "0.5", "--cache-dir", str(cache)]
+    by_flag, by_config = tmp_path / "flag.json", tmp_path / "config.json"
+    assert main(solve + ["--x-max", "40", "--out", str(by_flag)]) == 0
+    assert main(solve + ["--config", str(cfg), "--out", str(by_config)]) == 0
+    assert by_config.read_bytes() == by_flag.read_bytes()
+    assert len(list(cache.iterdir())) == 1
 
 
 def _command_options(command):
@@ -791,7 +828,7 @@ def test_sweep_csv_contract(workdir):
     lines = out.read_text().strip().split("\n")
     assert lines[0] == ",".join(SWEEP_COLUMNS)
     assert lines[0] == ("Omega,F0,Q,Qs,I4,J4,T,nu_fit,d1_residual,d2_residual,"
-                        "v13,v15,v16,energy_ratio,lambda_calibrated,status,message")
+                        "pohozaev_residual,energy_ratio,lambda_calibrated,status,message")
     assert len(lines) == 4
     for line in lines[1:]:
         fields = dict(zip(SWEEP_COLUMNS, line.split(",")))

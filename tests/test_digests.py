@@ -2,7 +2,7 @@
 writes and of the solver's trial sequence, against those in digests.py.
 
 A change that moves bytes on purpose updates digests.py and says why; print
-the current digests with
+the current digests, and the keys whose digest moved, with
 
     PYTHONPATH=src python tests/test_digests.py
 """
@@ -93,3 +93,5 @@ if __name__ == "__main__":
     for key, value in got.items():
         print(f"    {key!r}: {value!r},")
     print("}")
+    moved = [k for k in got if got[k] != digests.DIGESTS.get(k)]
+    print(f"moved from digests.py: {', '.join(moved) or 'none'}")

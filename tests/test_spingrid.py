@@ -45,6 +45,13 @@ def test_every_export_list_names_defined_objects():
         assert not missing, (module.__name__, missing)
 
 
+def test_gridspec_caps_the_point_count():
+    # n = 20000 passed, and a grid check would then have built 19 GB slabs
+    assert GridSpec(n=512, extent=12.0).n == 512
+    with pytest.raises(GridError, match=r"\[4, 512\]"):
+        GridSpec(n=514, extent=12.0)
+
+
 def test_gridspec_rejects_odd_point_count():
     with pytest.raises(GridError, match="must be even to exclude the origin"):
         GridSpec(n=63, extent=12.0)
