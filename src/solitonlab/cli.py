@@ -176,11 +176,9 @@ def _cache_dir(cfg: RunConfig) -> Optional[str]:
 
 
 def _emit(cfg: RunConfig, doc: dict, summary: str) -> None:
-    print(summary)
-    if cfg.out:
+    if cfg.out:  # before the summary, which a command whose write fails must not print
         archive.write_json_atomic(cfg.out, doc)
-    else:
-        print(archive.dumps(doc))
+    print(summary if cfg.out else f"{summary}\n{archive.dumps(doc)}")
 
 
 def _solve_document(omega: float, cfg: RunConfig) -> dict:

@@ -14,12 +14,12 @@ Component layout of the 4-spinor (upper 2-spinor, lower 2-spinor):
 Every component of both spinors is a fixed complex combination of four real
 fields, f, g x/r, g y/r and g z/r, so the grid work is real: -i(r x grad)
 acts through the real operators D1 = y dz - z dy, D2 = z dx - x dz and
-D3 = x dy - y dx. The complex coefficients of every quantity on these sixteen
-real "atoms" are constant tables, and each check builds only the atoms and
-gradients its tables read: all 16 for the ladder relations, 6 for S_z. The
-rows of the tables are built from their nonzeros with ufuncs (25 of the 256
-ladder entries, all +-1 but one 2), and the weighted sums reduced by einsum,
-so no check calls BLAS, whose helper threads would spin on the other cores.
+D3 = x dy - y dx. The coefficients of the basis spinors and ladder residuals
+on these sixteen real "atoms" are one table; each check sums squared rows of
+it (S_z through the J_3 phi_up residual) in one loop that builds only the
+atoms they read: all 16 for the ladder, 6 for S_z. Rows are built from their
+nonzeros with ufuncs (25 of the 256 ladder entries, all +-1 but one 2) and
+summed by einsum, so no check calls BLAS, whose helper threads would spin.
 
 The nodes of each axis are +-(k + 1/2) h, k = 0 .. n/2 - 1, with
 h = 2 extent / (n - 1): the point count is even, so the coordinate origin
@@ -27,10 +27,9 @@ h = 2 extent / (n - 1): the point count is even, so the coordinate origin
 exact negation.
 
 Each field has a fixed parity under each of the reflections x -> -x,
-y -> -y and z -> -z, and so has each of D1, D2 and D3; every term squared
-for the ladder relations, and every row pair multiplied for S_z, reads atoms
-of one parity, so every summand is even. The checks therefore sample,
-differentiate and sum only the octant x, y, z > 0 and multiply each sum by 8.
+y -> -y and z -> -z, and so has each of D1, D2 and D3; every squared row
+reads atoms of one parity, so every summand is even. The checks therefore
+sample, differentiate and sum only the octant x, y, z > 0 and multiply by 8.
 A ghost plane at -h/2 before each inner face is sampled like any other (R is
 bit-equal there and g x/r changes sign exactly), so the central difference
 at +h/2 reads the full cube's neighbour; no derivative is taken on a ghost.
@@ -141,6 +140,12 @@ def _real_rows(coef):
     return np.vstack([coef.real, coef.imag])
 
 
+def _nonzeros(table):
+    """The atoms table reads, and each row's nonzeros as (index among them, value)."""
+    atoms = np.flatnonzero(table.any(axis=0))
+    return atoms, [[(j, c) for j, c in enumerate(r) if c] for r in table[:, atoms].tolist()]
+
+
 # The eight spinor-valued quantities whose squared grid norms are accumulated:
 # the two basis spinors, then the six ladder residuals J phi - target.
 _LADDER = np.stack([_real_rows(c) for c in (
@@ -162,38 +167,31 @@ _lead = _ROWS[np.arange(len(_ROWS)), np.argmax(_ROWS != 0, axis=1)]
 _distinct = {}
 _TERM = np.array([_distinct.setdefault(tuple(r), len(_distinct))
                   for r in (np.sign(_lead)[:, None] * _ROWS).tolist()])
-_LADDER_ATOMS = np.flatnonzero(_ROWS.any(axis=0))  # all 16
-_TERMS = np.array(list(_distinct))[:, _LADDER_ATOMS]
-_SZ = np.stack([_real_rows(_plain(_UP)), _real_rows(_j(_UP, "3"))])
-# phi_up and J_3 phi_up, less the 4 rows where phi_up is zero and adds nothing
-_SZ_ROWS = _SZ[:, _SZ[0].any(axis=1)]
-_SZ_ATOMS = np.flatnonzero(_SZ_ROWS.any(axis=(0, 1)))
-_SZ_UP, _SZ_J3UP = _SZ_ROWS[:, :, _SZ_ATOMS]
+_TERMS = np.array(list(_distinct))
+# S_z = <phi_up|J_3 phi_up> = |phi_up|^2/2 + <phi_up|R>, with R = J_3 phi_up -
+# phi_up/2 the ladder's quantity 3, and 4 <phi_up|R> = |phi_up + R|^2 -
+# |phi_up - R|^2 on the 2 rows where both are nonzero (the others add nothing)
+_up, _r = _LADDER[[0, 3]]
+_both = _up.any(axis=1) & _r.any(axis=1)
+_SZ_TABLE = np.vstack([_up[_up.any(axis=1)], (_up + _r)[_both], (_up - _r)[_both]])
+_SZ_WEIGHTS = np.repeat([0.5, 0.25, -0.25], [4, 2, 2])
+_LADDER_PASS, _SZ_PASS = _nonzeros(_TERMS), _nonzeros(_SZ_TABLE)
 
 
-def _nonzeros(table):
-    """Each row of table as the (column, coefficient) of its nonzeros."""
-    return [[(j, row[j]) for j in np.flatnonzero(row)] for row in table]
-
-
-def _rows(nonzeros, atoms, square=False):
-    """table @ atoms, squared if square, from the table's nonzeros and
-    without BLAS: one ufunc per nonzero, each after a row's first +-1. A row
-    that is one atom is squared straight from it."""
+def _squares(nonzeros, atoms):
+    """(table @ atoms) ** 2 from the table's nonzeros and without BLAS: one
+    ufunc per nonzero, each after a row's first +-1. A row that is one atom
+    times +-1 is squared straight from it."""
     r = np.empty((len(nonzeros), atoms.shape[1]))
     for row, ((j, c), *rest) in zip(r, nonzeros):
-        if square and c == 1 and not rest:
+        if abs(c) == 1 and not rest:
             np.square(atoms[j], out=row)
             continue
         np.multiply(atoms[j], c, out=row)
         for k, sign in rest:
             (np.add if sign > 0 else np.subtract)(row, atoms[k], out=row)
-        if square:
-            np.square(row, out=row)
+        np.square(row, out=row)
     return r
-
-
-_TERMS_NZ, _SZ_UP_NZ, _SZ_J3UP_NZ = map(_nonzeros, (_TERMS, _SZ_UP, _SZ_J3UP))
 
 
 def _radial_interpolant(solution):
@@ -329,21 +327,23 @@ def _slabs(solution, spec: GridSpec, atoms):
         i0 = i1
 
 
-def ladder_residuals(solution, spec: GridSpec) -> LadderReport:
-    """Grid L2 residuals of all six ladder relations.
+def _square_sums(solution, spec: GridSpec, atoms, nonzeros):
+    """The cube's weighted sum of each squared row of a table, as _nonzeros
+    gives it, from one pass over the octant that builds only the atoms the
+    table reads. Every summand is even: the cube's sums are 8 octant sums."""
+    sums = np.zeros(len(nonzeros))
+    for values, w in _slabs(solution, spec, atoms):
+        sums += np.einsum("ij,j->i", _squares(nonzeros, values), w)
+    return 8.0 * sums
 
-    The octant is streamed in slabs in real arithmetic. Per slab, the 16
-    distinct rows of the ladder table are built from the atoms and each
-    squared, weighted sum is added into the quantities of its rows; the
-    square roots of 8 times the sums are taken at the end. Peak memory is
-    O(n^2 * _SLAB), about 10 MB of arrays at n = 128 (tracemalloc). Raises
-    GridError if a basis norm is not finite and > 0, as when the trapezoid
-    weights underflow on a tiny cube.
-    """
-    term_sums = np.zeros(len(_TERMS))
-    for atoms, w in _slabs(solution, spec, _LADDER_ATOMS):
-        term_sums += np.einsum("ij,j->i", _rows(_TERMS_NZ, atoms, square=True), w)
-    term_sums *= 8.0  # each summand is even under the three reflections
+
+def ladder_residuals(solution, spec: GridSpec) -> LadderReport:
+    """Grid L2 residuals of all six ladder relations: the 16 distinct rows of
+    the ladder table squared in one pass, each sum added into the quantities
+    of its rows. Peak memory is O(n^2 * _SLAB), about 10 MB of arrays at
+    n = 128 (tracemalloc). Raises GridError if a basis norm is not finite and
+    > 0, as when the trapezoid weights underflow on a tiny cube."""
+    term_sums = _square_sums(solution, spec, *_LADDER_PASS)
     sums = np.bincount(_QUANTITY, weights=term_sums[_TERM], minlength=len(_LADDER))
     n_up, n_dn, *res = [math.sqrt(s) for s in sums]
     if not (0.0 < n_up < math.inf and 0.0 < n_dn < math.inf):
@@ -360,12 +360,7 @@ def sz_grid_integral(solution, spec: GridSpec) -> float:
     """Dimensionless grid integral of phi_up^+ J_3 phi_up (converges to Q/2).
 
     Raises GridError if the integral is not finite and > 0."""
-    total = 0.0
-    for atoms, w in _slabs(solution, spec, _SZ_ATOMS):
-        products = _rows(_SZ_UP_NZ, atoms)
-        products *= _rows(_SZ_J3UP_NZ, atoms)
-        total += float(np.einsum("ij,j->", products, w))
-    total *= 8.0  # each summand is even under the three reflections
+    total = float(np.einsum("i,i->", _square_sums(solution, spec, *_SZ_PASS), _SZ_WEIGHTS))
     if not 0.0 < total < math.inf:
         raise GridError(f"grid S_z integral is {total!r}, not finite and > 0, "
                         f"at extent {spec.extent!r}")

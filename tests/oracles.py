@@ -20,6 +20,11 @@ shoot is plain bisection, a trial at every midpoint: the bit-for-bit
 reference of radial.shoot, which infers the midpoints' outcomes outside a
 verified window around the critical amplitude.
 
+scalar_ground_state is the cubic Schroedinger ground state R'' + 2R'/r =
+R - R^3, shot with scipy's DOP853: as Omega -> 1, with eps = sqrt(1 - Omega^2),
+the Soler soliton tends to F(x) = eps R(eps x)/sqrt(2), a limit of the physics
+that no code of the package's solver takes part in.
+
 glue_state and decaying_mode_ratio read the tail's continuity point and the
 linearised equations' decaying mode off the stored profile alone.
 
@@ -41,7 +46,7 @@ import math
 from typing import Optional
 
 import numpy as np
-from scipy.integrate import quad
+from scipy.integrate import quad, solve_ivp
 from scipy.interpolate import CubicSpline
 from scipy.optimize import minimize
 
@@ -187,6 +192,45 @@ def oracle_ground_norm(Om, bracket, h=1e-3, glue_frac=1e-4):
 
     q_tail, _err = quad(tail_integrand, xg, np.inf, epsabs=1e-14, epsrel=1e-12)
     return F0, q_body + q_tail
+
+
+def scalar_ground_state(rtol=1e-10):
+    """(R(0), int r^2 R^2 dr, int r^2 R^4 dr) of the positive, decaying
+    solution of R'' + 2R'/r = R - R^3.
+
+    R(0) is bisected to 1e-10 relative between amplitudes whose solutions
+    turn up (too small) and cross zero (too large); the integrals ride along
+    as two more components, up to where the lower amplitude's solution turns
+    (R ~ 1e-8 there, so the tail left out is ~1e-14).
+    """
+    def rhs(r, y):
+        R, dR = y[0], y[1]
+        return [dR, R - R ** 3 - 2.0 * dR / r, r * r * R * R, r * r * R ** 4]
+
+    def crosses(r, y):
+        return y[0]
+
+    def turns(r, y):
+        return y[1]
+
+    crosses.terminal = turns.terminal = True
+    turns.direction = 1
+
+    def run(R0, r0=1e-6):
+        c = (R0 - R0 ** 3) / 6.0  # the regular series R0 + c r^2
+        return solve_ivp(rhs, (r0, 40.0), [R0 + c * r0 * r0, 2.0 * c * r0, 0.0, 0.0],
+                         method="DOP853", rtol=rtol, atol=1e-14, events=(crosses, turns))
+
+    lo, hi = 4.0, 4.6
+    while hi - lo > 1e-10 * hi:
+        mid = 0.5 * (lo + hi)
+        if run(mid).t_events[0].size:
+            hi = mid
+        else:
+            lo = mid
+    s = run(lo)
+    assert s.t_events[1].size, "the lower amplitude must turn up"
+    return lo, float(s.y[2, -1]), float(s.y[3, -1])
 
 
 def glue_state(solution):

@@ -450,6 +450,18 @@ def test_missing_solution_file_is_io_error(workdir):
     assert code == 4
 
 
+# a command printed its summary, then failed to write --out and exited 4
+@pytest.mark.parametrize("args, out", [(["chsh", "--optimize"], "."),
+                                       (["observables"], "sol.json/x")],
+                         ids=["chsh-out-is-a-directory", "observables-out-under-a-file"])
+def test_unwritable_out_prints_no_summary(sol_path, capsys, args, out):
+    capsys.readouterr()
+    code = main(args + ["--solution", str(sol_path), "--out", str(sol_path.parent / out)])
+    captured = capsys.readouterr()
+    assert code == 4 and captured.out == ""
+    assert captured.err.startswith("error: [Errno")
+
+
 def test_config_file_with_flag_override(workdir):
     cfg = workdir / "cfg.json"
     cfg.write_text(json.dumps({"mesh-dx": 0.02, "omega": 0.4}))

@@ -12,7 +12,7 @@ from oracles import _make_check, integrate_free
 from solitonlab import radial
 from solitonlab import (BracketError, ConvergenceError, DomainError, IntegrationError,
                         Outcome, RadialState, SolitonLabError, SolverOptions, TailError,
-                        rhs, series_start, shoot, solve_ground)
+                        compute_integrals, rhs, series_start, shoot, solve_ground)
 from solitonlab.ivp import integrate_mesh
 from solitonlab.radial import (_MAX_SCAN_POINTS, coarse_scan, replay_bisection,
                                solution_from_shooting, _Shooter, _march, _rhs)
@@ -610,11 +610,40 @@ def test_tail_fit_window_is_integrated_data(sol05):
     assert tail.fit_x_lo >= sol05.profile.grid[0]
 
 
-def test_high_omega_requires_long_domain():
-    s = solve_ground(0.99)
+@pytest.fixture(scope="module")
+def high_omega():
+    return {Omega: solve_ground(Omega) for Omega in (0.98, 0.99, 0.995)}
+
+
+def test_high_omega_requires_long_domain(high_omega):
+    s = high_omega[0.99]
     nu = math.sqrt(1 - 0.99 ** 2)
     assert s.profile.x_max >= 25.0 / nu
     assert abs(s.profile.tail.nu_fit - nu) <= 0.01 * nu
+
+
+def test_high_omega_tends_to_the_nonrelativistic_limit(high_omega):
+    # As Omega -> 1, with eps = sqrt(1 - Omega^2), F(x) -> eps R(eps x)/sqrt(2)
+    # for the cubic Schroedinger ground state R (Ounaies 2000; Boussaid and
+    # Comech 2017), so Q eps -> int r^2 R^2/2, F0/eps -> R(0)/sqrt(2) and
+    # I4/eps -> int r^2 R^4/4. Each is extrapolated to eps = 0 as a quadratic
+    # in eps^2 through the three solves. The remainder of that extrapolation
+    # is c e1^2 e2^2 e3^2 (7.9e-6 here): over five triples of Omega in
+    # [0.97, 0.9975] its relative error read c = 16.5-17.8, 16.5-24.3 and
+    # 3.2-3.3 for the three (1.3e-4, -1.6e-4 and 2.6e-5 at these Omega), so
+    # each bound takes twice the largest c.
+    R0, m2, m4 = oracles.scalar_ground_state()
+    assert m4 / m2 == pytest.approx(4.0, rel=1e-8)  # the scalar Pohozaev identity
+    limits = (0.5 * m2, R0 / math.sqrt(2.0), 0.25 * m4)
+    eps2, values = [], []
+    for Omega, sol in high_omega.items():
+        obs, eps = compute_integrals(sol), math.sqrt(1.0 - Omega * Omega)
+        eps2.append(eps * eps)
+        values.append((obs.Q * eps, sol.shooting.F0 / eps, obs.I4 / eps))
+    extrapolated = np.linalg.solve(np.vander(eps2, 3), values)[-1]
+    bounds = np.array([36.0, 49.0, 7.0]) * np.prod(eps2)
+    errors = np.abs(extrapolated / limits - 1.0)
+    assert np.all(errors <= bounds), (errors, bounds)
 
 
 def test_solve_ground_determinism(sol05):

@@ -104,39 +104,86 @@ def test_radius_table_gives_each_nodes_radius(n, extent):
 
 
 def test_derived_tables_cover_every_term():
-    # the terms squared, and the atoms built, are derived from the tables at
+    # the terms squared, and the atoms built, are derived from the one table at
     # import: +- a term rebuilds each nonzero ladder row, and the S_z atoms
-    # hold every column that the S_z tables read
+    # hold every column that the S_z rows read
     quantity, row = np.nonzero(spingrid._LADDER.any(axis=2))
     assert np.array_equal(quantity, spingrid._QUANTITY) and len(row) == 40
     assert spingrid._TERMS.shape == (16, 16)
-    assert np.array_equal(spingrid._LADDER_ATOMS, np.arange(16))
+    assert np.array_equal(spingrid._LADDER_PASS[0], np.arange(16))
     for k, t in enumerate(spingrid._TERM):
-        term = np.zeros(16)
-        term[spingrid._LADDER_ATOMS] = spingrid._TERMS[t]
+        term = spingrid._TERMS[t]
         ladder_row = spingrid._LADDER[quantity[k], row[k]]
         assert np.array_equal(ladder_row, term) or np.array_equal(ladder_row, -term), k
-    rows = spingrid._SZ_ROWS
-    assert set(np.flatnonzero(rows.any(axis=(0, 1)))) <= set(spingrid._SZ_ATOMS)
-    assert np.array_equal(spingrid._SZ_ATOMS, [0, 1, 2, 3, 13, 14])
-    assert np.array_equal(rows[0][:, spingrid._SZ_ATOMS], spingrid._SZ_UP)
-    assert np.array_equal(rows[1][:, spingrid._SZ_ATOMS], spingrid._SZ_J3UP)
+    rows = spingrid._SZ_TABLE
+    assert set(np.flatnonzero(rows.any(axis=0))) <= set(spingrid._SZ_PASS[0])
+    assert np.array_equal(spingrid._SZ_PASS[0], [0, 1, 2, 3, 13, 14])
+    # sum_k w_k (row_k . a)^2 is the real part of phi_up^+ J_3 phi_up for any
+    # atoms a: the weighted squares are that bilinear form, symmetrized
+    up = spingrid._real_rows(spingrid._plain(spingrid._UP))
+    j3up = spingrid._real_rows(spingrid._j(spingrid._UP, "3"))
+    form = np.einsum("k,ki,kj->ij", spingrid._SZ_WEIGHTS, rows, rows)
+    assert np.array_equal(form, 0.5 * (up.T @ j3up + j3up.T @ up))
+
+
+def test_each_j_phi_is_a_ladder_quantity_plus_its_target():
+    # J_k phi_t = (the ladder residual of J_k phi_t) + (its target), entry by
+    # entry: the identity by which S_z reads J_3 phi_up off the ladder table
+    ladder = spingrid._LADDER
+    up, dn = ladder[0], ladder[1]
+    for k, phi, which, target in [(2, spingrid._UP, "+", 0.0),
+                                  (3, spingrid._UP, "3", 0.5 * up),
+                                  (4, spingrid._UP, "-", dn),
+                                  (5, spingrid._DN, "-", 0.0),
+                                  (6, spingrid._DN, "3", -0.5 * dn),
+                                  (7, spingrid._DN, "+", up)]:
+        j_phi = spingrid._real_rows(spingrid._j(phi, which))
+        assert np.array_equal(j_phi, ladder[k] + target), (which, k)
+
+
+@pytest.mark.parametrize("check, atoms", [(ladder_residuals, list(range(16))),
+                                          (sz_grid_integral, [0, 1, 2, 3, 13, 14])])
+def test_each_check_builds_only_the_atoms_it_reads(sol05, monkeypatch, check, atoms):
+    # S_z reads 6 atoms and no z-derivative: all 16 took its 64^3 pass 3.3 -> 5.6 ms
+    seen, slabs = [], spingrid._slabs
+
+    def recording(solution, spec, requested):
+        seen.append(list(requested))
+        return slabs(solution, spec, requested)
+
+    monkeypatch.setattr(spingrid, "_slabs", recording)
+    check(sol05, GridSpec(n=8, extent=10.0))
+    assert seen == [atoms]
 
 
 @pytest.mark.parametrize("name", ["TERMS", "SZ_UP", "SZ_J3UP"])
 def test_nonzero_tables_rebuild_the_dense_ones(name):
-    # every coefficient after a row's first is +-1, as _rows assumes; on
-    # integer atoms the products and their squares are exact both ways
-    table, nonzeros = getattr(spingrid, f"_{name}"), getattr(spingrid, f"_{name}_NZ")
+    # every coefficient after a row's first is +-1, as _squares assumes; on
+    # integer atoms the rows and their squares are exact both ways. _SZ_TABLE
+    # is phi_up's 4 nonzero rows (SZ_UP), then the 4 rows phi_up +- R that
+    # read J_3 phi_up through R = J_3 phi_up - phi_up/2 (SZ_J3UP)
+    table, (atoms, nonzeros) = {"TERMS": (spingrid._TERMS, spingrid._LADDER_PASS)}.get(
+        name, (spingrid._SZ_TABLE, spingrid._SZ_PASS))
+    assert np.array_equal(atoms, np.flatnonzero(table.any(axis=0)))
+    part = {"TERMS": slice(None), "SZ_UP": slice(0, 4), "SZ_J3UP": slice(4, None)}[name]
+    table, nonzeros = table[part], nonzeros[part]
+    up = spingrid._LADDER[0]
+    if name == "SZ_UP":
+        assert np.array_equal(table, up[up.any(axis=1)])
+    elif name == "SZ_J3UP":
+        both = up.any(axis=1) & spingrid._LADDER[3].any(axis=1)
+        r = spingrid._real_rows(spingrid._j(spingrid._UP, "3"))[both] - 0.5 * up[both]
+        assert np.array_equal(table, np.vstack([up[both] + r, up[both] - r]))
     rebuilt = np.zeros_like(table)
     for i, row in enumerate(nonzeros):
         for k, (j, c) in enumerate(row):
             assert k == 0 or c in (1.0, -1.0)
-            rebuilt[i, j] = c
+            rebuilt[i, atoms[j]] = c
     assert np.array_equal(rebuilt, table)
-    atoms = np.random.default_rng(5).integers(-99, 99, (table.shape[1], 50)).astype(float)
-    assert np.array_equal(spingrid._rows(nonzeros, atoms), table @ atoms)
-    assert np.array_equal(spingrid._rows(nonzeros, atoms, square=True), (table @ atoms) ** 2)
+    values = np.random.default_rng(5).integers(-99, 99, (len(atoms), 50)).astype(float)
+    squares = spingrid._squares(nonzeros, values)
+    assert np.array_equal(np.sqrt(squares), np.abs(table[:, atoms] @ values))
+    assert np.array_equal(squares, (table[:, atoms] @ values) ** 2)
 
 
 def _atom_parities():
@@ -150,15 +197,12 @@ def _atom_parities():
 
 
 def test_every_summand_is_even_under_each_reflection():
-    # the octant sum times 8 is the cube's because every term, and every S_z
-    # row pair, reads atoms of one parity, so that its square or product is even
+    # the octant sum times 8 is the cube's because every ladder term, and
+    # every S_z row, reads atoms of one parity, so that its square is even
     parity = _atom_parities()
-    for term in spingrid._TERMS:
-        signs = parity[spingrid._LADDER_ATOMS[term != 0]]
-        assert (signs == signs[0]).all(), term
-    for up, j3up in zip(spingrid._SZ_UP, spingrid._SZ_J3UP):
-        signs = parity[spingrid._SZ_ATOMS[(up != 0) | (j3up != 0)]]
-        assert (signs == signs[0]).all(), (up, j3up)
+    for row in np.vstack([spingrid._TERMS, spingrid._SZ_TABLE]):
+        signs = parity[row != 0]
+        assert (signs == signs[0]).all(), row
 
 
 def test_atom_parities_hold_on_the_dense_cube(sol05):
@@ -170,7 +214,7 @@ def test_atom_parities_hold_on_the_dense_cube(sol05):
         assert np.allclose(mirrored, atoms, rtol=0.0, atol=1e-14 * np.abs(atoms).max()), axis
 
 
-@pytest.mark.parametrize("atoms", [spingrid._LADDER_ATOMS, spingrid._SZ_ATOMS],
+@pytest.mark.parametrize("atoms", [spingrid._LADDER_PASS[0], spingrid._SZ_PASS[0]],
                          ids=["ladder", "sz"])
 # one slab of 2 and of 3 planes, a first slab of one plane, five slabs
 @pytest.mark.parametrize("n", [4, 6, 10, 38])
