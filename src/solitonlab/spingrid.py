@@ -16,10 +16,11 @@ fields, f, g x/r, g y/r and g z/r, so the grid work is real: -i(r x grad)
 acts through the real operators D1 = y dz - z dy, D2 = z dx - x dz and
 D3 = x dy - y dx. The coefficients of the basis spinors and ladder residuals
 on these sixteen real "atoms" are one table; each check sums squared rows of
-it (S_z through the J_3 phi_up residual) in one loop that builds only the
-atoms they read: all 16 for the ladder, 6 for S_z. Rows are built from their
-nonzeros with ufuncs (25 of the 256 ladder entries, all +-1 but one 2) and
-summed by einsum, so no check calls BLAS, whose helper threads would spin.
+it (S_z through the J_3 phi_up residual). Rows that the cube's axis
+permutations map into one another have one cube sum, so a check squares one
+term per orbit (8 for the ladder, 4 for S_z), built from its nonzeros with
+ufuncs and summed by einsum (no BLAS, whose helper threads would spin); the
+terms are picked so as to differentiate the fewest (field, axis) pairs.
 
 The nodes of each axis are +-(k + 1/2) h, k = 0 .. n/2 - 1, with
 h = 2 extent / (n - 1): the point count is even, so the coordinate origin
@@ -55,6 +56,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from itertools import compress, permutations, product
 
 import numpy as np
 
@@ -131,13 +133,13 @@ def _plain(phi):
 
 def _j(phi, which: str):
     """Coefficients of J phi on the 16 atoms; Sigma acts blockwise as sigma."""
-    spin = np.kron(np.eye(2), _SIGMA[which]) @ phi
+    spin = (np.array(_SIGMA[which]) @ phi.reshape(2, 2, 4)).reshape(4, 4)
     return np.hstack([spin] + [alpha * phi for alpha in _ALPHA[which]])
 
 
 def _real_rows(coef):
     """Rows giving the real, then the imaginary parts of the four components."""
-    return np.vstack([coef.real, coef.imag])
+    return np.concatenate([coef.real, coef.imag], axis=-2)
 
 
 def _nonzeros(table):
@@ -148,7 +150,7 @@ def _nonzeros(table):
 
 # The eight spinor-valued quantities whose squared grid norms are accumulated:
 # the two basis spinors, then the six ladder residuals J phi - target.
-_LADDER = np.stack([_real_rows(c) for c in (
+_LADDER = _real_rows(np.stack((
     _plain(_UP),
     _plain(_DN),
     _j(_UP, "+"),
@@ -157,25 +159,50 @@ _LADDER = np.stack([_real_rows(c) for c in (
     _j(_DN, "-"),
     _j(_DN, "3") + _plain(0.5 * _DN),
     _j(_DN, "+") - _plain(_UP),
-)])
+)))
 # 24 of its 64 rows are zero: the 40 others, and the quantity each adds to
 _QUANTITY, _ROW = np.nonzero(_LADDER.any(axis=2))
-_ROWS = _LADDER[_QUANTITY, _ROW]
-# up to sign they are 16 distinct terms, each squared once (J+ phi_up and J- phi_dn
-# share theirs, say): a row with its lead entry made > 0; _TERM maps rows to terms
-_lead = _ROWS[np.arange(len(_ROWS)), np.argmax(_ROWS != 0, axis=1)]
-_distinct = {}
-_TERM = np.array([_distinct.setdefault(tuple(r), len(_distinct))
-                  for r in (np.sign(_lead)[:, None] * _ROWS).tolist()])
-_TERMS = np.array(list(_distinct))
+# An axis permutation pi fixes f, takes g x_k/r to g x_pi(k)/r and D_k to
+# sgn(pi) D_pi(k): _SLOT is pi on an atom's kind and field (slot 0, f or no D,
+# fixed), and a row's image is row[_SOURCE[pi]] * _SIGN[pi]. The axes share
+# nodes, ghost plane, stencils and weights, so a row and its image have one cube
+# sum; so have a row and the row plus c _NULL, as sum_k D_k (g x_k/r) = x . (x
+# cross grad)(g/r) is 0 on the grid too. _READS: the pairs each atom differentiates.
+_KIND, _FIELD = np.divmod(np.arange(16), 4)
+_SLOT = np.array(list(permutations(range(4)))[:6])  # the 6 that fix 0
+_SOURCE = 4 * _SLOT[:, _KIND] + _SLOT[:, _FIELD]
+_SIGN = (-1) ** ((_SLOT[:, [1, 1, 2]] > _SLOT[:, [2, 3, 3]]).sum(1, keepdims=True) * (_KIND > 0))
+_NULL = (_KIND == _FIELD) & (_KIND > 0)
+_AXES = (None, (1, 2), (2, 0), (0, 1))  # D_k = x_p d_q - x_q d_p, (p, q) = _AXES[k]
+_READS = [frozenset((a % 4, axis) for axis in _AXES[a // 4] or ()) for a in range(16)]
+
+
+def _orbits(rows):
+    """Each row's orbit, keyed by its least image (sign and _NULL taken out),
+    and a term per orbit: the rows, chosen jointly, reading fewest _READS pairs."""
+    signed = list(map(tuple, map(max, rows.tolist(), (-rows).tolist())))  # lead > 0
+    distinct = list(dict.fromkeys(signed))
+    images = np.array(distinct)[:, _SOURCE] * _SIGN
+    images -= images[..., -1:] * _NULL  # no D3 (g z/r) left
+    key, members = {}, {}  # each row's orbit; each orbit's rows by the pairs they read
+    for row, image, negated in zip(distinct, images.tolist(), (-images).tolist()):
+        key[row] = k = tuple(min(map(max, image, negated)))  # each image up to sign
+        members.setdefault(k, {}).setdefault(frozenset().union(*compress(_READS, row)), row)
+    best = min(product(*map(list, members.values())),
+               key=lambda reads: len(frozenset().union(*reads)))
+    return (np.array(list(map(list(members).index, map(key.get, signed)))),
+            np.array(list(map(dict.get, members.values(), best))) + 0.0)  # no -0.0
+
+
+_TERM, _TERMS = _orbits(_LADDER[_QUANTITY, _ROW])
 # S_z = <phi_up|J_3 phi_up> = |phi_up|^2/2 + <phi_up|R>, with R = J_3 phi_up -
 # phi_up/2 the ladder's quantity 3, and 4 <phi_up|R> = |phi_up + R|^2 -
 # |phi_up - R|^2 on the 2 rows where both are nonzero (the others add nothing)
 _up, _r = _LADDER[[0, 3]]
 _both = _up.any(axis=1) & _r.any(axis=1)
-_SZ_TABLE = np.vstack([_up[_up.any(axis=1)], (_up + _r)[_both], (_up - _r)[_both]])
-_SZ_WEIGHTS = np.repeat([0.5, 0.25, -0.25], [4, 2, 2])
-_LADDER_PASS, _SZ_PASS = _nonzeros(_TERMS), _nonzeros(_SZ_TABLE)
+_SZ_TERM, _SZ_TERMS = _orbits(np.vstack([_up[_up.any(1)], (_up + _r)[_both], (_up - _r)[_both]]))
+_SZ_WEIGHTS = np.bincount(_SZ_TERM, weights=np.repeat([0.5, 0.25, -0.25], [4, 2, 2]))
+_LADDER_PASS, _SZ_PASS = _nonzeros(_TERMS), _nonzeros(_SZ_TERMS)
 
 
 def _squares(nonzeros, atoms):
@@ -245,7 +272,7 @@ def _diff(c, h, axis, face):
     shape = list(c.shape)
     shape[axis] += face - 2
     d = np.empty(shape)  # in c's layout, written through views along the axis
-    c, along = np.moveaxis(c, axis, 0), np.moveaxis(d, axis, 0)
+    c, along = c.swapaxes(0, axis), d.swapaxes(0, axis)
     inner = along[:len(c) - 2]
     np.subtract(c[2:], c[:-2], out=inner)
     inner /= 2.0 * h
@@ -258,23 +285,21 @@ def _atoms(planes, face, h, X, Y, Z, atoms):
     """Atoms 4 * kind + field (kind: the field, D1, D2, D3) on the core planes
     of the fields' window (all but the first, and but the last unless it is
     the outer face), less the ghost row and column (index 0 of the y and z
-    axes). Only the derivatives kept are taken, along the axes that one of
-    the atoms reads."""
-    axes = set("".join(("", "yz", "xz", "xy")[a // 4] for a in atoms))
+    axes). Only the derivatives kept are taken, of each (field, axis) pair
+    that one of the atoms reads, once."""
     c = planes[:, 1:planes.shape[1] - 1 + face]
-    dx = _diff(planes[:, :, 1:, 1:], h, 1, face) if "x" in axes else None
-    dy = _diff(c[..., 1:], h, 2, True) if "y" in axes else None
-    dz = _diff(c[:, :, 1:], h, 3, True) if "z" in axes else None
-    c = c[:, :, 1:, 1:]
-    # D1 = Y dz - Z dy, D2 = Z dx - X dz and D3 = X dy - Y dx, in place
-    products = (None, (Y, dz, Z, dy), (Z, dx, X, dz), (X, dy, Y, dx))
+    # along each axis, the window whose stencils give the kept derivatives
+    windows = (planes[:, :, 1:, 1:], c[..., 1:], c[:, :, 1:])
+    d = {(j, axis): _diff(windows[axis][j], h, axis, face or axis > 0)
+         for j, axis in frozenset().union(*[_READS[a] for a in atoms])}
+    c, coords = c[:, :, 1:, 1:], (X, Y, Z)
     values = np.empty((len(atoms),) + c.shape[1:])
     for v, a in zip(values, atoms):
         kind, j = divmod(a, 4)
-        if kind:
-            p, dp, q, dq = products[kind]
-            np.multiply(p, dp[j], out=v)
-            v -= q * dq[j]
+        if kind:  # D_kind = x_p d_q - x_q d_p, in place
+            p, q = _AXES[kind]
+            np.multiply(coords[p], d[j, q], out=v)
+            v -= coords[q] * d[j, p]
         else:
             v[...] = c[j]
     return values
@@ -338,9 +363,9 @@ def _square_sums(solution, spec: GridSpec, atoms, nonzeros):
 
 
 def ladder_residuals(solution, spec: GridSpec) -> LadderReport:
-    """Grid L2 residuals of all six ladder relations: the 16 distinct rows of
-    the ladder table squared in one pass, each sum added into the quantities
-    of its rows. Peak memory is O(n^2 * _SLAB), about 10 MB of arrays at
+    """Grid L2 residuals of all six ladder relations: the ladder table's 8
+    terms squared in one pass, each sum added into the quantities of the rows
+    of its orbit. Peak memory is O(n^2 * _SLAB), about 5 MB of arrays at
     n = 128 (tracemalloc). Raises GridError if a basis norm is not finite and
     > 0, as when the trapezoid weights underflow on a tiny cube."""
     term_sums = _square_sums(solution, spec, *_LADDER_PASS)

@@ -1,3 +1,5 @@
+import functools
+
 import pytest
 
 import solitonlab as sl
@@ -5,8 +7,14 @@ from solitonlab.params import dimensionful_norm
 
 
 @pytest.fixture(scope="session")
-def sol05():
-    return sl.solve_ground(0.5)
+def ground():
+    """solve_ground with default options, solved once per Omega in a session."""
+    return functools.cache(sl.solve_ground)
+
+
+@pytest.fixture(scope="session")
+def sol05(ground):
+    return ground(0.5)
 
 
 @pytest.fixture(scope="session")

@@ -35,12 +35,8 @@ def criterion(num, label):
 
 
 @pytest.fixture(scope="module")
-def solutions(sol05):
-    out = {0.5: sol05}
-    for om in SWEEP_OMEGAS:
-        if om not in out:
-            out[om] = sl.solve_ground(om)
-    return out
+def solutions(ground):
+    return {om: ground(om) for om in SWEEP_OMEGAS}
 
 
 @pytest.fixture(scope="module")

@@ -386,6 +386,15 @@ def test_ladder_check_grid_convergence(sol05):
         assert 2.5 <= ratio <= 6.5
 
 
+def test_ladder_check_grid_default_fails_at_low_omega(ground):
+    # the 64^3 default holds the 2 % bound only from Omega ~ 0.12 up: the largest
+    # residual, jminus_up, reads 1.75e-2 at 0.15 and 2.35e-2 at 0.1, where
+    # jplus_up, jminus_dn and jplus_dn (2.32e-2, 2.32e-2 and 2.35e-2) fail too
+    assert ladder_check_grid(ground(0.15)).jminus_up == pytest.approx(1.749e-2, rel=1e-3)
+    with pytest.raises(GridError, match=r"'jminus_up': 0\.0234"):
+        ladder_check_grid(ground(0.1))
+
+
 def test_ladder_check_grid_tolerance_enforced(sol05):
     with pytest.raises(GridError):
         ladder_check_grid(sol05, tol=1e-4)

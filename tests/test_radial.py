@@ -568,8 +568,8 @@ def test_edge_omega_solves_or_raises_documented_error(Omega):
     assert s.profile.F.min() > 0.0
 
 
-def test_amplitude_decreases_toward_weak_binding(sol05):
-    s09 = solve_ground(0.9)
+def test_amplitude_decreases_toward_weak_binding(sol05, ground):
+    s09 = ground(0.9)
     assert s09.shooting.F0 < sol05.shooting.F0
 
 
@@ -644,6 +644,38 @@ def test_high_omega_tends_to_the_nonrelativistic_limit(high_omega):
     bounds = np.array([36.0, 49.0, 7.0]) * np.prod(eps2)
     errors = np.abs(extrapolated / limits - 1.0)
     assert np.all(errors <= bounds), (errors, bounds)
+
+
+@pytest.mark.parametrize("Omega, bound", [(0.1, 4.4e-7), (0.5, 7e-10), (0.9, 1.8e-9)])
+def test_quartic_integral_derivative_is_minus_twice_the_charge(ground, Omega, bound):
+    # A solitary wave is a critical point of E - Omega Q, so dE/dOmega =
+    # Omega dQ/dOmega (Vakhitov and Kolokolov 1973); with E = Omega Q + I4/2
+    # (D1) that is dI4/dOmega = -2Q, which relates independent solves. The
+    # central differences at h and 2h are Richardson-extrapolated; the
+    # relative remainder read c h^4 with c = 2.2e5, 340 and 870 at these
+    # Omega, the same to 1.5 % at h = 1e-3, 2e-3 and 4e-3, so each bound is
+    # twice the remainder measured at h = 1e-3.
+    h = 1e-3
+
+    def slope(k):
+        I4 = [compute_integrals(ground(Omega + s * k * h)).I4 for s in (1, -1)]
+        return (I4[0] - I4[1]) / (2 * k * h)
+
+    extrapolated = (4.0 * slope(1) - slope(2)) / 3.0
+    Q = compute_integrals(ground(Omega)).Q
+    assert abs(extrapolated / (-2.0 * Q) - 1.0) <= bound
+
+
+def test_charge_is_least_near_omega_0_936(ground):
+    # dQ/dOmega changes sign at the branch's Vakhitov-Kolokolov point: central
+    # differences at h = 1e-3 read -2.05 at 0.93 and +1.66 at 0.94
+    h = 1e-3
+
+    def dQ(Omega):
+        Q = [compute_integrals(ground(Omega + s * h)).Q for s in (1, -1)]
+        return (Q[0] - Q[1]) / (2 * h)
+
+    assert dQ(0.93) < 0.0 < dQ(0.94)
 
 
 def test_solve_ground_determinism(sol05):

@@ -103,27 +103,82 @@ def test_radius_table_gives_each_nodes_radius(n, extent):
         assert np.all(np.abs(gathered - summed) <= 2.0 * np.spacing(summed)), x
 
 
+def _sz_rows():
+    """The 8 S_z rows, as the module builds them, and their weights: phi_up's 4
+    nonzero rows, then phi_up +- R on the 2 rows where R = J_3 phi_up - phi_up/2
+    is nonzero too."""
+    up, r = spingrid._LADDER[[0, 3]]
+    both = up.any(axis=1) & r.any(axis=1)
+    rows = np.vstack([up[up.any(axis=1)], (up + r)[both], (up - r)[both]])
+    return rows, np.repeat([0.5, 0.25, -0.25], [4, 2, 2])
+
+
+def _is_image(row, term):
+    """Whether an axis permutation, a sign and a multiple of _NULL take term to row."""
+    null = spingrid._NULL
+    for source, sign in zip(spingrid._SOURCE, spingrid._SIGN):
+        for d in (row - term[source] * sign, row + term[source] * sign):
+            if not d[~null].any() and np.ptp(d[null]) == 0.0:
+                return True
+    return False
+
+
 def test_derived_tables_cover_every_term():
     # the terms squared, and the atoms built, are derived from the one table at
-    # import: +- a term rebuilds each nonzero ladder row, and the S_z atoms
-    # hold every column that the S_z rows read
+    # import: each nonzero ladder row is an image of its orbit's term, and the 40
+    # rows fall in 8 orbits (16 up to sign alone); S_z's 8 rows fall in 4
     quantity, row = np.nonzero(spingrid._LADDER.any(axis=2))
     assert np.array_equal(quantity, spingrid._QUANTITY) and len(row) == 40
-    assert spingrid._TERMS.shape == (16, 16)
-    assert np.array_equal(spingrid._LADDER_PASS[0], np.arange(16))
+    assert spingrid._TERMS.shape == (8, 16)
     for k, t in enumerate(spingrid._TERM):
-        term = spingrid._TERMS[t]
-        ladder_row = spingrid._LADDER[quantity[k], row[k]]
-        assert np.array_equal(ladder_row, term) or np.array_equal(ladder_row, -term), k
-    rows = spingrid._SZ_TABLE
-    assert set(np.flatnonzero(rows.any(axis=0))) <= set(spingrid._SZ_PASS[0])
-    assert np.array_equal(spingrid._SZ_PASS[0], [0, 1, 2, 3, 13, 14])
+        assert _is_image(spingrid._LADDER[quantity[k], row[k]], spingrid._TERMS[t]), k
+    assert np.array_equal(spingrid._LADDER_PASS[0], [0, 2, 3, 5, 6, 8, 9, 10, 13])
+    rows, weights = _sz_rows()
+    assert spingrid._SZ_TERMS.shape == (4, 16)
+    for k, t in enumerate(spingrid._SZ_TERM):
+        assert _is_image(rows[k], spingrid._SZ_TERMS[t]), k
+    assert np.array_equal(spingrid._SZ_WEIGHTS,
+                          np.bincount(spingrid._SZ_TERM, weights=weights))
+    assert np.array_equal(spingrid._SZ_PASS[0], [0, 2, 13])
     # sum_k w_k (row_k . a)^2 is the real part of phi_up^+ J_3 phi_up for any
     # atoms a: the weighted squares are that bilinear form, symmetrized
     up = spingrid._real_rows(spingrid._plain(spingrid._UP))
     j3up = spingrid._real_rows(spingrid._j(spingrid._UP, "3"))
-    form = np.einsum("k,ki,kj->ij", spingrid._SZ_WEIGHTS, rows, rows)
+    form = np.einsum("k,ki,kj->ij", weights, rows, rows)
     assert np.array_equal(form, 0.5 * (up.T @ j3up + j3up.T @ up))
+
+
+def test_axis_permutations_act_with_their_parity():
+    # _SOURCE moves f's atoms among themselves and each D_k (g x_j/r) to
+    # D_pi(k) (g x_pi(j)/r); _SIGN is sgn(pi), the determinant of pi's
+    # permutation matrix, on the atoms of a D and 1 on the fields
+    slot = spingrid._SLOT
+    assert (slot[:, 0] == 0).all() and len({tuple(p) for p in slot.tolist()}) == 6
+    parity = np.linalg.det(np.eye(4)[slot])
+    kind, field = np.divmod(np.arange(16), 4)
+    for source, sign, p, par in zip(spingrid._SOURCE, spingrid._SIGN, slot, parity):
+        assert np.array_equal(np.sort(source), np.arange(16))
+        assert np.array_equal(source, 4 * p[kind] + p[field])
+        assert np.array_equal(sign, np.where(kind > 0, par, 1.0))
+    assert np.array_equal(np.flatnonzero(spingrid._NULL), [5, 10, 15])
+
+
+@pytest.mark.parametrize("Omega", [0.2, 0.5, 0.8])
+def test_orbits_are_the_rows_with_equal_dense_sums(ground, Omega):
+    # the rows of one orbit have one cube sum, on the dense oracle's atoms to
+    # 1e-14 relative (rounding), and rows of different orbits do not: the two
+    # closest orbits' sums differ by 6.3e-4 of the largest at Omega = 0.8
+    spec = GridSpec(n=8, extent=10.0)
+    atoms = oracles.atoms_dense(ground(Omega), spec).reshape(16, -1)
+    w1 = oracles._axes_weights(spec)[2]
+    weights = (w1[:, None, None] * w1[None, :, None] * w1[None, None, :]).ravel()
+    for rows, orbit in [(spingrid._LADDER[spingrid._QUANTITY, spingrid._ROW], spingrid._TERM),
+                        (_sz_rows()[0], spingrid._SZ_TERM)]:
+        sums = (rows @ atoms) ** 2 @ weights
+        gap = np.abs(sums[:, None] - sums[None, :]) / sums.max()
+        same = orbit[:, None] == orbit[None, :]
+        assert gap[same].max() <= 1e-14, gap[same].max()
+        assert gap[~same].min() > 1e-6, gap[~same].min()
 
 
 def test_each_j_phi_is_a_ladder_quantity_plus_its_target():
@@ -141,10 +196,11 @@ def test_each_j_phi_is_a_ladder_quantity_plus_its_target():
         assert np.array_equal(j_phi, ladder[k] + target), (which, k)
 
 
-@pytest.mark.parametrize("check, atoms", [(ladder_residuals, list(range(16))),
-                                          (sz_grid_integral, [0, 1, 2, 3, 13, 14])])
+@pytest.mark.parametrize("check, atoms", [(ladder_residuals, [0, 2, 3, 5, 6, 8, 9, 10, 13]),
+                                          (sz_grid_integral, [0, 2, 13])])
 def test_each_check_builds_only_the_atoms_it_reads(sol05, monkeypatch, check, atoms):
-    # S_z reads 6 atoms and no z-derivative: all 16 took its 64^3 pass 3.3 -> 5.6 ms
+    # the orbits' terms: the ladder's 8 read 9 atoms, S_z's 4 read f, g y/r and
+    # D3 (g x/r); all 16 took S_z's 64^3 pass 3.3 -> 5.6 ms
     seen, slabs = [], spingrid._slabs
 
     def recording(solution, spec, requested):
@@ -156,34 +212,51 @@ def test_each_check_builds_only_the_atoms_it_reads(sol05, monkeypatch, check, at
     assert seen == [atoms]
 
 
+@pytest.mark.parametrize("check, pairs", [
+    (ladder_residuals, {(0, 0), (0, 2), (1, 0), (1, 1), (1, 2), (2, 0), (2, 1), (2, 2)}),
+    (sz_grid_integral, {(1, 0), (1, 1)})])
+def test_each_check_differentiates_only_the_pairs_it_reads(sol05, monkeypatch, check, pairs):
+    # (field, axis) pairs, fields f, g x/r, g y/r, g z/r and axes x, y, z: the
+    # ladder differentiates 8 (f along x and z, g x/r and g y/r along all
+    # three), S_z 2 (g x/r along x and y). n = 8 is one slab, so each pair is
+    # one derivative
+    atoms = {ladder_residuals: spingrid._LADDER_PASS, sz_grid_integral: spingrid._SZ_PASS}
+    assert set().union(*[spingrid._READS[a] for a in atoms[check][0]]) == pairs
+    calls, diff = [], spingrid._diff
+
+    def counting(c, h, axis, face):
+        calls.append(axis)
+        return diff(c, h, axis, face)
+
+    monkeypatch.setattr(spingrid, "_diff", counting)
+    check(sol05, GridSpec(n=8, extent=10.0))
+    assert sorted(calls) == sorted(axis for _, axis in pairs)
+
+
 @pytest.mark.parametrize("name", ["TERMS", "SZ_UP", "SZ_J3UP"])
 def test_nonzero_tables_rebuild_the_dense_ones(name):
-    # every coefficient after a row's first is +-1, as _squares assumes; on
-    # integer atoms the rows and their squares are exact both ways. _SZ_TABLE
-    # is phi_up's 4 nonzero rows (SZ_UP), then the 4 rows phi_up +- R that
-    # read J_3 phi_up through R = J_3 phi_up - phi_up/2 (SZ_J3UP)
-    table, (atoms, nonzeros) = {"TERMS": (spingrid._TERMS, spingrid._LADDER_PASS)}.get(
-        name, (spingrid._SZ_TABLE, spingrid._SZ_PASS))
-    assert np.array_equal(atoms, np.flatnonzero(table.any(axis=0)))
-    part = {"TERMS": slice(None), "SZ_UP": slice(0, 4), "SZ_J3UP": slice(4, None)}[name]
-    table, nonzeros = table[part], nonzeros[part]
-    up = spingrid._LADDER[0]
-    if name == "SZ_UP":
-        assert np.array_equal(table, up[up.any(axis=1)])
-    elif name == "SZ_J3UP":
-        both = up.any(axis=1) & spingrid._LADDER[3].any(axis=1)
-        r = spingrid._real_rows(spingrid._j(spingrid._UP, "3"))[both] - 0.5 * up[both]
-        assert np.array_equal(table, np.vstack([up[both] + r, up[both] - r]))
-    rebuilt = np.zeros_like(table)
+    # every coefficient after a term's first is +-1, as _squares assumes; on
+    # integer atoms the terms and their squares are exact both ways. The S_z
+    # terms are those of phi_up's rows' orbits (SZ_UP), then those of the
+    # orbits of phi_up +- R, which read J_3 phi_up through R (SZ_J3UP)
+    terms, (atoms, nonzeros) = {"TERMS": (spingrid._TERMS, spingrid._LADDER_PASS)}.get(
+        name, (spingrid._SZ_TERMS, spingrid._SZ_PASS))
+    assert np.array_equal(atoms, np.flatnonzero(terms.any(axis=0)))
+    if name != "TERMS":
+        up, j3up = set(spingrid._SZ_TERM[:4].tolist()), set(spingrid._SZ_TERM[4:].tolist())
+        assert len(up) == len(j3up) == 2 and not up & j3up
+        part = sorted(up if name == "SZ_UP" else j3up)
+        terms, nonzeros = terms[part], [nonzeros[k] for k in part]
+    rebuilt = np.zeros_like(terms)
     for i, row in enumerate(nonzeros):
         for k, (j, c) in enumerate(row):
             assert k == 0 or c in (1.0, -1.0)
             rebuilt[i, atoms[j]] = c
-    assert np.array_equal(rebuilt, table)
+    assert np.array_equal(rebuilt, terms)
     values = np.random.default_rng(5).integers(-99, 99, (len(atoms), 50)).astype(float)
     squares = spingrid._squares(nonzeros, values)
-    assert np.array_equal(np.sqrt(squares), np.abs(table[:, atoms] @ values))
-    assert np.array_equal(squares, (table[:, atoms] @ values) ** 2)
+    assert np.array_equal(np.sqrt(squares), np.abs(terms[:, atoms] @ values))
+    assert np.array_equal(squares, (terms[:, atoms] @ values) ** 2)
 
 
 def _atom_parities():
@@ -197,10 +270,11 @@ def _atom_parities():
 
 
 def test_every_summand_is_even_under_each_reflection():
-    # the octant sum times 8 is the cube's because every ladder term, and
-    # every S_z row, reads atoms of one parity, so that its square is even
+    # the octant sum times 8 is the cube's because every ladder and S_z term,
+    # each table row too, reads atoms of one parity, so that its square is even
     parity = _atom_parities()
-    for row in np.vstack([spingrid._TERMS, spingrid._SZ_TABLE]):
+    ladder = spingrid._LADDER[spingrid._QUANTITY, spingrid._ROW]
+    for row in np.vstack([spingrid._TERMS, spingrid._SZ_TERMS, ladder, _sz_rows()[0]]):
         signs = parity[row != 0]
         assert (signs == signs[0]).all(), row
 
@@ -265,30 +339,43 @@ def test_hermite_grid_matches_cubic_spline_grid(sol05, n):
         rel=1e-10, abs=0.0)
 
 
+def _peak(check, solution, spec):
+    """The tracemalloc peak of one grid check, in bytes."""
+    tracemalloc.start()
+    try:
+        check(solution, spec)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
 @pytest.mark.parametrize("check", [ladder_residuals, sz_grid_integral])
 def test_streamed_grid_memory_bounded(sol05, check):
     # the dense 64^3 path peaked at 188 MB (ladder) and 140 MB (spin); the
-    # whole cube streamed at 10.1 and 4.9 MB, its octant at 2.9 and 1.5 MB,
-    # and at 2.5 and 1.1 MB from the radius table
-    tracemalloc.start()
-    try:
-        check(sol05, GridSpec(n=64, extent=10.0))
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert peak <= 4e6, peak
+    # whole cube streamed at 10.1 and 4.9 MB, its octant at 2.9 and 1.5 MB, and
+    # at 1.93 and 1.14 MB from the radius table; one term per orbit, with only
+    # the (field, axis) pairs it reads differentiated, peaks at 1.34 and 0.78 MB.
+    # Each bound is that peak plus about 15 %
+    bound = {ladder_residuals: 1.55e6, sz_grid_integral: 0.9e6}[check]
+    peak = _peak(check, sol05, GridSpec(n=64, extent=10.0))
+    assert peak <= bound, peak
 
 
 def test_ladder_check_squares_each_term_once(sol05):
-    # over the octant, squaring all 40 nonzero table rows per slab peaks at
-    # 3.9 MB; the 16 distinct terms at 2.9 MB (whole cube: 12.5 and 10.1 MB)
-    tracemalloc.start()
-    try:
-        ladder_residuals(sol05, GridSpec(n=64, extent=10.0))
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert peak <= 3.3e6, peak
+    # over the octant, squaring all 40 nonzero table rows per slab peaked at
+    # 3.9 MB, the 16 distinct rows at 2.9 MB (whole cube: 12.5 and 10.1 MB), and
+    # 1.93 MB from the radius table; one term per orbit peaks at 1.34 MB, and
+    # the bound is that plus about 15 %
+    peak = _peak(ladder_residuals, sol05, GridSpec(n=64, extent=10.0))
+    assert peak <= 1.55e6, peak
+
+
+def test_ladder_check_memory_bounded_at_128(sol05):
+    # 7.60 MB when each of the 16 distinct rows was squared and all four fields
+    # were differentiated along every axis read; 5.24 MB with one term per
+    # orbit and only the pairs the terms read. The bound is that plus about 15 %
+    peak = _peak(ladder_residuals, sol05, GridSpec(n=128, extent=10.0))
+    assert peak <= 6.0e6, peak
 
 
 # the h^3 trapezoid weights underflow to 0 at 1e-160, 1e-200 and 1e-300; the
