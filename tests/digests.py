@@ -1,10 +1,11 @@
 """SHA-256 digests that test_digests.py recomputes: the bytes the CLI writes
 and the (F0, clamped) sequence of the solver's shooting trials.
 
-np.sum's pairwise order belongs to the numpy build, so the digests hold for
-the numpy version and platform in HOST; elsewhere a mismatch may be the
-build, not the code. A change that moves bytes on purpose updates the digest
-here and says why in CHANGES.md.
+np.sum's pairwise order belongs to the numpy build, and the ensemble's
+float64 tan to the loop numpy dispatches for the CPU, so the digests hold
+for the numpy version, platform and tan dispatch in HOST; elsewhere a
+mismatch may be the build or the CPU, not the code. A change that moves
+bytes on purpose updates the digest here and says why in CHANGES.md.
 
 Keys:
 - "solve W": `solve --omega W --no-cache --out`, W in {0.1, 0.5, 0.97};
@@ -20,15 +21,17 @@ Keys:
 
 The cache-file names moved when hbar, c and ell0 left the cache key;
 "ensemble" when each seed's realizations came to read one Philox stream in
-order and the artifact gained "stderr_exact", and again when it lost
-"seed_used"; and "solve W", "sweep cache bytes" and "observables" when
-schema 4 dropped the tail and residual fields that restated the grid, and
-again, with the sweep CSVs, when schema 5 dropped v13 and v15 and renamed
-v16 to pohozaev_residual (CHANGES.md). The trials and "chsh --optimize"
-hold the digests recorded before the first of those changes.
+order and the artifact gained "stderr_exact", again when it lost
+"seed_used", and again when its coherence factor came to be taken from the
+half-angle tangent (every value moved at rounding level); and "solve W",
+"sweep cache bytes" and "observables" when schema 4 dropped the tail and
+residual fields that restated the grid, and again, with the sweep CSVs,
+when schema 5 dropped v13 and v15 and renamed v16 to pohozaev_residual
+(CHANGES.md). The trials and "chsh --optimize" hold the digests recorded
+before the first of those changes.
 """
 
-HOST = "numpy 2.4.6 on x86_64 Linux"
+HOST = "numpy 2.4.6 on x86_64 Linux, float64 tan X86_V4"
 
 DIGESTS = {
     "solve 0.1": "6965b3d95238272c09d1ee2a4ccb3ac1e678e0b0f297f8cd495d4efd0d0b9093",
@@ -43,5 +46,5 @@ DIGESTS = {
     "sweep cache bytes": "162c279e1b5e2cff6bbbf2ebfb4393ca9aac58c3d89d943abb0ea65f4171e507",
     "observables": "66a8bfe5881fe3a70296779f2a84011af6220e706424f7754c321bcedd7fe42f",
     "chsh --optimize": "59edeb1a4583743c4b9fa8f35a94d523e885db4f3e9961a590a870a316e42d3d",
-    "ensemble": "81a5e3528f47d5c5e594f5f34cc71f2f02a8dabbec7943abe6a6abc9d783e013",
+    "ensemble": "154b839b4fea8cd5aa5ff708f2690fca67f7d51d64991164001c29fccea75d33",
 }

@@ -40,7 +40,9 @@ draw_phases and ensemble_estimate build a fresh Philox generator for every
 realization, set through the constructor's counter to the realization's
 first draw, and take its coherence alone: the bit-for-bit reference of
 ensemble.ensemble_estimate, which reads one generator in order and takes a
-block of realizations' coherence factors at once.
+block of realizations' coherence factors at once. _coherence mirrors the
+package's half-angle formula; test_ensemble.py checks that formula against
+|sum_j exp(i theta_j)|^2 / N within a stated rounding bound.
 """
 import math
 from typing import Optional
@@ -553,9 +555,17 @@ def draw_phases(seed: int, realization_index: int, n: int) -> np.ndarray:
 
 
 def _coherence(phases: np.ndarray) -> float:
-    """Coherence factor (1/N)|sum_j e^{i theta_j}|^2 of one realization."""
-    z = np.exp(1j * phases).sum()
-    return (z.real * z.real + z.imag * z.imag) / phases.size
+    """Coherence factor (1/N)|sum_j e^{i theta_j}|^2 of one realization, by
+    the package's half-angle formula: with t = tan(theta/2) and
+    c = 1/(1 + t^2), sum cos theta = 2 sum c - N and sum sin theta =
+    2 sum tc. It mirrors the formula so as to pin the stream, block and run
+    structure bit for bit; the link to the definition through np.exp is
+    test_ensemble.py's test_coherence_matches_the_definition."""
+    t = np.tan(phases * 0.5)
+    c = 1.0 / (1.0 + t * t)
+    x = 2.0 * c.sum() - phases.size
+    y = 2.0 * (t * c).sum()
+    return (x * x + y * y) / phases.size
 
 
 def ensemble_estimate(spec: EnsembleSpec, pair: EntangledPair) -> EnsembleEstimate:

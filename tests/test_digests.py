@@ -31,7 +31,10 @@ def _sha(data: bytes) -> str:
 
 
 def _host() -> str:
-    return f"numpy {np.__version__} on {platform.machine()} {platform.system()}"
+    # the ensemble's float64 tan loop is chosen by CPU (SIMD or a scalar baseline)
+    tan = np.lib.introspect.opt_func_info(func_name="tan")["tan"]["dd"]["current"]
+    return (f"numpy {np.__version__} on {platform.machine()} {platform.system()}, "
+            f"float64 tan {tan}")
 
 
 def recompute(work: Path, monkeypatch) -> dict:

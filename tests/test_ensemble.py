@@ -102,8 +102,64 @@ def test_realization_rejects_non_finite_or_non_flat_phases(phases):
         realization_estimate(phases, PAIR, (0, 0, 1), (0, 0, 1))
 
 
+@pytest.mark.parametrize("phases", [["x"], {"a": 1}, "0.5", [1 + 2j], np.array([1 + 2j]),
+                                    np.array([0.5], dtype=complex), [True, False],
+                                    [[0.1], [0.2, 0.3]]],
+                         ids=["str", "dict", "str-scalar", "complex-list", "complex-array",
+                              "complex-dtype", "bool", "ragged"])
+@pytest.mark.filterwarnings("error")
+def test_realization_refuses_non_real_phases(phases):
+    # these raised ValueError or TypeError, and a complex array was cast to
+    # its real part with only a ComplexWarning
+    with pytest.raises(DomainError, match="phases"):
+        realization_estimate(phases, PAIR, (0, 0, 1), (0, 0, 1))
+
+
 def test_realization_estimate_is_a_python_float():
     assert type(realization_estimate([0.1, 0.2], PAIR, (0, 0, 1), (0, 0, 1))) is float
+
+
+# --- the half-angle formula against the definition ------------------------------
+# _coherence takes C from t = tan(theta/2): sum cos = 2 sum 1/(1 + t^2) - N and
+# sum sin = 2 sum t/(1 + t^2). To first order its difference from
+# |sum exp(i theta)|^2 / N is 2(X dX + Y dY)/N, where |(X, Y)| = sqrt(N C) and
+# dX, dY gather N roundings of terms at most 1 in each formula, so
+# |dC| <= 2 b eps sqrt(N C) with b ulps a term; C + 1 in place of C covers
+# C ~ 0, where the second-order dX^2/N is left. The largest measured
+# |dC| / (eps sqrt(N (C + 1))) was 10.7, for coherent phases, whose roundings
+# add in one direction, and at most 3.6 for the other kinds (1000 draws of
+# each kind and N): the bound takes b = 8. An N eps bound would not do: the
+# coherent phases reach 9.7 N eps, while uniform ones stay below 0.03 N eps
+# at N = 3000.
+
+EPS = np.finfo(float).eps
+# 0, pi, the float below 2 pi, pi/2 (pi itself has tan(theta/2) ~ 1.6e16),
+# huge arguments of both signs and the least subnormal
+SPECIAL = np.array([0.0, math.pi, np.nextafter(2.0 * math.pi, 0.0), math.pi * 0.5,
+                    1e300, -1e300, 5e-324])
+
+
+def _phase_sets(n, kind, rng):
+    if kind == "special":  # every special value at every position, the rest uniform
+        sets = [np.resize(np.roll(SPECIAL, k), n) for k in range(SPECIAL.size)]
+        for phases in sets:
+            phases[SPECIAL.size:] = rng.random(max(0, n - SPECIAL.size)) * (2.0 * math.pi)
+        return sets
+    if kind == "uniform":
+        return [rng.random(n) * (2.0 * math.pi) for _ in range(20)]
+    if kind == "wide":
+        return [rng.uniform(-1e6, 1e6, n) for _ in range(20)]
+    return [np.full(n, theta) for theta in rng.random(20) * (2.0 * math.pi)]  # coherent
+
+
+@pytest.mark.parametrize("kind", ["uniform", "special", "wide", "coherent"])
+@pytest.mark.parametrize("n", [1, 2, 3, 64, 1000, 3000])
+def test_coherence_matches_the_definition(n, kind):
+    rng = np.random.default_rng(n)
+    for phases in _phase_sets(n, kind, rng):
+        c = abs(np.exp(1j * phases).sum()) ** 2 / n
+        bound = 16.0 * EPS * math.sqrt(n * (c + 1.0))
+        assert abs(ensemble._coherence(phases * 0.5) - c) <= bound
 
 
 def test_phase_mean_is_unbiased():
