@@ -4,10 +4,14 @@ Floats are serialized with Python's shortest round-trip representation, so a
 parsed archive reproduces every stored number bit-exactly. Writes go through
 a temporary file plus atomic rename.
 
-Everything an archive holds beyond the constants, the solver options, the
-shooting history and x_max_used is a report for readers: the loader derives
-it again through the solve's own final pass and accepts only the document
-that archive_document writes for the derivation.
+An archive stores no profile. Everything it holds beyond the constants, the
+solver options, the shooting history and x_max_used is a report for readers:
+the loader derives it again through the solve's own final pass, which also
+rebuilds the profile, and accepts only the document that archive_document
+writes for the derivation. So a load costs what the final pass of a solve
+with the document's options costs; radial.ratchet_nodes refuses an
+x_max_used off the x_max ratchet, or a mesh over 10^7 nodes, before any mesh
+is built.
 """
 from __future__ import annotations
 
@@ -20,10 +24,10 @@ from dataclasses import asdict, replace
 from .observables import (IdentityReport, ObservableSet, compute_integrals,
                           identity_report)
 from .params import PhysicalParams, calibrate_lambda
-from .radial import (SolitonSolution, SolverOptions, ratchet_nodes, replay_bisection,
+from .radial import (SolitonSolution, SolverOptions, replay_bisection,
                      solution_from_shooting)
 
-SCHEMA_VERSION = 5
+SCHEMA_VERSION = 6
 
 
 def derive_report(solution: SolitonSolution, params: PhysicalParams):
@@ -40,15 +44,9 @@ def archive_document(solution: SolitonSolution,
                      identities: IdentityReport,
                      params: PhysicalParams) -> dict:
     """Assemble the archive dict for one calibrated solution."""
-    p = solution.profile
     return {
         "schema_version": SCHEMA_VERSION,
         "Omega": solution.Omega,
-        "grid": {
-            "x": p.grid.tolist(),
-            "F": p.F.tolist(),
-            "G": p.G.tolist(),
-        },
         "shooting": {
             "F0": solution.shooting.F0,
             "bracket": list(solution.shooting.bracket),
@@ -56,7 +54,7 @@ def archive_document(solution: SolitonSolution,
             "classification_history": [list(h) for h in
                                        solution.shooting.classification_history],
         },
-        "tail": asdict(p.tail),
+        "tail": asdict(solution.profile.tail),
         "residuals": asdict(solution.residuals),
         "observables": asdict(observables),
         "identities": asdict(identities),
@@ -90,13 +88,8 @@ def solution_from_document(doc: dict):
                             omega=cal["omega"])
     provenance = doc["provenance"]
     opts = SolverOptions(**provenance["options"])
-    x_max_used, stored = provenance["x_max_used"], len(doc["grid"]["x"])
-    # before any mesh is built, so that no mesh outgrows the stored grid
-    if ratchet_nodes(params.Omega, opts, x_max_used) != stored:
-        raise ValueError(f"the stored grid has {stored} nodes, not the node count "
-                         f"of the mesh at x_max_used = {x_max_used!r}")
     shooting = replay_bisection(doc["shooting"]["classification_history"], opts)
-    solution = solution_from_shooting(params.Omega, shooting, opts, x_max_used)
+    solution = solution_from_shooting(params.Omega, shooting, opts, provenance["x_max_used"])
     observables, identities, params = derive_report(solution, params)
     derived = archive_document(solution, observables, identities, params)
     if derived != doc:

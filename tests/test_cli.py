@@ -17,7 +17,7 @@ import golden
 import solitonlab
 from solitonlab import archive, cli, radial
 from solitonlab.cli import SWEEP_COLUMNS, main
-from solitonlab.errors import SolitonLabError, TailError
+from solitonlab.errors import DomainError, SolitonLabError, TailError
 from solitonlab.observables import IdentityReport, ObservableSet
 from solitonlab.params import PhysicalParams
 from solitonlab.radial import SolverOptions, _rhs
@@ -80,16 +80,27 @@ def test_cache_key_depends_on_tolerances():
 
 # --- solve -------------------------------------------------------------------
 
-def test_solve_archive_content(sol_path):
+def _list_lengths(node):
+    if isinstance(node, dict):
+        return [n for value in node.values() for n in _list_lengths(value)]
+    if isinstance(node, list):
+        return [len(node)] + [n for value in node for n in _list_lengths(value)]
+    return []
+
+
+def test_solve_archive_content(sol_path, workdir):
     doc = json.loads(sol_path.read_text())
-    assert doc["schema_version"] == 5
+    assert doc["schema_version"] == archive.SCHEMA_VERSION
     assert "tail_corrections" not in doc["observables"]
     assert not {"v13", "v14", "v15", "v16"} & set(doc["identities"])
     assert doc["tail"]["nu_fit"] == pytest.approx(math.sqrt(0.75), rel=1e-3)
-    assert set(doc["grid"]) == {"x", "F", "G"}
-    n = len(doc["grid"]["x"])
-    assert all(len(doc["grid"][k]) == n for k in ("F", "G"))
     assert doc["calibration"]["lambda"] == pytest.approx(4 * math.pi * doc["observables"]["Q"], rel=1e-12)
+    # the profile is derived on load, not stored: no list is mesh-sized, and
+    # the archive of the longest default mesh stays small
+    assert max(_list_lengths(doc)) == len(doc["shooting"]["classification_history"])
+    path = workdir / "sol097.json"
+    assert main(["solve", "--omega", "0.97", "--out", str(path)]) == 0
+    assert path.stat().st_size < 8000
 
 
 def test_readme_schema_table_matches_the_code():
@@ -134,6 +145,7 @@ def test_solve_treats_bad_cache_entry_as_miss(tmp_path):
     old_schema["schema_version"] = 1
     # a schema-2 entry: the same archive with the derivatives stored in the grid
     schema2 = json.loads(fresh)
+    _as_schema5(schema2)
     schema2["schema_version"] = 2
     x, F, G = (np.asarray(schema2["grid"][k]) for k in ("x", "F", "G"))
     dF, dG = _rhs(x, F, G, schema2["Omega"])
@@ -142,6 +154,8 @@ def test_solve_treats_bad_cache_entry_as_miss(tmp_path):
     _as_schema3(schema3)
     schema4 = json.loads(fresh)
     _as_schema4(schema4)
+    schema5 = json.loads(fresh)
+    _as_schema5(schema5)
     miscalibrated = json.loads(fresh)
     miscalibrated["calibration"]["lambda"] *= 2.0
     tampered = []
@@ -150,7 +164,7 @@ def test_solve_treats_bad_cache_entry_as_miss(tmp_path):
         param.values[0](doc)
         tampered.append(json.dumps(doc))
     for bad in ["{not json", json.dumps(old_schema), archive.dumps(schema2),
-                archive.dumps(schema3), archive.dumps(schema4),
+                archive.dumps(schema3), archive.dumps(schema4), archive.dumps(schema5),
                 json.dumps(miscalibrated)] + tampered:
         entry.write_text(bad)
         out = tmp_path / "again.json"
@@ -221,7 +235,8 @@ def test_extended_mesh_round_trips(monkeypatch, tmp_path):
 
     monkeypatch.setattr(radial, "_build_mesh", spy)
     assert main(["observables", "--solution", str(sol), "--out", str(obs)]) == 0
-    assert sizes == [len(doc["grid"]["x"])]
+    opts = SolverOptions(**doc["provenance"]["options"])
+    assert sizes == [radial.ratchet_nodes(0.5, opts, 34.3301)]
     assert obs.read_bytes() == sol.read_bytes()
 
 
@@ -245,21 +260,33 @@ def test_one_final_pass_builds_every_solution(monkeypatch):
     assert loaded.provenance == solution.provenance
 
 
+def _as_schema5(doc):
+    # the archive as schema 5 wrote it: with the profile's grid, which the
+    # loader re-derived and which schema 6 dropped; returns the profile
+    profile = archive.solution_from_document(doc)[0].profile
+    doc["grid"] = {"x": profile.grid.tolist(), "F": profile.F.tolist(),
+                   "G": profile.G.tolist()}
+    doc["schema_version"] = 5
+    return profile
+
+
 def _as_schema4(doc):
     # the archive as schema 4 wrote it: pohozaev_residual was v16, beside
     # v13 and v15, which restated it and which schema 5 dropped
+    profile = _as_schema5(doc)
     obs, W, ids = doc["observables"], doc["Omega"], doc["identities"]
     Q, Qs, I4, T = obs["Q"], obs["Qs"], obs["I4"], obs["T"]
     ids.update(v13=abs(-(2.0 / 3.0) * T + W * Q - Qs + 0.5 * I4) / Q,
                v15=abs(T / 3.0 - 0.5 * I4) / Q, v16=ids.pop("pohozaev_residual"))
     doc["schema_version"] = 4
+    return profile
 
 
 def _as_schema3(doc):
     # the archive as schema 3 wrote it: with the tail and residual fields
     # that restated the grid (or could not fail), which schema 4 dropped
-    _as_schema4(doc)
-    x, F, G = (np.asarray(doc["grid"][k]) for k in ("x", "F", "G"))
+    profile = _as_schema4(doc)
+    x, F, G = profile.grid, profile.F, profile.G
     W, tail = doc["Omega"], doc["tail"]
     k, nu = int(np.searchsorted(x, tail["x_glue"])), math.sqrt(1.0 - W * W)
     xg, grow = float(x[k]), math.exp(nu * x[k])
@@ -304,11 +331,10 @@ def _coarse_mesh(doc):
     doc["provenance"]["options"].update(mesh_dx=5.0)
     sh = radial._Shooter(doc["Omega"], SolverOptions(**doc["provenance"]["options"]))
     doc["provenance"].update(x_max_used=sh.x_max)
-    doc["grid"]["x"] = doc["grid"]["x"][:len(sh.nodes)]
     _history_at(doc["shooting"]["F0"])(doc)
 
 
-# edits of the shooting, tail, residuals, provenance and grid blocks, each of
+# edits of the shooting, tail, residuals and provenance blocks, each of
 # which loaded (and observables exited 0) before the loader re-ran the final
 # pass; F0 = 1e200 on a history that replays is refused by series_start (its
 # cube overflows), and glue_frac = 1e-13 makes the final pass raise TailError
@@ -328,8 +354,6 @@ _TAMPERS = [
     pytest.param(lambda doc: doc["provenance"].update(code_version=1),
                  id="code_version-not-str"),
     pytest.param(lambda doc: doc["provenance"].update(extra=1), id="provenance-extra-key"),
-    pytest.param(lambda doc: doc["grid"]["F"].append(1.001 * doc["grid"]["F"].pop()),
-                 id="F-last-1.001x"),
     pytest.param(lambda doc: doc["shooting"].update(F0=1e200), id="F0=1e200"),
     pytest.param(_history_at(1e200), id="F0=1e200-replayed"),
     pytest.param(lambda doc: doc["provenance"].update(x_max_used=41.0), id="x_max_used=41"),
@@ -343,20 +367,25 @@ _TAMPERS = [
 ]
 
 
-@pytest.mark.parametrize("edit, refusal", [
-    (_x_max_used_extended(12), "the stored grid has 4001 nodes"),
+@pytest.mark.parametrize("edit, error, refusal, meshes", [
+    (lambda doc: doc["provenance"]["options"].update(mesh_dx=1e-9),
+     DomainError, "would exceed 10000000 nodes", []),
     (lambda doc: doc["provenance"]["options"].update(mesh_dx=doc["provenance"]["options"]
                                                      ["mesh_dx"] / 100.0),
-     "is not an end of the x_max ratchet"),
-], ids=["x_max_used-12-extensions", "mesh_dx/100"])
-def test_loader_builds_no_mesh_longer_than_the_stored_grid(monkeypatch, sol_path, edit,
-                                                           refusal):
-    # the loader built the mesh and ran the final pass at whatever ratchet end
-    # and spacing the document named (12 extensions: 519,201 nodes, 0.37 s
-    # and +82 MB) before it compared anything with the stored grid
+     ValueError, "is not an end of the x_max ratchet", []),
+    (_x_max_used_extended(12), ValueError, "differ from their derivation", [519_201]),
+], ids=["mesh_dx=1e-9", "mesh_dx/100", "x_max_used-12-extensions"])
+def test_a_load_costs_a_solve_of_its_options(monkeypatch, tmp_path, sol_path, edit, error,
+                                            refusal, meshes):
+    # an archive stores no mesh: a load builds the mesh that a solve with the
+    # document's options and x_max_used builds, and radial.ratchet_nodes
+    # refuses an x_max_used off the ratchet or a mesh over 10^7 nodes before
+    # any mesh is built (12 extensions: one mesh of 519,201 nodes)
     doc = json.loads(sol_path.read_text())
-    stored = len(doc["grid"]["x"])
     edit(doc)
+    path = tmp_path / "edited.json"
+    archive.write_json_atomic(str(path), doc)
+    assert path.stat().st_size < 8000
     sizes = []
     build_mesh = radial._build_mesh
 
@@ -366,12 +395,16 @@ def test_loader_builds_no_mesh_longer_than_the_stored_grid(monkeypatch, sol_path
         return mesh
 
     monkeypatch.setattr(radial, "_build_mesh", spy)
-    archive.solution_from_document(json.loads(sol_path.read_text()))
-    assert max(sizes) == stored
+    with pytest.raises(error, match=refusal):
+        archive.solution_from_document(archive.read_json(str(path)))
+    assert sizes == meshes
+    if meshes:
+        opts = SolverOptions(**doc["provenance"]["options"])
+        assert meshes == [radial.ratchet_nodes(0.5, opts, doc["provenance"]["x_max_used"])]
     sizes.clear()
-    with pytest.raises(ValueError, match=refusal):
-        archive.solution_from_document(doc)
-    assert all(size <= stored for size in sizes), sizes
+    out = tmp_path / "out.json"
+    assert main(["observables", "--solution", str(path), "--out", str(out)]) == 3
+    assert sizes == meshes and not out.exists()
 
 
 def test_ratchet_nodes_is_the_trials_mesh():
@@ -391,6 +424,7 @@ def test_ratchet_nodes_is_the_trials_mesh():
     "{not json", '{"schema_version": 1}', "[1, 2]", '{"schema_version": 2}',
     pytest.param(_as_schema3, id="schema-3"),
     pytest.param(_as_schema4, id="schema-4"),
+    pytest.param(_as_schema5, id="schema-5"),
     # a valid archive with one inadmissible calibration constant
     pytest.param({"lambda": 0}, id="lambda=0"),
     pytest.param({"hbar": 0}, id="hbar=0"),
@@ -402,7 +436,6 @@ def test_ratchet_nodes_is_the_trials_mesh():
         {"lambda": 2.0 * doc["calibration"]["lambda"]}), id="lambda=2x"),
     pytest.param({"lambda": None}, id="lambda=null"),
     # stored fields that contradict the profile they derive from
-    pytest.param(lambda doc: doc["grid"]["F"].pop(), id="F-one-node-short"),
     pytest.param(lambda doc: doc.update(Omega=0.6), id="Omega-edited"),
     pytest.param(_scale_q_and_lambda, id="Q-and-lambda-2x"),
     pytest.param(lambda doc: doc["identities"].update(pohozaev_residual=0.5),
@@ -410,10 +443,9 @@ def test_ratchet_nodes_is_the_trials_mesh():
     *_TAMPERS,
 ])
 def test_unreadable_solution_is_invalid_input(tmp_path, capsys, sol_path, content):
-    # each tamper case exited 0 (F short under correlate, Omega edited, Q and
-    # lambda 2x, identity edited) or 1 (F short under observables) before the
-    # loader derived the report from the profile, and each of _TAMPERS
-    # exited 0 before it re-ran the final pass
+    # each tamper case exited 0 (Omega edited, Q and lambda 2x, identity
+    # edited) before the loader derived the report from the profile, and
+    # each of _TAMPERS exited 0 before it re-ran the final pass
     path = tmp_path / "bad.json"
     if not isinstance(content, str):
         doc = json.loads(sol_path.read_text())
