@@ -21,6 +21,17 @@ from .correlation import (EntangledPair, CorrelationReport, build_singlet,
                           chsh_optimize, chsh_local_strategies, ladder_check_grid)
 from .ensemble import (EnsembleSpec, EnsembleEstimate, draw_phases,
                        realization_estimate, ensemble_estimate)
-from .spingrid import GridSpec, LadderReport
 
-__all__ = [name for name in dir() if not name.startswith("_")]
+_GRID_NAMES = ("GridSpec", "LadderReport")
+
+
+def __getattr__(name):
+    # the grid module loads on first use (PEP 562): no CLI command imports it
+    if name in _GRID_NAMES:
+        from . import spingrid
+        return getattr(spingrid, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
+
+__all__ = sorted([name for name in dir() if not name.startswith("_")]
+                 + [*_GRID_NAMES, "spingrid"])

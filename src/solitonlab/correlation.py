@@ -12,12 +12,14 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from itertools import product
-from typing import Callable, Optional
+from typing import TYPE_CHECKING, Callable, Optional
 
 import numpy as np
 
 from .errors import DomainError, GridError, _require_positive
-from .spingrid import GridSpec, LadderReport, ladder_residuals
+
+if TYPE_CHECKING:  # ladder_check_grid imports the grid module when it is called
+    from .spingrid import GridSpec, LadderReport
 
 __all__ = [
     "EntangledPair", "CorrelationReport", "build_singlet", "pauli_dot",
@@ -202,6 +204,8 @@ def ladder_check_grid(solution, tol: float = 0.02,
     only from Omega ~ 0.12 up: at 0.1, jminus_up reads 2.35e-2. DomainError
     unless tol is finite and > 0, checked before any grid work.
     """
+    from .spingrid import GridSpec, ladder_residuals
+
     _require_positive("tol", tol)
     spec = grid or GridSpec(n=64, extent=10.0)
     report = ladder_residuals(solution, spec)

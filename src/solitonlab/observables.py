@@ -24,14 +24,16 @@ numerics find 1.378, 1.327, 1.135 and 1.052 at Omega = 0.1, 0.5, 0.9, 0.97.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional
+from typing import TYPE_CHECKING, Optional
 
 import numpy as np
 
 from .errors import DomainError, GridError, QuadratureError, _require_positive
 from .params import PhysicalParams, dimensionful_norm
 from .radial import SolitonSolution
-from .spingrid import GridSpec, sz_grid_integral
+
+if TYPE_CHECKING:  # spin_z imports the grid module when it is called
+    from .spingrid import GridSpec
 
 __all__ = [
     "ObservableSet", "IdentityReport", "SpinReport",
@@ -167,6 +169,8 @@ def spin_z(solution: SolitonSolution, params: PhysicalParams,
     and a finer grid of the same extent does not bring it back within 2%.
     Raises DomainError if params.lam is None.
     """
+    from .spingrid import GridSpec, sz_grid_integral
+
     obs = obs or compute_integrals(solution)
     q_dim = dimensionful_norm(params, obs.Q)
     sz_alg = 0.5 * params.hbar * (q_dim / params.hbar)

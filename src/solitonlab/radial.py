@@ -277,11 +277,12 @@ def ratchet_nodes(Omega: float, opts: SolverOptions, x_max_used: float) -> int:
     return nodes
 
 
-def _march(Omega: float, nodes: list, F: float, G: float, rtol: float,
+def _march(Omega: float, nodes, F: float, G: float, rtol: float,
            every_step: bool = False):
-    """DP5 march from (nodes[0], F, G), clamped to every node of the list;
-    yields (x, F, G) at each node after the first, or after every accepted
-    step if every_step is set (free steps: pass nodes [x0, x_end]).
+    """DP5 march from (the first node, F, G), clamped to every node of the
+    iterable, which it walks once without copying; yields (x, F, G) at each
+    node after the first, or after every accepted step if every_step is set
+    (free steps: pass nodes [x0, x_end]).
 
     This is ivp.Stepper.advance_to driving _rhs (default atol and max_step),
     as ivp.integrate_mesh runs it, with the right-hand side written inline:
@@ -305,12 +306,13 @@ def _march(Omega: float, nodes: list, F: float, G: float, rtol: float,
     nOp = -(Omega + 1.0)
     Om1 = Omega - 1.0
 
-    x = nodes[0]
+    nodes = iter(nodes)
+    x = next(nodes)
     cub = F * F - G * G
     k1F = (nOp + cub) * G
     k1G = -2.0 * G / x + (Om1 + cub) * F
     h = 1e-3  # min(1e-3, max_step)
-    for x_node in nodes[1:]:
+    for x_node in nodes:
         while x < x_node:
             # h = min(h, max_step, x_node - x)
             if max_step < h:
@@ -719,11 +721,10 @@ def _final_profile(Omega: float, F0: float, mesh: np.ndarray, opts: SolverOption
     """Final integration clamped to the mesh plus analytic tail continuation."""
     nu, B = math.sqrt(1.0 - Omega * Omega), 1.0 + Omega
     n = mesh.size
-    nodes = mesh.tolist()
     thresh = opts.glue_frac * F0
     start = series_start(F0, Omega, opts.x0)
-    states = chain(((nodes[0], start.F, start.G),),
-                   _march(Omega, nodes, start.F, start.G, opts.final_rtol))
+    states = chain(((float(mesh[0]), start.F, start.G),),
+                   _march(Omega, map(float, mesh), start.F, start.G, opts.final_rtol))
     Fs, Gs = [], []
     reason = "end"
     for x, Fx, Gx in states:
@@ -789,16 +790,30 @@ def _midpoint_residual(profile: RadialProfile, Omega: float):
     data the residual reflects solve quality rather than differencing error.
     """
     x, F, G, dF, dG = profile.grid, profile.F, profile.G, profile.dF, profile.dG
-    h = np.diff(x)
-    xm = x[:-1] + 0.5 * h
-    Fm = 0.5 * (F[:-1] + F[1:]) + 0.125 * h * (dF[:-1] - dF[1:])
-    Gm = 0.5 * (G[:-1] + G[1:]) + 0.125 * h * (dG[:-1] - dG[1:])
-    dFm = 1.5 * (F[1:] - F[:-1]) / h - 0.25 * (dF[:-1] + dF[1:])
-    dGm = 1.5 * (G[1:] - G[:-1]) / h - 0.25 * (dG[:-1] + dG[1:])
-    fm, gm = _rhs(xm, Fm, Gm, Omega)
     scale = max(float(np.max(np.abs(dF))), float(np.max(np.abs(dG))), 1e-300)
-    res = max(float(np.max(np.abs(dFm - fm))), float(np.max(np.abs(dGm - gm)))) / scale
-    return res, scale
+    h = np.diff(x)
+    q, t = 0.125 * h, np.empty_like(h)
+    # each midpoint value and derivative in place, operation for operation as
+    # 0.5 (Y0 + Y1) + 0.125 h (dY0 - dY1) and 1.5 (Y1 - Y0) / h - 0.25 (dY0 + dY1)
+    mid = []
+    for Y, dY in ((F, dF), (G, dG)):
+        v = np.add(Y[:-1], Y[1:])
+        v *= 0.5
+        v += np.multiply(q, np.subtract(dY[:-1], dY[1:], out=t), out=t)
+        d = np.subtract(Y[1:], Y[:-1])
+        d *= 1.5
+        d /= h
+        d -= np.multiply(np.add(dY[:-1], dY[1:], out=t), 0.25, out=t)
+        mid.append((v, d))
+    del q, t
+    (Fm, dFm), (Gm, dGm) = mid
+    h *= 0.5
+    h += x[:-1]  # the midpoints, x0 + 0.5 h
+    res = []
+    for dYm, ym in zip((dFm, dGm), _rhs(h, Fm, Gm, Omega)):
+        dYm -= ym
+        res.append(float(np.max(np.abs(dYm, out=dYm))))
+    return max(res) / scale, scale
 
 
 def solution_from_shooting(Omega: float, shooting: ShootingResult, opts: SolverOptions,

@@ -44,9 +44,10 @@ from it.
 
 The octant is streamed in slabs of x-planes, each gathered with a one-plane
 halo on either side so that every stencil is the full cube's; derivatives
-are taken only on the planes, rows and columns that are kept. Only the
-table and float sums cross slab boundaries, so memory is O(n^2 * _SLAB), not
-O(n^3).
+are taken only on the planes, rows and columns that are kept. A check writes
+every slab through out= into one workspace that it allocates once, so memory
+is O(n^2 * _SLAB), not O(n^3), and a fresh process faults its pages in once,
+not per slab.
 
 The radial profile is put on the cube by cubic Hermite interpolation on the
 stored values and derivatives (F, F', G, G' at every node), anchored at the
@@ -66,7 +67,7 @@ __all__ = ["GridSpec", "LadderReport", "ladder_residuals", "sz_grid_integral"]
 
 # x-planes per slab, but for a shorter first one
 _SLAB = 4
-# points per axis: memory is O(n^2 * _SLAB), ~120 MB at 512 (30 MB at 256)
+# points per axis: memory is O(n^2 * _SLAB), ~55 MB at 512 (13.8 MB at 256)
 _MAX_N = 512
 
 
@@ -205,20 +206,22 @@ _SZ_WEIGHTS = np.bincount(_SZ_TERM, weights=np.repeat([0.5, 0.25, -0.25], [4, 2,
 _LADDER_PASS, _SZ_PASS = _nonzeros(_TERMS), _nonzeros(_SZ_TERMS)
 
 
-def _squares(nonzeros, atoms):
-    """(table @ atoms) ** 2 from the table's nonzeros and without BLAS: one
-    ufunc per nonzero, each after a row's first +-1. A row that is one atom
-    times +-1 is squared straight from it."""
-    r = np.empty((len(nonzeros), atoms.shape[1]))
-    for row, ((j, c), *rest) in zip(r, nonzeros):
+def _squares(nonzeros, atoms, w, row):
+    """The weighted sum of each squared row of table @ atoms, from the table's
+    nonzeros and without BLAS: one ufunc per nonzero into row, each after a
+    row's first +-1, then the square and its einsum with the weights w. A row
+    that is one atom times +-1 is squared straight from it."""
+    sums = []
+    for (j, c), *rest in nonzeros:
         if abs(c) == 1 and not rest:
             np.square(atoms[j], out=row)
-            continue
-        np.multiply(atoms[j], c, out=row)
-        for k, sign in rest:
-            (np.add if sign > 0 else np.subtract)(row, atoms[k], out=row)
-        np.square(row, out=row)
-    return r
+        else:
+            np.multiply(atoms[j], c, out=row)
+            for k, sign in rest:
+                (np.add if sign > 0 else np.subtract)(row, atoms[k], out=row)
+            np.square(row, out=row)
+        sums.append(np.einsum("i,i->", row.ravel(), w.ravel()))
+    return sums
 
 
 def _radial_interpolant(solution):
@@ -260,55 +263,59 @@ def _radius_table(h: float, m: int):
     its three axis T. Returns (T of each node of the axis, ghost first; the
     radii r_t for t = 0 .. 3 T of the outer node).
     """
-    odd = np.concatenate(([1], 2 * np.arange(m) + 1))
+    odd = np.abs(np.arange(-1, 2 * m, 2, dtype=np.int32))
     tri = odd * odd >> 3
     return tri, 0.5 * h * np.sqrt(8.0 * np.arange(3 * tri[-1] + 1) + 3.0)
 
 
-def _diff(c, h, axis, face):
-    """d/d(axis) of c at indices 1 .. len - 2, and at len - 1 too if face, by
-    np.gradient's uniform edge_order=2 stencils operation for operation:
-    central differences, and the one-sided one on the face."""
-    shape = list(c.shape)
-    shape[axis] += face - 2
-    d = np.empty(shape)  # in c's layout, written through views along the axis
-    c, along = c.swapaxes(0, axis), d.swapaxes(0, axis)
-    inner = along[:len(c) - 2]
-    np.subtract(c[2:], c[:-2], out=inner)
-    inner /= 2.0 * h
+def _diff(c, h, axis, face, out, tmp):
+    """d/d(axis) of c into out, at the last len(out) of indices 1 .. len - 2
+    and len - 1 too if face, by np.gradient's uniform edge_order=2 stencils
+    operation for operation: central differences, and the one-sided one on
+    the face, its terms summed through tmp (of out's shape)."""
+    c, along = c.swapaxes(0, axis), out.swapaxes(0, axis)
+    n = len(along) - face  # central differences, at len - 1 - n .. len - 2
+    np.subtract(c[len(c) - n:], c[len(c) - n - 2:len(c) - 2], out=along[:n])
+    along[:n] /= 2.0 * h
     if face:
-        along[-1] = 0.5 / h * c[-3] + -2.0 / h * c[-2] + 1.5 / h * c[-1]
-    return d
+        last, term = along[-1], tmp.swapaxes(0, axis)[-1]
+        np.multiply(c[-3], 0.5 / h, out=last)
+        for coef, plane in ((-2.0 / h, c[-2]), (1.5 / h, c[-1])):
+            last += np.multiply(plane, coef, out=term)
+    return out
 
 
-def _atoms(planes, face, h, X, Y, Z, atoms):
+def _atoms(planes, face, h, coords, atoms, pairs, out):
     """Atoms 4 * kind + field (kind: the field, D1, D2, D3) on the core planes
-    of the fields' window (all but the first, and but the last unless it is
-    the outer face), less the ghost row and column (index 0 of the y and z
-    axes). Only the derivatives kept are taken, of each (field, axis) pair
-    that one of the atoms reads, once."""
-    c = planes[:, 1:planes.shape[1] - 1 + face]
+    of the fields' window (the last len(coords[0]) before the upper halo,
+    which the outer face has not), less the ghost row and column (index 0 of
+    the y and z axes): plain ones as views, the derivatives kept of each
+    (field, axis) pair once, then D ones into out, whose last is scratch."""
+    end = planes.shape[1] - 1 + face
+    c = planes[:, end - len(coords[0]):end]
     # along each axis, the window whose stencils give the kept derivatives
     windows = (planes[:, :, 1:, 1:], c[..., 1:], c[:, :, 1:])
-    d = {(j, axis): _diff(windows[axis][j], h, axis, face or axis > 0)
-         for j, axis in frozenset().union(*[_READS[a] for a in atoms])}
-    c, coords = c[:, :, 1:, 1:], (X, Y, Z)
-    values = np.empty((len(atoms),) + c.shape[1:])
-    for v, a in zip(values, atoms):
+    buffers, scratch = iter(out[:-1]), out[-1]
+    d = {(j, axis): _diff(windows[axis][j], h, axis, face or axis > 0, buf, scratch)
+         for (j, axis), buf in zip(pairs, buffers)}
+    c, values = c[:, :, 1:, 1:], []
+    for a in atoms:
         kind, j = divmod(a, 4)
         if kind:  # D_kind = x_p d_q - x_q d_p, in place
             p, q = _AXES[kind]
-            np.multiply(coords[p], d[j, q], out=v)
-            v -= coords[q] * d[j, p]
+            v = np.multiply(coords[p], d[j, q], out=next(buffers))
+            v -= np.multiply(coords[q], d[j, p], out=scratch)
         else:
-            v[...] = c[j]
+            v = c[j]
+        values.append(v)
     return values
 
 
 def _slabs(solution, spec: GridSpec, atoms):
-    """Yield (values, weights) slab by slab over the octant x, y, z > 0: the
-    requested atoms as (len(atoms), points) and the matching octant trapezoid
-    weights as (points,). An even summand's octant sum is 1/8 of its cube sum.
+    """Yield (values, weights, row) slab by slab over the octant x, y, z > 0,
+    views of the check's one workspace that the next slab overwrites: the
+    requested atoms and octant trapezoid weights as (x, y, z) planes, and a
+    free buffer of that shape. An even summand's octant sum is 1/8 of its cube sum.
 
     The interpolant runs once, on the table of distinct radii, and each slab
     gathers its fields from that table."""
@@ -332,23 +339,30 @@ def _slabs(solution, spec: GridSpec, atoms):
     w1 = np.full(m, h)
     w1[-1] = 0.5 * h  # trapezoid end weight; the inner face is interior
     Y, Z = ax[None, :, None], ax[None, None, :]
-    # slab by slab, the four fields on the core x-planes and a halo plane on
-    # either side. The short slab comes first, where the ghost plane is its
-    # lower halo, so that the last window spans >= 3 planes for the one-sided
-    # outer stencil.
+    # the workspace: node indices and fields f, g x/r, ... up to the last read on
+    # a window; on the core planes, each pair's derivative, D atoms, scratch, w
+    k, pairs = min(_SLAB, m), sorted(frozenset().union(*[_READS[a] for a in atoms]))
+    index = np.empty((k + 2, m + 1, m + 1), np.int32)
+    fields = np.empty((1 + max(a % 4 for a in atoms),) + index.shape)
+    core = np.empty((len(pairs) + sum(a > 3 for a in atoms) + 2, k, m, m))
+    # slab by slab, the fields on the core x-planes and a halo plane on
+    # either side; a face slab of one plane takes a second plane below, for
+    # the one-sided outer stencil. The short slab comes first, where the
+    # ghost plane is its lower halo.
     i0 = 1
     for i1 in reversed(range(m + 1, 1, -_SLAB)):
-        lo, hi = i0 - 1, min(i1 + 1, m + 1)  # with the halo planes
-        t = tri[lo:hi, None, None] + tri_yz
-        planes = np.empty((4,) + t.shape)
-        np.take(f, t, out=planes[0])
-        g = g_over_r[t]
-        for field, x in zip(planes[1:], (ax[lo:hi, None, None], Y, Z)):
+        lo, hi = min(i0 - 1, m - 2), min(i1 + 1, m + 1)  # with the halo planes
+        t = np.add(tri[lo:hi, None, None], tri_yz, out=index[:hi - lo])
+        planes, g = fields[:, :hi - lo], fields[-1, :hi - lo]
+        np.take(f, t, out=planes[0], mode="clip")  # in range: clip only skips a copy
+        np.take(g_over_r, t, out=g, mode="clip")  # g/r, into the last field read
+        for field, x in zip(planes[1:], (ax[lo:hi, None, None], Y, Z)):  # the last in place
             np.multiply(g, x, out=field)
-        values = _atoms(planes, i1 == hi, h, ax[i0:i1, None, None],
-                        Y[:, 1:], Z[:, :, 1:], atoms)
-        w = w1[i0 - 1:i1 - 1, None, None] * w1[None, :, None] * w1[None, None, :]
-        yield values.reshape(len(atoms), -1), w.ravel()
+        values = _atoms(planes, i1 == hi, h, (ax[i0:i1, None, None], Y[:, 1:], Z[:, :, 1:]),
+                        atoms, pairs, core[:-1, :i1 - i0])
+        w = np.multiply(w1[i0 - 1:i1 - 1, None, None], w1[:, None], out=core[-1, :i1 - i0])
+        w *= w1
+        yield values, w, core[-2, :i1 - i0]
         i0 = i1
 
 
@@ -357,15 +371,15 @@ def _square_sums(solution, spec: GridSpec, atoms, nonzeros):
     gives it, from one pass over the octant that builds only the atoms the
     table reads. Every summand is even: the cube's sums are 8 octant sums."""
     sums = np.zeros(len(nonzeros))
-    for values, w in _slabs(solution, spec, atoms):
-        sums += np.einsum("ij,j->i", _squares(nonzeros, values), w)
+    for values, w, row in _slabs(solution, spec, atoms):
+        sums += _squares(nonzeros, values, w, row)
     return 8.0 * sums
 
 
 def ladder_residuals(solution, spec: GridSpec) -> LadderReport:
     """Grid L2 residuals of all six ladder relations: the ladder table's 8
     terms squared in one pass, each sum added into the quantities of the rows
-    of its orbit. Peak memory is O(n^2 * _SLAB), about 5 MB of arrays at
+    of its orbit. Peak memory is O(n^2 * _SLAB), about 3.5 MB of arrays at
     n = 128 (tracemalloc). Raises GridError if a basis norm is not finite and
     > 0, as when the trapezoid weights underflow on a tiny cube."""
     term_sums = _square_sums(solution, spec, *_LADDER_PASS)

@@ -674,6 +674,23 @@ def test_cli_import_leaves_out_the_process_pool():
     assert out.splitlines()[-1] == "False"
 
 
+def test_cli_commands_leave_out_the_grid_module(tmp_path):
+    # no command runs a grid check, and importing spingrid cost each CLI
+    # process 6-11 ms of -X importtime self time, compiling it included
+    sol = str(tmp_path / "sol.json")
+    commands = [["solve", "--omega", "0.5", "--no-cache", "--out", sol],
+                ["observables", "--solution", sol],
+                ["correlate", "--solution", sol, "--a=0,0,1", "--b=1,0,0"],
+                ["chsh", "--solution", sol, "--optimize"],
+                ["ensemble", "--solution", sol, "--a=0,0,1", "--b=1,0,0",
+                 "--n-trials", "8", "--realizations", "16", "--seed", "1"]]
+    out = _run_fresh("import sys\n"
+                     "from solitonlab import cli\n"
+                     f"assert all(cli.main(argv) == 0 for argv in {commands!r})\n"
+                     "print('solitonlab.spingrid' in sys.modules)\n")
+    assert out.splitlines()[-1] == "False"
+
+
 def test_package_runs_without_scipy(tmp_path):
     # a fresh interpreter in which every scipy import fails: the solve, the
     # archive commands and both 3-D grid checks still run

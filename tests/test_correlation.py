@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import oracles
-from solitonlab import DomainError, GridError, correlation
+from solitonlab import DomainError, GridError, correlation, spingrid
 from solitonlab.correlation import (EntangledPair, build_singlet, chsh,
                                     chsh_local_strategies, chsh_optimize,
                                     epr_correlation, ladder_check_grid,
@@ -406,6 +406,6 @@ def test_ladder_check_grid_refuses_bad_tol_before_grid_work(sol05, tol, monkeypa
     def no_grid(*args):
         raise AssertionError("grid built")
 
-    monkeypatch.setattr(correlation, "ladder_residuals", no_grid)
+    monkeypatch.setattr(spingrid, "ladder_residuals", no_grid)
     with pytest.raises(DomainError, match="tol"):
         ladder_check_grid(sol05, tol=tol)

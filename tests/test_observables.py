@@ -230,7 +230,7 @@ def test_spin_grid_check_runs_once(sol05, params05, obs05, monkeypatch):
         calls.append(spec.n)
         return sz_grid_integral(solution, spec)
 
-    monkeypatch.setattr(sl.observables, "sz_grid_integral", counted)
+    monkeypatch.setattr(sl.spingrid, "sz_grid_integral", counted)
     with pytest.raises(GridError):
         spin_z(sol05, params05, obs=obs05, grid=GridSpec(n=16, extent=12.0))
     assert calls == [16]

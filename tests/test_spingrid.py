@@ -71,6 +71,27 @@ def test_streamed_grid_matches_dense(sol05, n):
         oracles.sz_grid_integral_dense(sol05, spec), rel=1e-12, abs=0.0)
 
 
+@pytest.mark.parametrize("n", [10, 18, 38, 64])
+def test_any_slab_partition_gives_the_same_sums(sol05, monkeypatch, n):
+    # slabs of 1, 2, 3 and 5 x-planes: short first slabs, a face slab of one
+    # plane (whose window then takes a second plane below it) and the
+    # workspace's views at every slab length; the default is 4
+    ladder_spec, sz_spec = GridSpec(n=n, extent=10.0), GridSpec(n=n, extent=12.0)
+
+    def sums():
+        return {**ladder_residuals(sol05, ladder_spec).as_dict(),
+                "sz": sz_grid_integral(sol05, sz_spec)}
+
+    default = sums()
+    dense = {**oracles.ladder_residuals_dense(sol05, ladder_spec).as_dict(),
+             "sz": oracles.sz_grid_integral_dense(sol05, sz_spec)}
+    for slab in (1, 2, 3, 5):
+        monkeypatch.setattr(spingrid, "_SLAB", slab)
+        for key, value in sums().items():
+            assert value == pytest.approx(default[key], rel=1e-13, abs=0.0), (slab, key)
+            assert value == pytest.approx(dense[key], rel=1e-12, abs=0.0), (slab, key)
+
+
 @pytest.mark.parametrize("n, residuals", [(64, golden.LADDER_64), (128, golden.LADDER_128)])
 def test_ladder_check_holds_its_golden_values(sol05, n, residuals):
     report = ladder_residuals(sol05, GridSpec(n=n, extent=10.0))
@@ -224,9 +245,9 @@ def test_each_check_differentiates_only_the_pairs_it_reads(sol05, monkeypatch, c
     assert set().union(*[spingrid._READS[a] for a in atoms[check][0]]) == pairs
     calls, diff = [], spingrid._diff
 
-    def counting(c, h, axis, face):
+    def counting(c, h, axis, face, out, tmp):
         calls.append(axis)
-        return diff(c, h, axis, face)
+        return diff(c, h, axis, face, out, tmp)
 
     monkeypatch.setattr(spingrid, "_diff", counting)
     check(sol05, GridSpec(n=8, extent=10.0))
@@ -254,7 +275,9 @@ def test_nonzero_tables_rebuild_the_dense_ones(name):
             rebuilt[i, atoms[j]] = c
     assert np.array_equal(rebuilt, terms)
     values = np.random.default_rng(5).integers(-99, 99, (len(atoms), 50)).astype(float)
-    squares = spingrid._squares(nonzeros, values)
+    # each point's squares, as the sums weighted by that point's indicator
+    squares = np.transpose([spingrid._squares(nonzeros, values, w, np.empty(50))
+                            for w in np.eye(50)])
     assert np.array_equal(np.sqrt(squares), np.abs(terms[:, atoms] @ values))
     assert np.array_equal(squares, (terms[:, atoms] @ values) ** 2)
 
@@ -297,9 +320,9 @@ def test_slab_atoms_are_the_dense_atoms(sol05, n, atoms):
     spec, m = GridSpec(n=n, extent=10.0), n // 2
     octant = oracles.atoms_dense(sol05, spec)[atoms][:, m:, m:, m:]
     i0 = 0
-    for values, _w in spingrid._slabs(sol05, spec, atoms):
-        i1 = i0 + values.shape[1] // (m * m)
-        assert np.array_equal(values, octant[:, i0:i1].reshape(len(atoms), -1)), i0
+    for values, _w, _row in spingrid._slabs(sol05, spec, atoms):
+        i1 = i0 + len(values[0])
+        assert np.array_equal(values, octant[:, i0:i1]), i0
         i0 = i1
     assert i0 == m
 
@@ -354,9 +377,10 @@ def test_streamed_grid_memory_bounded(sol05, check):
     # the dense 64^3 path peaked at 188 MB (ladder) and 140 MB (spin); the
     # whole cube streamed at 10.1 and 4.9 MB, its octant at 2.9 and 1.5 MB, and
     # at 1.93 and 1.14 MB from the radius table; one term per orbit, with only
-    # the (field, axis) pairs it reads differentiated, peaks at 1.34 and 0.78 MB.
-    # Each bound is that peak plus about 15 %
-    bound = {ladder_residuals: 1.55e6, sz_grid_integral: 0.9e6}[check]
+    # the (field, axis) pairs it reads differentiated, at 1.34 and 0.78 MB, and
+    # every slab in one workspace, built only of the fields the check reads, at
+    # 0.93 and 0.52 MB. Each bound is that peak plus about 15 %
+    bound = {ladder_residuals: 1.07e6, sz_grid_integral: 0.6e6}[check]
     peak = _peak(check, sol05, GridSpec(n=64, extent=10.0))
     assert peak <= bound, peak
 
@@ -364,18 +388,27 @@ def test_streamed_grid_memory_bounded(sol05, check):
 def test_ladder_check_squares_each_term_once(sol05):
     # over the octant, squaring all 40 nonzero table rows per slab peaked at
     # 3.9 MB, the 16 distinct rows at 2.9 MB (whole cube: 12.5 and 10.1 MB), and
-    # 1.93 MB from the radius table; one term per orbit peaks at 1.34 MB, and
-    # the bound is that plus about 15 %
+    # 1.93 MB from the radius table, 1.34 MB with one term per orbit; squaring
+    # each term into one row of the workspace peaks at 0.93 MB, and the bound
+    # is that plus about 15 %
     peak = _peak(ladder_residuals, sol05, GridSpec(n=64, extent=10.0))
-    assert peak <= 1.55e6, peak
+    assert peak <= 1.07e6, peak
 
 
 def test_ladder_check_memory_bounded_at_128(sol05):
     # 7.60 MB when each of the 16 distinct rows was squared and all four fields
     # were differentiated along every axis read; 5.24 MB with one term per
-    # orbit and only the pairs the terms read. The bound is that plus about 15 %
+    # orbit and only the pairs the terms read; 3.48 MB with every slab in one
+    # workspace, which allocates nothing per slab. The bound is that plus about 15 %
     peak = _peak(ladder_residuals, sol05, GridSpec(n=128, extent=10.0))
-    assert peak <= 6.0e6, peak
+    assert peak <= 4.0e6, peak
+
+
+def test_ladder_check_memory_bounded_at_256(sol05):
+    # 20.7 MB with one term per orbit, the slabs' arrays allocated slab by
+    # slab; 13.8 MB in one workspace. The bound is that plus about 15 %
+    peak = _peak(ladder_residuals, sol05, GridSpec(n=256, extent=10.0))
+    assert peak <= 15.9e6, peak
 
 
 # the h^3 trapezoid weights underflow to 0 at 1e-160, 1e-200 and 1e-300; the
@@ -392,6 +425,6 @@ def test_nan_relation_fails_the_ladder_check(sol05, monkeypatch):
     report = LadderReport(jplus_up=1e-3, j3_up=math.nan, jminus_up=1e-3, jminus_dn=1e-3,
                           j3_dn=1e-3, jplus_dn=1e-3, grid_spec=spec)
     assert math.isnan(report.max_residual)
-    monkeypatch.setattr(correlation, "ladder_residuals", lambda solution, grid: report)
+    monkeypatch.setattr(spingrid, "ladder_residuals", lambda solution, grid: report)
     with pytest.raises(GridError, match="j3_up"):
         correlation.ladder_check_grid(sol05, grid=spec)
